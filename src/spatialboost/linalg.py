@@ -73,21 +73,16 @@ def _signed_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
-    """Smallest l with ||X - X_l||_F / (n (p+1)) < tol (always >= 1)."""
+    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1)."""
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise ConfigurationError("empty design matrix")
     if tol <= 0 or not np.isfinite(tol):
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    n, p1 = X.shape
     s = np.linalg.svd(X, compute_uv=False)
-    tail = np.sqrt(np.maximum(np.cumsum(s[::-1] ** 2)[::-1], 0.0))
-    scale = n * p1
-    for l in range(1, s.size + 1):
-        resid = tail[l] if l < s.size else 0.0
-        if resid / scale < tol:
-            return l
-    return s.size
+    tail = np.cumsum(s[::-1] ** 2)[::-1]  # tail[l] = ||X - X_l||_F^2
+    resid = np.append(tail[1:], 0.0)  # resid[l - 1] for l = 1 .. min(n, p+1)
+    return int(np.argmax(resid <= tol * tail[0])) + 1
 
 
 def truncate_design(X: np.ndarray, l: int) -> TruncatedDesign:

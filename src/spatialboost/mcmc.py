@@ -1,7 +1,11 @@
 """Polya-Gamma augmented Gibbs sampler for the spike-and-slab logistic model.
 
-Cycle order is sigma^2 -> theta -> omega -> beta. The PG(1, z) draw uses the
-exact alternating-series rejection sampler; the beta draw goes through the
+Cycle order is sigma^2 -> theta -> omega -> beta. The omega block is one
+exact PG(1, z_i) draw per individual by Devroye's alternating-series
+rejection sampler (Polson, Scott & Windle 2013), vectorised over the sweep:
+every pending entry is proposed at once (exponential tail or truncated
+inverse Gaussian), the series decides each entry on its own term count, and
+only the rejected entries are proposed again. The beta draw goes through the
 rank-truncated Woodbury machinery so only an l x l factor is formed.
 """
 
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import expit, log_ndtr
 
 from spatialboost.em import Hyperparameters, e_step, prior_scale
 from spatialboost.errors import ConfigurationError
@@ -21,85 +25,116 @@ _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
 
 
-def _a_coef(n: int, x: float) -> float:
-    """n-th alternating-series coefficient of the tilted Jacobi density."""
-    h = n + 0.5
-    if x > _TRUNC:
-        return math.pi * h * math.exp(-h * h * _PI2 * x / 2.0)
-    return (
-        (2.0 / (math.pi * x)) ** 1.5
-        * math.pi
-        * h
-        * math.exp(-2.0 * h * h / x)
-    )
+def _tail_mass(zh: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """Probability of proposing from the exponential tail (x > _TRUNC).
+
+    The ratio q/p of the two proposal masses is summed in log space, so a
+    saturated |z| gives a tail mass of 0 instead of overflowing.
+    """
+    root = math.sqrt(1.0 / _TRUNC)
+    x0 = np.log(fz) + fz * _TRUNC
+    xb = x0 - zh + log_ndtr(root * (_TRUNC * zh - 1.0))
+    xa = x0 + zh + log_ndtr(-root * (_TRUNC * zh + 1.0))
+    return expit(-(math.log(4.0 / math.pi) + np.logaddexp(xb, xa)))
 
 
-def _mass_texpon(z: float) -> float:
-    """Probability of proposing from the exponential tail (x > _TRUNC)."""
+def _rtigauss(zh: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-Gaussian(1/zh, 1) draws truncated to (0, _TRUNC), one per entry.
+
+    Below zh = 1/_TRUNC the proposal is Devroye's exponential construction
+    with an exp(-zh^2 x / 2) acceptance; above it, untruncated IG draws are
+    kept when they fall below _TRUNC. Each branch reruns only the entries it
+    has not yet accepted.
+    """
     t = _TRUNC
-    fz = _PI2 / 8.0 + z * z / 2.0
-    b = math.sqrt(1.0 / t) * (t * z - 1.0)
-    a = -math.sqrt(1.0 / t) * (t * z + 1.0)
-    x0 = math.log(fz) + fz * t
-    xb = x0 - z + log_ndtr(b)
-    xa = x0 + z + log_ndtr(a)
-    qdivp = 4.0 / math.pi * (math.exp(xb) + math.exp(xa))
-    return 1.0 / (1.0 + qdivp)
-
-
-def _rtigauss(z: float, rng: np.random.Generator) -> float:
-    """Inverse-Gaussian(1/z, 1) draw truncated to (0, _TRUNC)."""
-    t = _TRUNC
-    x = t + 1.0
-    if z < 1.0 / t:
-        while True:
-            while True:
-                e1 = rng.exponential()
-                e2 = rng.exponential()
-                if e1 * e1 <= 2.0 * e2 / t:
-                    break
-            x = t / (1.0 + t * e1) ** 2
-            if rng.random() <= math.exp(-0.5 * z * z * x):
-                return x
-    mu = 1.0 / z
-    while x > t:
-        yv = rng.standard_normal() ** 2
-        x = mu + 0.5 * mu * mu * yv - 0.5 * mu * math.sqrt(4.0 * mu * yv + (mu * yv) ** 2)
-        if rng.random() > mu / (mu + x):
-            x = mu * mu / x
+    x = np.empty(zh.size)
+    todo = np.flatnonzero(zh < 1.0 / t)
+    while todo.size:
+        e1, e2 = rng.exponential(size=(2, todo.size))
+        cand = t / (1.0 + t * e1) ** 2
+        ok = (e1 * e1 <= 2.0 * e2 / t) & (
+            rng.random(todo.size) <= np.exp(-0.5 * zh[todo] ** 2 * cand)
+        )
+        x[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    todo = np.flatnonzero(zh >= 1.0 / t)
+    while todo.size:
+        mu = 1.0 / zh[todo]
+        my = mu * rng.standard_normal(todo.size) ** 2
+        # smaller root of the IG quadratic, in the form free of cancellation
+        cand = mu / (1.0 + 0.5 * my + 0.5 * np.sqrt(4.0 * my + my * my))
+        flip = rng.random(todo.size) > mu / (mu + cand)
+        cand = np.where(flip, mu * mu / cand, cand)
+        ok = cand <= t
+        x[todo[ok]] = cand[ok]
+        todo = todo[~ok]
     return x
 
 
-def sample_pg(z: float, rng: np.random.Generator) -> float:
-    """Exact draw from PG(1, z) by alternating-series rejection."""
-    if not math.isfinite(z):
-        raise ConfigurationError(f"z must be finite, got {z}")
-    zh = abs(z) / 2.0
-    fz = _PI2 / 8.0 + zh * zh / 2.0
-    p_tail = _mass_texpon(zh)
-    while True:
-        if rng.random() < p_tail:
-            x = _TRUNC + rng.exponential() / fz
+def _series_accept(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Alternating-series accept/reject of the proposals ``x``.
+
+    Every entry walks the partial sums of the tilted Jacobi density until
+    an odd term accepts it or an even term rejects it; entries that are
+    decided drop out. Returns the acceptance mask.
+    """
+    # term n is pi h exp(pre + h^2 slope) with h = n + 1/2, in the left
+    # (x <= _TRUNC) or the right representation
+    left = x <= _TRUNC
+    pre = np.where(left, 1.5 * np.log(2.0 / (math.pi * x)), 0.0)
+    slope = np.where(left, -2.0 / x, -_PI2 * x / 2.0)
+
+    def coef(n: int) -> np.ndarray:
+        h = n + 0.5
+        return math.pi * h * np.exp(pre + h * h * slope)
+
+    accepted = np.zeros(x.size, dtype=bool)
+    idx = np.arange(x.size)
+    s = coef(0)
+    u = rng.random(x.size) * s
+    n = 0
+    while idx.size:
+        n += 1
+        if n % 2 == 1:
+            s = s - coef(n)
+            done = u <= s
+            accepted[idx[done]] = True
         else:
-            x = _rtigauss(zh, rng)
-        s = _a_coef(0, x)
-        yv = rng.random() * s
-        n = 0
-        while True:
-            n += 1
-            if n % 2 == 1:
-                s -= _a_coef(n, x)
-                if yv <= s:
-                    return x / 4.0
-            else:
-                s += _a_coef(n, x)
-                if yv > s:
-                    break
+            s = s + coef(n)
+            done = u > s
+        if done.any():
+            keep = ~done
+            idx, pre, slope, s, u = (a[keep] for a in (idx, pre, slope, s, u))
+    return accepted
 
 
 def sample_pg_vector(zs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent PG(1, z_i) draws, one per entry, in index order."""
-    return np.array([sample_pg(float(z), rng) for z in np.ravel(zs)])
+    """Independent exact PG(1, z_i) draws, one per entry, in index order.
+
+    All entries are proposed together; those the series rejects are
+    proposed again in the next round.
+    """
+    z = np.asarray(zs, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ConfigurationError(
+            f"z must be finite, got {z[bad[0]]} at index {bad[0]}"
+        )
+    zh = np.abs(z) / 2.0
+    fz = _PI2 / 8.0 + zh * zh / 2.0
+    p_tail = _tail_mass(zh, fz)
+    out = np.empty(z.size)
+    pending = np.arange(z.size)
+    while pending.size:
+        tail = rng.random(pending.size) < p_tail[pending]
+        x = np.empty(pending.size)
+        k = pending[tail]
+        x[tail] = _TRUNC + rng.exponential(size=k.size) / fz[k]
+        x[~tail] = _rtigauss(zh[pending[~tail]], rng)
+        ok = _series_accept(x, rng)
+        out[pending[ok]] = x[ok] / 4.0
+        pending = pending[~ok]
+    return out
 
 
 def pg_mean(z: float) -> float:

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from spatialboost import __version__
 from spatialboost.em import (
@@ -229,7 +229,7 @@ def hwe_pvalues(dataset: Dataset) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
     stat = terms.sum(axis=0)
-    return chi2.sf(stat, df=1)
+    return chdtrc(1, stat)
 
 
 def hwe_filter(dataset: Dataset, alpha: float = 1e-6) -> tuple[Dataset, np.ndarray]:

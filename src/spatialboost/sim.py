@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, ndtr
-from scipy.stats import rankdata
 
 from spatialboost.em import (
     FilterConfig,
@@ -180,6 +179,8 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     Grouping tied scores makes the trapezoidal integral equal the
     Mann-Whitney statistic exactly.
     """
+    from scipy.stats import rankdata  # deferred: keeps scipy.stats off CLI start-up
+
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(bool)
     n1 = int(truth.sum())

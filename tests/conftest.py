@@ -1,7 +1,15 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
+
+from spatialboost.errors import ConfigurationError
+
+_TRUNC = 0.64  # crossover point between the two series representations
+_PI2 = math.pi * math.pi
 
 
 def gamma_series_pg(z: float, rng: np.random.Generator, size: int,
@@ -16,6 +24,83 @@ def gamma_series_pg(z: float, rng: np.random.Generator, size: int,
     denom = (k - 0.5) ** 2 + (z / (2.0 * np.pi)) ** 2
     g = rng.standard_exponential((size, terms))
     return (g / denom).sum(axis=1) / (2.0 * np.pi**2)
+
+
+def _a_coef(n: int, x: float) -> float:
+    """n-th alternating-series coefficient of the tilted Jacobi density."""
+    h = n + 0.5
+    if x > _TRUNC:
+        return math.pi * h * math.exp(-h * h * _PI2 * x / 2.0)
+    return (
+        (2.0 / (math.pi * x)) ** 1.5
+        * math.pi
+        * h
+        * math.exp(-2.0 * h * h / x)
+    )
+
+
+def _mass_texpon(z: float) -> float:
+    """Probability of proposing from the exponential tail (x > _TRUNC)."""
+    t = _TRUNC
+    fz = _PI2 / 8.0 + z * z / 2.0
+    b = math.sqrt(1.0 / t) * (t * z - 1.0)
+    a = -math.sqrt(1.0 / t) * (t * z + 1.0)
+    x0 = math.log(fz) + fz * t
+    xb = x0 - z + log_ndtr(b)
+    xa = x0 + z + log_ndtr(a)
+    qdivp = 4.0 / math.pi * (math.exp(xb) + math.exp(xa))
+    return 1.0 / (1.0 + qdivp)
+
+
+def _rtigauss(z: float, rng: np.random.Generator) -> float:
+    """Inverse-Gaussian(1/z, 1) draw truncated to (0, _TRUNC)."""
+    t = _TRUNC
+    x = t + 1.0
+    if z < 1.0 / t:
+        while True:
+            while True:
+                e1 = rng.exponential()
+                e2 = rng.exponential()
+                if e1 * e1 <= 2.0 * e2 / t:
+                    break
+            x = t / (1.0 + t * e1) ** 2
+            if rng.random() <= math.exp(-0.5 * z * z * x):
+                return x
+    mu = 1.0 / z
+    while x > t:
+        yv = rng.standard_normal() ** 2
+        x = mu + 0.5 * mu * mu * yv - 0.5 * mu * math.sqrt(4.0 * mu * yv + (mu * yv) ** 2)
+        if rng.random() > mu / (mu + x):
+            x = mu * mu / x
+    return x
+
+
+def scalar_pg(z: float, rng: np.random.Generator) -> float:
+    """Exact draw from PG(1, z) by alternating-series rejection, one entry
+    at a time: the scalar oracle for ``sample_pg_vector``."""
+    if not math.isfinite(z):
+        raise ConfigurationError(f"z must be finite, got {z}")
+    zh = abs(z) / 2.0
+    fz = _PI2 / 8.0 + zh * zh / 2.0
+    p_tail = _mass_texpon(zh)
+    while True:
+        if rng.random() < p_tail:
+            x = _TRUNC + rng.exponential() / fz
+        else:
+            x = _rtigauss(zh, rng)
+        s = _a_coef(0, x)
+        yv = rng.random() * s
+        n = 0
+        while True:
+            n += 1
+            if n % 2 == 1:
+                s -= _a_coef(n, x)
+                if yv <= s:
+                    return x / 4.0
+            else:
+                s += _a_coef(n, x)
+                if yv > s:
+                    break
 
 
 def correlated_columns(C: np.ndarray, n: int,

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import spatialboost
 from spatialboost.cli import main
 
 
@@ -87,3 +90,16 @@ def test_fit_phi_command(tmp_path, capsys):
     text = open(os.path.join(out_dir, "phi.tsv")).read()
     assert text.startswith("region_start\tregion_end\tphi")
     assert "# global_phi" in text
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, spatialboost.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(spatialboost.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

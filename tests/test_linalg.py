@@ -29,10 +29,10 @@ def test_select_rank_known_singular_values():
     # orthogonal columns scaled by known singular values: tail sums are exact
     s = np.array([4.0, 2.0, 1.0])
     X = np.diag(s)
-    n, p1 = X.shape
-    # keeping l=1 leaves residual sqrt(5); l=2 leaves 1
-    tol = 1.5 / (n * p1)
-    assert select_rank(X, tol=tol) == 2
+    # ||X||^2 = 21; keeping l=1 leaves residual energy 5, l=2 leaves 1
+    assert select_rank(X, tol=6.0 / 21.0) == 1
+    assert select_rank(X, tol=3.0 / 21.0) == 2
+    assert select_rank(X, tol=0.5 / 21.0) == 3
 
 
 def test_select_rank_validation():

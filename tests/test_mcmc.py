@@ -15,14 +15,13 @@ from spatialboost.mcmc import (
     pg_mean,
     pg_var,
     sample_beta,
-    sample_pg,
     sample_pg_vector,
     sample_sigma2,
     sample_theta,
     sigma2_posterior_params,
     theta_bitmask,
 )
-from tests.conftest import gamma_series_pg
+from tests.conftest import gamma_series_pg, scalar_pg
 
 HYPER = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0)
 
@@ -56,11 +55,41 @@ def test_sample_pg_matches_gamma_series_oracle(rng):
     assert ks_2samp(a, b).pvalue > 0.01
 
 
+@pytest.mark.parametrize("z", [0.0, 1.0, 3.0, 3.2, 8.0, 40.0])
+def test_sample_pg_matches_scalar_oracle(z, rng):
+    # 3.0 and 3.2 straddle the inverse-Gaussian branch split at |z| = 3.125
+    a = sample_pg_vector(np.full(4000, z), rng)
+    b = np.array([scalar_pg(z, rng) for _ in range(4000)])
+    assert ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_sample_pg_mixed_vector_keeps_positions(rng):
+    zs = np.tile([0.0, 40.0], 20_000)
+    draws = sample_pg_vector(zs, rng)
+    assert draws.shape == zs.shape
+    assert draws[0::2].mean() == pytest.approx(pg_mean(0.0), rel=0.03)
+    assert draws[1::2].mean() == pytest.approx(pg_mean(40.0), rel=0.02)
+
+
+@pytest.mark.parametrize("z", [98.0, 500.0, 1e4])
+def test_sample_pg_saturated_z(z, rng):
+    draws = sample_pg_vector(np.full(20_000, z), rng)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+    assert draws.mean() == pytest.approx(math.tanh(z / 2.0) / (2.0 * z), rel=0.02)
+
+
 def test_sample_pg_rejects_nonfinite(rng):
-    with pytest.raises(ConfigurationError):
-        sample_pg(float("nan"), rng)
-    with pytest.raises(ConfigurationError):
-        sample_pg(float("inf"), rng)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for pos in (0, 2, 4):
+            zs = np.ones(5)
+            zs[pos] = bad
+            with pytest.raises(ConfigurationError):
+                sample_pg_vector(zs, rng)
+
+
+def test_sample_pg_empty_input(rng):
+    draws = sample_pg_vector(np.array([]), rng)
+    assert draws.shape == (0,) and draws.dtype == np.float64
 
 
 def test_sigma2_posterior_params_theta_one():
