@@ -5,35 +5,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
-import numpy as np
-
-from spatialboost.em import FilterConfig, em_filter_pipeline
-from spatialboost.genome import (
-    build_blocks,
-    compute_boosts,
-    fit_phi_by_region,
-    partition_regions,
+from spatialboost.errors import (
+    ConfigurationError,
+    NumericalError,
+    ParseError,
+    PipelineError,
 )
-from spatialboost.inference import (
-    DEFAULT_GAMMA_GRID,
-    SelectionReport,
-    kappa_scan,
-    kappa_scan_tsv,
-)
-from spatialboost.linalg import select_rank, truncate_design
-from spatialboost.mcmc import gibbs_run
 from spatialboost.pipeline import (
     RunConfig,
     atomic_write,
-    hwe_filter,
-    load_genes,
-    load_genotypes,
-    load_relevances,
-    maf_filter,
     parse_config,
     run_pipeline,
+    scan_kappas,
     substream,
+    write_phi_fits,
 )
 from spatialboost.sim import (
     StudyConfig,
@@ -53,117 +40,34 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _write(args, name: str, text: str) -> str:
-    out_dir = args.out_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    atomic_write(path, text)
-    return path
+def _float_list(text: str) -> list[float]:
+    return [float(k) for k in text.split(",")]
 
 
-def _loaded(cfg: RunConfig):
-    dataset = load_genotypes(cfg.genotypes)
-    genes = load_genes(cfg.genes)
-    relevances = load_relevances(cfg.relevances, genes)
-    dataset, _ = maf_filter(dataset, cfg.min_maf)
-    dataset, _ = hwe_filter(dataset, cfg.hwe_alpha)
-    return dataset, genes, relevances
-
-
-def cmd_fit_phi(args) -> int:
-    cfg = _load_config(args)
-    dataset, genes, _ = _loaded(cfg)
-    partition = partition_regions(dataset.snps, genes)
-    partition = fit_phi_by_region(dataset.markers, dataset.snps, partition)
-    lines = ["region_start\tregion_end\tphi"]
-    for (lo, hi), phi in zip(partition.ranges, partition.phis):
-        lines.append(f"{lo}\t{hi}\t{phi:.10g}")
-    lines.append(f"# global_phi = {partition.global_phi():.10g}")
-    path = _write(args, "phi.tsv", "\n".join(lines) + "\n")
-    print(path)
+def cmd_stages(args, until: str, extra=None) -> int:
+    """Run the pipeline's stages up to ``until`` (then ``extra``) and print
+    the path of the last stage's artifact."""
+    result = run_pipeline(_load_config(args), until, extra)
+    if result.artifact is not None:
+        print(result.artifact)
     return 0
 
 
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
-    dataset = load_genotypes(cfg.genotypes)
-    before = dataset.p
-    dataset, _ = maf_filter(dataset, cfg.min_maf)
-    after_maf = dataset.p
-    dataset, _ = hwe_filter(dataset, cfg.hwe_alpha)
+    result = run_pipeline(cfg, "filter")
+    read, after_maf, after_hwe = result.qc_counts
     print(
-        f"markers: {before} -> {after_maf} after MAF > {cfg.min_maf}"
-        f" -> {dataset.p} after HWE alpha {cfg.hwe_alpha}"
+        f"markers: {read} -> {after_maf} after MAF > {cfg.min_maf}"
+        f" -> {after_hwe} after HWE alpha {cfg.hwe_alpha}"
     )
+    print(result.artifact)
     return 0
 
 
-def cmd_boosts(args) -> int:
-    cfg = _load_config(args)
-    dataset, genes, relevances = _loaded(cfg)
-    blocks = build_blocks(genes, relevances)
-    phi = cfg.phi if cfg.phi is not None else cfg.em.phi
-    boosts = compute_boosts(dataset.snps, blocks, phi)
-    lines = [f"# phi={phi:.10g}", "snp\tboost"]
-    for snp, b in zip(dataset.snps, boosts.values):
-        lines.append(f"{snp.id}\t{b:.10g}")
-    print(_write(args, "boosts.tsv", "\n".join(lines) + "\n"))
-    return 0
-
-
-def _boosted(cfg: RunConfig):
-    dataset, genes, relevances = _loaded(cfg)
-    blocks = build_blocks(genes, relevances)
-    phi = cfg.phi if cfg.phi is not None else cfg.em.phi
-    return dataset, compute_boosts(dataset.snps, blocks, phi)
-
-
-def cmd_em_filter(args) -> int:
-    cfg = _load_config(args)
-    dataset, boosts = _boosted(cfg)
-    trace = em_filter_pipeline(
-        dataset.markers,
-        dataset.y,
-        boosts,
-        cfg.em,
-        FilterConfig(
-            max_rounds=cfg.filter_max_rounds,
-            fraction=cfg.filter_fraction,
-            rank_tol=cfg.rank_tol,
-            rank=cfg.rank,
-        ),
-    )
-    print(_write(args, "em_trace.tsv", trace.to_tsv([s.id for s in dataset.snps])))
-    return 0
-
-
-def cmd_gibbs(args) -> int:
-    cfg = _load_config(args)
-    dataset, boosts = _boosted(cfg)
-    X = dataset.X
-    l = cfg.rank or select_rank(X, cfg.rank_tol)
-    design = truncate_design(X, min(l, min(X.shape)))
-    chain = gibbs_run(
-        design,
-        dataset.y,
-        boosts.values,
-        cfg.gibbs,
-        iters=cfg.gibbs_iters,
-        burnin=cfg.gibbs_burnin,
-        seed=int(substream(cfg.seed, "gibbs.chain0").integers(2**31)),
-    )
-    lines = ["snp\tpi_hat"]
-    for snp, ph in zip(dataset.snps, chain.pi_hat[1:]):
-        lines.append(f"{snp.id}\t{ph:.10g}")
-    print(_write(args, "pi_hat.tsv", "\n".join(lines) + "\n"))
-    return 0
-
-
-def cmd_report(args) -> int:
-    cfg = _load_config(args)
-    result = run_pipeline(cfg)
-    print(os.path.join(result.out_dir, "report.tsv"))
-    return 0
+def cmd_kappa_scan(args) -> int:
+    scan = partial(scan_kappas, kappas=args.kappas)
+    return cmd_stages(args, "boosts", ("kappa-scan", scan))
 
 
 def cmd_simulate(args) -> int:
@@ -182,17 +86,21 @@ def cmd_simulate(args) -> int:
             + "\t"
             + "\t".join(str(int(g)) for g in X[i])
         )
-    geno_path = _write(args, "simulated_genotypes.tsv", "\n".join(rows) + "\n")
     genes_txt = "\n".join(
         f"{g.chromosome}\t{g.start}\t{g.end}\t{g.id}" for g in genes
     )
-    _write(args, "simulated_genes.bed", genes_txt + "\n")
     truth = "\n".join(
         f"{s.id}\t{int(t)}\t{b:.10g}"
         for s, t, b in zip(snps, data.theta, data.beta[1:])
     )
-    _write(args, "simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n")
-    print(geno_path)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for name, text in (
+        ("simulated_genotypes.tsv", "\n".join(rows) + "\n"),
+        ("simulated_genes.bed", genes_txt + "\n"),
+        ("simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n"),
+    ):
+        atomic_write(os.path.join(cfg.out_dir, name), text)
+    print(os.path.join(cfg.out_dir, "simulated_genotypes.tsv"))
     return 0
 
 
@@ -201,25 +109,14 @@ def cmd_study(args) -> int:
     study = StudyConfig(n=args.n, p=args.p, use_gibbs_ranking=args.gibbs_ranking)
     seeds = [cfg.seed + k for k in range(args.datasets)]
     result = study_harness(args.datasets, study, seeds)
-    print(_write(args, "study.tsv", result.to_tsv()))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, "study.tsv")
+    atomic_write(path, result.to_tsv())
+    print(path)
     print(
         f"median AUC: spatial-boost {result.median_auc_sb:.3f}"
         f" vs single-SNP {result.median_auc_ss:.3f}"
     )
-    return 0
-
-
-def cmd_kappa_scan(args) -> int:
-    cfg = _load_config(args)
-    dataset, boosts = _boosted(cfg)
-    X = dataset.X
-    l = cfg.rank or select_rank(X, cfg.rank_tol)
-    design = truncate_design(X, min(l, min(X.shape)))
-    kappas = [float(k) for k in args.kappas.split(",")]
-    rows = kappa_scan(
-        design, dataset.y, boosts, cfg.em, kappas, DEFAULT_GAMMA_GRID
-    )
-    print(_write(args, "kappa_scan.tsv", kappa_scan_tsv(rows)))
     return 0
 
 
@@ -234,23 +131,20 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fit-phi", help="fit the range parameter per region").set_defaults(
-        func=cmd_fit_phi
+        func=partial(cmd_stages, until="filter", extra=("fit-phi", write_phi_fits))
     )
     sub.add_parser("filter", help="apply MAF and HWE filters").set_defaults(
         func=cmd_filter
     )
-    sub.add_parser("boosts", help="compute per-SNP gene boosts").set_defaults(
-        func=cmd_boosts
-    )
-    sub.add_parser("em-filter", help="run the EM filtering loop").set_defaults(
-        func=cmd_em_filter
-    )
-    sub.add_parser("gibbs", help="run the Gibbs sampler").set_defaults(
-        func=cmd_gibbs
-    )
-    sub.add_parser("report", help="run the full pipeline").set_defaults(
-        func=cmd_report
-    )
+    for name, help_text in (
+        ("boosts", "compute per-SNP gene boosts"),
+        ("em-filter", "run the EM filtering loop"),
+        ("gibbs", "run the Gibbs sampler"),
+        ("report", "run the full pipeline"),
+    ):
+        sub.add_parser(name, help=help_text).set_defaults(
+            func=partial(cmd_stages, until=name)
+        )
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("--n", type=int, default=100)
@@ -267,11 +161,21 @@ def main(argv: list[str] | None = None) -> int:
     p_study.set_defaults(func=cmd_study)
 
     p_scan = sub.add_parser("kappa-scan", help="EMBFDR curves across kappa")
-    p_scan.add_argument("--kappas", default="10,100,1000")
+    p_scan.add_argument(
+        "--kappas",
+        type=_float_list,
+        default="10,100,1000",
+    )
     p_scan.set_defaults(func=cmd_kappa_scan)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        ConfigurationError, ParseError, NumericalError, PipelineError, OSError
+    ) as exc:
+        print(f"spatialboost: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import (
     TruncatedDesign,
     WoodburySolver,
-    select_rank,
     truncate_design,
     weighted_cholesky,
 )
@@ -301,10 +300,22 @@ class FilterTrace:
     initial: np.ndarray
     rounds: list[FilterRound] = field(default_factory=list)
     stopped_early: bool = False
+    design: TruncatedDesign | None = None  # the last round's factors
 
     @property
     def final_survivors(self) -> np.ndarray:
         return self.rounds[-1].survivors if self.rounds else self.initial
+
+    def survivor_design(
+        self, X_markers: np.ndarray, config: FilterConfig
+    ) -> TruncatedDesign:
+        """Factors of the final survivors' design: the last round's when the
+        survivors are that round's columns, else a new factorization."""
+        if self.rounds and np.array_equal(
+            self.rounds[-1].retained, self.final_survivors
+        ):
+            return self.design
+        return config.factor(X_markers, self.final_survivors)
 
     def to_tsv(self, snp_ids: list[str] | None = None, top_k: int = 10) -> str:
         """Per-round summary: round, retained count, ppl, max residual, and
@@ -333,6 +344,13 @@ class FilterConfig:
     rank: int | None = None  # explicit rank overrides rank_tol
     floor: int | None = None  # defaults to max(10, n // 10)
 
+    def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
+        """Truncated factors of the intercept plus the given marker columns,
+        at the explicit rank (capped by the design's size) or by rank_tol."""
+        X = np.column_stack([np.ones(X_markers.shape[0]), X_markers[:, columns]])
+        l = min(self.rank, min(X.shape)) if self.rank else None
+        return truncate_design(X, l, self.rank_tol)
+
 
 def em_filter_pipeline(
     X_markers: np.ndarray,
@@ -348,7 +366,8 @@ def em_filter_pipeline(
     Stops on the residual rule, on round exhaustion, or when another removal
     would fall below the marker floor. Boosts are subset (never re-normalized)
     and beta is warm-started by restriction to the surviving coordinates.
-    The design is re-factored per round since filtering changes columns.
+    The design is re-factored per round since filtering changes columns;
+    the last round's factors are kept on the trace.
     """
     X_markers = np.asarray(X_markers, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -363,9 +382,7 @@ def em_filter_pipeline(
     beta_warm: np.ndarray | None = None
 
     for _ in range(config.max_rounds):
-        Xc = np.column_stack([np.ones(n), X_markers[:, current]])
-        l = config.rank or select_rank(Xc, config.rank_tol)
-        design = truncate_design(Xc, min(l, min(Xc.shape)))
+        design = trace.design = config.factor(X_markers, current)
         state = em_fit(
             design, y, b_all[current], hyper, max_iter=max_iter, tol=tol,
             beta0=beta_warm,

@@ -179,7 +179,7 @@ class KappaScanRow:
 
 
 def kappa_scan(
-    design_builder,
+    design: TruncatedDesign,
     y: np.ndarray,
     boosts,
     hyper_base: Hyperparameters,
@@ -188,17 +188,13 @@ def kappa_scan(
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
 ) -> list[KappaScanRow]:
-    """EMBFDR curves across a kappa grid, one em_fit per kappa.
-
-    ``design_builder`` is either a TruncatedDesign (reused across kappas) or
-    a zero-argument callable producing one.
-    """
+    """EMBFDR curves across a kappa grid, one em_fit per kappa on the same
+    design."""
     kappas = list(kappas)
     if not kappas:
         raise ConfigurationError("kappa grid must be non-empty")
     rows: list[KappaScanRow] = []
     for kappa in kappas:
-        design = design_builder() if callable(design_builder) else design_builder
         hyper = replace(hyper_base, kappa=float(kappa))
         state = em_fit(design, y, boosts, hyper, max_iter=max_iter, tol=tol)
         for point in embfdr_curve(state.etheta[1:], gammas):

@@ -25,14 +25,15 @@ class TruncatedDesign:
     """Top-l SVD factors of the design matrix.
 
     U: n x l orthonormal, d: l non-increasing positive singular values,
-    V: (p+1) x l orthonormal. ``frobenius_mse`` is the truncation residual
-    ||X - U diag(d) V'||_F / (n (p+1)).
+    V: (p+1) x l orthonormal. ``relative_residual_energy`` is the share of
+    the design's energy the truncation drops, ||X - U diag(d) V'||_F^2 /
+    ||X||_F^2, the quantity ``rank_tol`` bounds.
     """
 
     U: np.ndarray
     d: np.ndarray
     V: np.ndarray
-    frobenius_mse: float
+    relative_residual_energy: float
 
     @property
     def n(self) -> int:
@@ -72,32 +73,54 @@ def _signed_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, s, V
 
 
-def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
-    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1)."""
+def _residuals(s: np.ndarray) -> tuple[np.ndarray, float]:
+    """From the singular values ``s`` of X: resid[l - 1] = ||X - X_l||_F^2
+    for l = 1 .. s.size, and ||X||_F^2."""
+    tail = np.cumsum(s[::-1] ** 2)[::-1]  # tail[l] = ||X - X_l||_F^2
+    return np.append(tail[1:], 0.0), float(tail[0])
+
+
+def _rank_for(s: np.ndarray, tol: float) -> int:
+    """Smallest l with ||X - X_l||_F^2 <= tol ||X||_F^2."""
+    if tol <= 0 or not np.isfinite(tol):
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    resid, total = _residuals(s)
+    return int(np.argmax(resid <= tol * total)) + 1
+
+
+def _checked_design(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise ConfigurationError("empty design matrix")
-    if tol <= 0 or not np.isfinite(tol):
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    s = np.linalg.svd(X, compute_uv=False)
-    tail = np.cumsum(s[::-1] ** 2)[::-1]  # tail[l] = ||X - X_l||_F^2
-    resid = np.append(tail[1:], 0.0)  # resid[l - 1] for l = 1 .. min(n, p+1)
-    return int(np.argmax(resid <= tol * tail[0])) + 1
+    return X
 
 
-def truncate_design(X: np.ndarray, l: int) -> TruncatedDesign:
-    """Optimal rank-l factorization of X with deterministic signs."""
-    X = np.asarray(X, dtype=float)
-    n, p1 = X.shape
-    if not 1 <= l <= min(n, p1):
-        raise ConfigurationError(f"rank l={l} outside [1, {min(n, p1)}]")
+def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
+    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1)."""
+    return _rank_for(np.linalg.svd(_checked_design(X), compute_uv=False), tol)
+
+
+def truncate_design(
+    X: np.ndarray, l: int | None = None, tol: float = 0.01
+) -> TruncatedDesign:
+    """Optimal rank-l factorization of X with deterministic signs.
+
+    With ``l`` None the rank is the smallest whose relative residual energy
+    is at most ``tol`` (the ``select_rank`` rule), read off the singular
+    values of the one SVD that also gives the factors.
+    """
+    X = _checked_design(X)
     U, s, V = _signed_svd(X)
-    resid = float(np.sqrt(np.sum(s[l:] ** 2)))
+    if l is None:
+        l = _rank_for(s, tol)
+    if not 1 <= l <= s.size:
+        raise ConfigurationError(f"rank l={l} outside [1, {s.size}]")
+    resid, total = _residuals(s)
     return TruncatedDesign(
         U=np.ascontiguousarray(U[:, :l]),
         d=s[:l].copy(),
         V=np.ascontiguousarray(V[:, :l]),
-        frobenius_mse=resid / (n * p1),
+        relative_residual_energy=float(resid[l - 1] / total) if total > 0 else 0.0,
     )
 
 

@@ -145,10 +145,15 @@ def pg_mean(z: float) -> float:
 
 
 def pg_var(z: float) -> float:
-    """Var[PG(1, z)], with limit 1/24 at z = 0."""
-    if abs(z) < 1e-8:
-        return 1.0 / 24.0
-    return (math.sinh(z) - z) / (4.0 * z**3 * math.cosh(z / 2.0) ** 2)
+    """Var[PG(1, z)] = (sinh z - z) / (4 z^3 cosh^2(z/2)), evaluated as
+    (2 tanh(z/2) - z sech^2(z/2)) / (4 z^3) so that no term overflows at
+    large |z|; near 0, where that difference cancels, its Taylor series
+    1/24 - z^2/120 + 17 z^4/13440 is used."""
+    z2 = z * z
+    if z2 < 1e-4:
+        return 1.0 / 24.0 - z2 / 120.0 + 17.0 * z2 * z2 / 13440.0
+    t = math.tanh(z / 2.0)
+    return (2.0 * t - z * (1.0 - t * t)) / (4.0 * z2 * z)
 
 
 def sigma2_posterior_params(
@@ -228,7 +233,7 @@ class ChainSummary:
     draws_retained: int
     burnin: int
     seed: int | None
-    truncation_mse: float
+    relative_residual_energy: float  # of the design's truncation
     theta_draws: np.ndarray  # retained x (p+1), int8
     beta_draws: np.ndarray  # retained x (p+1)
     sigma2_draws: np.ndarray
@@ -322,7 +327,7 @@ def gibbs_run(
         draws_retained=len(thetas),
         burnin=burnin,
         seed=seed,
-        truncation_mse=design.frobenius_mse,
+        relative_residual_energy=design.relative_residual_energy,
         theta_draws=theta_draws,
         beta_draws=np.array(betas),
         sigma2_draws=np.array(sigmas),

@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import chdtrc
@@ -25,6 +26,7 @@ from scipy.special import chdtrc
 from spatialboost import __version__
 from spatialboost.em import (
     FilterConfig,
+    FilterTrace,
     Hyperparameters,
     em_filter_pipeline,
 )
@@ -36,15 +38,21 @@ from spatialboost.errors import (
 from spatialboost.genome import (
     BoostVector,
     Gene,
+    RegionPartition,
     SnpLocus,
     build_blocks,
     compute_boosts,
     fit_phi_by_region,
     partition_regions,
 )
-from spatialboost.inference import SelectionReport, bfdr, centroid
-from spatialboost.linalg import select_rank, truncate_design
-from spatialboost.mcmc import gibbs_run
+from spatialboost.inference import (
+    DEFAULT_GAMMA_GRID,
+    SelectionReport,
+    centroid,
+    kappa_scan,
+    kappa_scan_tsv,
+)
+from spatialboost.mcmc import ChainSummary, gibbs_run
 
 MISSING_CODE = "."
 
@@ -271,6 +279,16 @@ class RunConfig:
         if not 0 < self.filter_fraction < 1:
             raise ConfigurationError("filter fraction must be in (0,1)")
 
+    @property
+    def filtering(self) -> FilterConfig:
+        """EM filter settings; also the rank rule of every design factored."""
+        return FilterConfig(
+            max_rounds=self.filter_max_rounds,
+            fraction=self.filter_fraction,
+            rank_tol=self.rank_tol,
+            rank=self.rank,
+        )
+
     def resolved_text(self) -> str:
         lines = []
         for f_ in fields(self):
@@ -285,10 +303,35 @@ class RunConfig:
 
 _HYPER_KEYS = {"kappa", "nu", "lam", "xi0", "xi1", "phi", "s"}
 
+# config key -> (RunConfig field, converter); the em./gibbs. hyperparameter
+# keys are the _HYPER_KEYS, all floats
+_KEYS = {
+    "genotypes": ("genotypes", str),
+    "genes": ("genes", str),
+    "relevances": ("relevances", lambda v: v or None),
+    "out_dir": ("out_dir", str),
+    "seed": ("seed", int),
+    "phi": ("phi", lambda v: None if v in ("fit", "") else float(v)),
+    "min_maf": ("min_maf", float),
+    "hwe_alpha": ("hwe_alpha", float),
+    "rank_tol": ("rank_tol", float),
+    "rank": ("rank", int),
+    "gammas": ("gammas", lambda v: tuple(float(g) for g in v.split(","))),
+    "gibbs.iters": ("gibbs_iters", int),
+    "gibbs.burnin": ("gibbs_burnin", int),
+    "filter.fraction": ("filter_fraction", float),
+    "filter.max_rounds": ("filter_max_rounds", int),
+}
+
 
 def parse_config(path: str) -> RunConfig:
-    """Flat ``key = value`` config with stage prefixes em./gibbs./filter."""
-    raw: dict[str, str] = {}
+    """Flat ``key = value`` config with stage prefixes em./gibbs./filter.
+
+    An unknown key or a value that does not convert raises
+    ConfigurationError naming ``path:line``.
+    """
+    run_kw: dict = {}
+    hyper_kw: dict[str, dict] = {"em": {}, "gibbs": {}}
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.split("#", 1)[0].strip()
@@ -297,66 +340,26 @@ def parse_config(path: str) -> RunConfig:
             if "=" not in ln:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in ln.split("=", 1))
-            raw[key] = val
+            stage, _, sub = key.partition(".")
+            if key in _KEYS:
+                target, (name, convert) = run_kw, _KEYS[key]
+            elif stage in hyper_kw and sub in _HYPER_KEYS:
+                target, name, convert = hyper_kw[stage], sub, float
+            else:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: unknown config key '{key}'"
+                )
+            try:
+                target[name] = convert(val)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: bad value '{val}' for '{key}'"
+                ) from exc
 
-    cfg = RunConfig()
-    em_kw, gibbs_kw = {}, {}
-    for key, val in raw.items():
-        if key.startswith("em."):
-            sub = key[3:]
-            if sub not in _HYPER_KEYS:
-                raise ConfigurationError(f"unknown config key '{key}'")
-            em_kw[sub] = float(val)
-        elif key.startswith("gibbs."):
-            sub = key[6:]
-            if sub in _HYPER_KEYS:
-                gibbs_kw[sub] = float(val)
-            elif sub == "iters":
-                cfg.gibbs_iters = int(val)
-            elif sub == "burnin":
-                cfg.gibbs_burnin = int(val)
-            else:
-                raise ConfigurationError(f"unknown config key '{key}'")
-        elif key.startswith("filter."):
-            sub = key[7:]
-            if sub == "fraction":
-                cfg.filter_fraction = float(val)
-            elif sub == "max_rounds":
-                cfg.filter_max_rounds = int(val)
-            else:
-                raise ConfigurationError(f"unknown config key '{key}'")
-        elif key == "genotypes":
-            cfg.genotypes = val
-        elif key == "genes":
-            cfg.genes = val
-        elif key == "relevances":
-            cfg.relevances = val or None
-        elif key == "out_dir":
-            cfg.out_dir = val
-        elif key == "seed":
-            cfg.seed = int(val)
-        elif key == "phi":
-            cfg.phi = None if val in ("fit", "") else float(val)
-        elif key == "min_maf":
-            cfg.min_maf = float(val)
-        elif key == "hwe_alpha":
-            cfg.hwe_alpha = float(val)
-        elif key == "rank_tol":
-            cfg.rank_tol = float(val)
-        elif key == "rank":
-            cfg.rank = int(val)
-        elif key == "gammas":
-            cfg.gammas = tuple(float(g) for g in val.split(","))
-        else:
-            raise ConfigurationError(f"unknown config key '{key}'")
-    for kw in (em_kw, gibbs_kw):
-        kw.setdefault("phi", cfg.phi or 30_000.0)
-    base_em = {f_.name: getattr(cfg.em, f_.name) for f_ in fields(cfg.em)}
-    base_gb = {f_.name: getattr(cfg.gibbs, f_.name) for f_ in fields(cfg.gibbs)}
-    cfg.em = Hyperparameters(**{**base_em, **em_kw})
-    cfg.gibbs = Hyperparameters(**{**base_gb, **gibbs_kw})
-    if not 0 < cfg.filter_fraction < 1:
-        raise ConfigurationError("filter fraction must be in (0,1)")
+    cfg = RunConfig(**run_kw)
+    phi = cfg.phi or 30_000.0
+    cfg.em = replace(cfg.em, **{"phi": phi, **hyper_kw["em"]})
+    cfg.gibbs = replace(cfg.gibbs, **{"phi": phi, **hyper_kw["gibbs"]})
     return cfg
 
 
@@ -381,169 +384,220 @@ def _checksum(path: str) -> str:
 
 @dataclass
 class PipelineResult:
-    dataset: Dataset
-    boosts: BoostVector
-    survivors: np.ndarray
-    pi_hat: np.ndarray | None
-    reports: dict[float, SelectionReport]
-    out_dir: str
+    """The run context: each stage reads what earlier stages left here and
+    adds its own results. ``run_pipeline`` returns it."""
 
+    config: RunConfig
+    outputs: list[str] = field(default_factory=list)  # paths, in write order
+    artifact: str | None = None  # main artifact of the last stage run
+    dataset: Dataset | None = None
+    genes: list[Gene] = field(default_factory=list)
+    relevances: np.ndarray | None = None
+    qc_counts: tuple[int, int, int] = (0, 0, 0)  # read, after MAF, after HWE
+    boosts: BoostVector | None = None
+    trace: FilterTrace | None = None
+    chain: ChainSummary | None = None
+    reports: dict[float, SelectionReport] = field(default_factory=dict)
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Load -> filter -> boosts -> truncate -> EM filter -> Gibbs -> report.
+    @property
+    def out_dir(self) -> str:
+        return self.config.out_dir
 
-    Every stage's outputs plus the resolved config are persisted under
-    ``config.out_dir``; on failure a FAILED marker names the broken stage.
-    """
-    os.makedirs(config.out_dir, exist_ok=True)
-    outputs: list[str] = []
+    @property
+    def survivors(self) -> np.ndarray:
+        return self.trace.final_survivors
 
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(config.out_dir, name)
+    @property
+    def pi_hat(self) -> np.ndarray | None:
+        return None if self.chain is None else self.chain.pi_hat
+
+    def emit(self, name: str, text: str) -> str:
+        path = os.path.join(self.out_dir, name)
         atomic_write(path, text)
-        outputs.append(path)
+        self.outputs.append(path)
+        return path
 
-    stage = "load"
+
+def _load(run: PipelineResult) -> None:
+    cfg = run.config
+    run.dataset = load_genotypes(cfg.genotypes)
+    run.genes = load_genes(cfg.genes)
+    run.relevances = load_relevances(cfg.relevances, run.genes)
+
+
+def _qc(run: PipelineResult) -> str:
+    cfg, dataset = run.config, run.dataset
+    maf_ds, maf_keep = maf_filter(dataset, cfg.min_maf)
+    run.dataset, hwe_keep = hwe_filter(maf_ds, cfg.hwe_alpha)
+    run.qc_counts = (dataset.p, maf_ds.p, run.dataset.p)
+    maf_set = set(maf_keep.tolist())
+    kept_set = set(maf_keep[hwe_keep].tolist())
+    lines = ["snp\tmaf_pass\thwe_pass"]
+    for j, snp in enumerate(dataset.snps):
+        lines.append(f"{snp.id}\t{int(j in maf_set)}\t{int(j in kept_set)}")
+    return run.emit("filters.tsv", "\n".join(lines) + "\n")
+
+
+def fit_region_phis(run: PipelineResult) -> RegionPartition:
+    """Per-region phi fits from the decay of correlation with distance
+    between the post-QC markers; their mean is the boosts' fitted phi."""
+    snps = run.dataset.snps
+    partition = partition_regions(snps, run.genes)
+    return fit_phi_by_region(run.dataset.markers, snps, partition)
+
+
+def _boosts(run: PipelineResult) -> str:
+    cfg, snps = run.config, run.dataset.snps
+    if cfg.phi is not None:
+        phi, source = cfg.phi, "fixed"
+    else:
+        phi, source = fit_region_phis(run).global_phi(), "fit (mean of region fits)"
+    run.boosts = compute_boosts(snps, build_blocks(run.genes, run.relevances), phi)
+    lines = [f"# phi={phi:.10g}\tsource={source}", "snp\tboost"]
+    for snp, b in zip(snps, run.boosts.values):
+        lines.append(f"{snp.id}\t{b:.10g}")
+    return run.emit("boosts.tsv", "\n".join(lines) + "\n")
+
+
+def _em_filter(run: PipelineResult) -> str | None:
+    cfg, ds = run.config, run.dataset
+    if cfg.filter_max_rounds < 1:
+        run.trace = FilterTrace(initial=np.arange(ds.p))  # every marker survives
+        return None
+    run.trace = em_filter_pipeline(
+        ds.markers, ds.y, run.boosts, cfg.em, cfg.filtering
+    )
+    return run.emit("em_trace.tsv", run.trace.to_tsv([s.id for s in ds.snps]))
+
+
+def _gibbs(run: PipelineResult) -> str:
+    cfg, ds = run.config, run.dataset
+    log_buf = io.StringIO()
+    run.chain = gibbs_run(
+        run.trace.survivor_design(ds.markers, cfg.filtering),
+        ds.y,
+        run.boosts.values[run.survivors],
+        cfg.gibbs,
+        iters=cfg.gibbs_iters,
+        burnin=cfg.gibbs_burnin,
+        seed=int(substream(cfg.seed, "gibbs.chain0").integers(2**31)),
+        draw_log=log_buf,
+    )
+    return run.emit("gibbs_draws.tsv", log_buf.getvalue())
+
+
+def _report(run: PipelineResult) -> str:
+    ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.survivors
+    final_state = run.trace.rounds[-1].state if run.trace.rounds else None
+    surv_set = {int(j): k for k, j in enumerate(survivors)}
+    lines = ["snp\tchrom\tpos\tboost\tetheta_em\tpi_hat\tselected_gamma1"]
+    sel1 = centroid(pi_hat[1:], 1.0)
+    for j, snp in enumerate(ds.snps):
+        if j in surv_set:
+            k = surv_set[j]
+            et = (
+                f"{final_state.etheta[1 + k]:.10g}"
+                if final_state is not None
+                else "NA"
+            )
+            ph = f"{pi_hat[1 + k]:.10g}"
+            sel = int(sel1[k])
+        else:
+            et, ph, sel = "NA", "NA", 0
+        lines.append(
+            f"{snp.id}\t{snp.chromosome}\t{snp.position}"
+            f"\t{run.boosts.values[j]:.10g}\t{et}\t{ph}\t{sel}"
+        )
+    path = run.emit("report.tsv", "\n".join(lines) + "\n")
+
+    bf_lines = ["gamma\tthreshold\tbfdr\tselected"]
+    ids = [ds.snps[int(j)].id for j in survivors]
+    for g in run.config.gammas:
+        rep = SelectionReport.build(ids, pi_hat[1:], g)
+        run.reports[g] = rep
+        metric = "NA" if rep.metric is None else f"{rep.metric:.10g}"
+        bf_lines.append(
+            f"{g:.10g}\t{1 / (1 + g):.10g}\t{metric}\t{int(rep.selected.sum())}"
+        )
+        run.emit(f"selection_gamma{g:g}.tsv", rep.to_tsv())
+    run.emit("bfdr.tsv", "\n".join(bf_lines) + "\n")
+    return path
+
+
+def write_phi_fits(run: PipelineResult) -> str:
+    """Extra stage after ``filter``: the boosts stage's per-region phi fits,
+    written to phi.tsv."""
+    partition = fit_region_phis(run)
+    lines = ["region_start\tregion_end\tphi"]
+    for (lo, hi), phi in zip(partition.ranges, partition.phis):
+        lines.append(f"{lo}\t{hi}\t{phi:.10g}")
+    lines.append(f"# global_phi = {partition.global_phi():.10g}")
+    return run.emit("phi.tsv", "\n".join(lines) + "\n")
+
+
+def scan_kappas(run: PipelineResult, kappas) -> str:
+    """Extra stage after ``boosts``: EMBFDR curves across ``kappas`` on the
+    post-QC design, factored by the EM filter's rank rule, written to
+    kappa_scan.tsv."""
+    cfg, ds = run.config, run.dataset
+    design = cfg.filtering.factor(ds.markers, np.arange(ds.p))
+    rows = kappa_scan(design, ds.y, run.boosts, cfg.em, kappas, DEFAULT_GAMMA_GRID)
+    return run.emit("kappa_scan.tsv", kappa_scan_tsv(rows))
+
+
+def _write_manifest(run: PipelineResult) -> None:
+    man = [
+        f"spatialboost_version = {__version__}",
+        f"numpy_version = {np.__version__}",
+        "",
+        "[config]",
+        run.config.resolved_text(),
+        "[checksums]",
+    ]
+    for path in run.outputs:
+        man.append(f"{os.path.basename(path)} = {_checksum(path)}")
+    atomic_write(os.path.join(run.out_dir, "manifest.txt"), "\n".join(man) + "\n")
+
+
+# The pipeline's stages, in run order. Each takes the run context and
+# returns the path of its main artifact (None when it writes none).
+Stage = tuple[str, Callable[[PipelineResult], "str | None"]]
+STAGES: tuple[Stage, ...] = (
+    ("load", _load),
+    ("filter", _qc),
+    ("boosts", _boosts),
+    ("em-filter", _em_filter),
+    ("gibbs", _gibbs),
+    ("report", _report),
+)
+
+
+def run_pipeline(
+    config: RunConfig, until: str = "report", extra: Stage | None = None
+) -> PipelineResult:
+    """Run the stages of ``STAGES`` up to and including ``until``, then the
+    ``extra`` stage if given, then write the manifest.
+
+    Every artifact, plus the resolved config and the checksums in
+    manifest.txt, is persisted under ``config.out_dir``; on failure a FAILED
+    marker names the broken stage.
+    """
+    names = [name for name, _ in STAGES]
+    if until not in names:
+        raise ConfigurationError(f"unknown stage '{until}'")
+    stages = STAGES[: names.index(until) + 1] + ((extra,) if extra else ())
+    os.makedirs(config.out_dir, exist_ok=True)
+    run = PipelineResult(config)
+    failed = os.path.join(config.out_dir, "FAILED")
     try:
-        dataset = load_genotypes(config.genotypes)
-        genes = load_genes(config.genes)
-        relevances = load_relevances(config.relevances, genes)
-
-        stage = "filter"
-        maf_ds, maf_keep = maf_filter(dataset, config.min_maf)
-        hwe_ds, hwe_keep = hwe_filter(maf_ds, config.hwe_alpha)
-        kept = maf_keep[hwe_keep]
-        lines = ["snp\tmaf_pass\thwe_pass"]
-        kept_set = set(kept.tolist())
-        maf_set = set(maf_keep.tolist())
-        for j, snp in enumerate(dataset.snps):
-            lines.append(
-                f"{snp.id}\t{int(j in maf_set)}\t{int(j in kept_set)}"
-            )
-        emit("filters.tsv", "\n".join(lines) + "\n")
-        dataset = hwe_ds
-
-        stage = "boosts"
-        blocks = build_blocks(genes, relevances)
-        if config.phi is not None:
-            phi = config.phi
-            phi_source = "fixed"
-        else:
-            partition = partition_regions(dataset.snps, genes)
-            partition = fit_phi_by_region(
-                dataset.markers, dataset.snps, partition
-            )
-            phi = partition.global_phi()
-            phi_source = "fit (mean of region fits)"
-        boosts = compute_boosts(dataset.snps, blocks, phi)
-        lines = [f"# phi={phi:.10g}\tsource={phi_source}", "snp\tboost"]
-        for snp, b in zip(dataset.snps, boosts.values):
-            lines.append(f"{snp.id}\t{b:.10g}")
-        emit("boosts.tsv", "\n".join(lines) + "\n")
-
-        stage = "em-filter"
-        if config.filter_max_rounds >= 1:
-            trace = em_filter_pipeline(
-                dataset.markers,
-                dataset.y,
-                boosts,
-                config.em,
-                FilterConfig(
-                    max_rounds=config.filter_max_rounds,
-                    fraction=config.filter_fraction,
-                    rank_tol=config.rank_tol,
-                    rank=config.rank,
-                ),
-            )
-            survivors = trace.final_survivors
-            emit("em_trace.tsv", trace.to_tsv([s.id for s in dataset.snps]))
-            final_state = trace.rounds[-1].state
-        else:
-            survivors = np.arange(dataset.p)
-            trace = None
-            final_state = None
-
-        stage = "gibbs"
-        Xs = np.column_stack([np.ones(dataset.n), dataset.markers[:, survivors]])
-        l = config.rank or select_rank(Xs, config.rank_tol)
-        design = truncate_design(Xs, min(l, min(Xs.shape)))
-        log_buf = io.StringIO()
-        chain = gibbs_run(
-            design,
-            dataset.y,
-            boosts.values[survivors],
-            config.gibbs,
-            iters=config.gibbs_iters,
-            burnin=config.gibbs_burnin,
-            seed=int(substream(config.seed, "gibbs.chain0").integers(2**31)),
-            draw_log=log_buf,
-        )
-        emit("gibbs_draws.tsv", log_buf.getvalue())
-
-        stage = "report"
-        surv_set = {int(j): k for k, j in enumerate(survivors)}
-        lines = ["snp\tchrom\tpos\tboost\tetheta_em\tpi_hat\tselected_gamma1"]
-        sel1 = centroid(chain.pi_hat[1:], 1.0)
-        for j, snp in enumerate(dataset.snps):
-            if j in surv_set:
-                k = surv_set[j]
-                et = (
-                    f"{final_state.etheta[1 + k]:.10g}"
-                    if final_state is not None
-                    else "NA"
-                )
-                ph = f"{chain.pi_hat[1 + k]:.10g}"
-                sel = int(sel1[k])
-            else:
-                et, ph, sel = "NA", "NA", 0
-            lines.append(
-                f"{snp.id}\t{snp.chromosome}\t{snp.position}"
-                f"\t{boosts.values[j]:.10g}\t{et}\t{ph}\t{sel}"
-            )
-        emit("report.tsv", "\n".join(lines) + "\n")
-
-        reports = {}
-        bf_lines = ["gamma\tthreshold\tbfdr\tselected"]
-        ids = [dataset.snps[int(j)].id for j in survivors]
-        for g in config.gammas:
-            rep = SelectionReport.build(ids, chain.pi_hat[1:], g)
-            reports[g] = rep
-            metric = "NA" if rep.metric is None else f"{rep.metric:.10g}"
-            bf_lines.append(
-                f"{g:.10g}\t{1 / (1 + g):.10g}\t{metric}\t{int(rep.selected.sum())}"
-            )
-            emit(f"selection_gamma{g:g}.tsv", rep.to_tsv())
-        emit("bfdr.tsv", "\n".join(bf_lines) + "\n")
-
+        for stage, fn in stages:
+            run.artifact = fn(run)
         stage = "manifest"
-        man = [
-            f"spatialboost_version = {__version__}",
-            f"numpy_version = {np.__version__}",
-            "",
-            "[config]",
-            config.resolved_text(),
-            "[checksums]",
-        ]
-        for path in outputs:
-            man.append(f"{os.path.basename(path)} = {_checksum(path)}")
-        atomic_write(
-            os.path.join(config.out_dir, "manifest.txt"), "\n".join(man) + "\n"
-        )
+        _write_manifest(run)
     except Exception as exc:
-        atomic_write(
-            os.path.join(config.out_dir, "FAILED"),
-            f"stage = {stage}\nerror = {exc}\n",
-        )
+        atomic_write(failed, f"stage = {stage}\nerror = {exc}\n")
         raise PipelineError(stage, exc) from exc
 
-    failed = os.path.join(config.out_dir, "FAILED")
     if os.path.exists(failed):
         os.remove(failed)
-    return PipelineResult(
-        dataset=dataset,
-        boosts=boosts,
-        survivors=survivors,
-        pi_hat=chain.pi_hat,
-        reports=reports,
-        out_dir=config.out_dir,
-    )
+    return run

@@ -28,7 +28,6 @@ from spatialboost.genome import (
     build_blocks,
     compute_boosts,
 )
-from spatialboost.linalg import truncate_design
 from spatialboost.mcmc import gibbs_run
 
 
@@ -308,16 +307,13 @@ def study_harness(
             )
             continue
 
+        filtering = FilterConfig(
+            max_rounds=config.filter_rounds,
+            fraction=config.filter_fraction,
+            rank=min(config.n, config.p + 1),
+        )
         trace = em_filter_pipeline(
-            X,
-            data.y,
-            boosts,
-            config.sim_hyper,
-            FilterConfig(
-                max_rounds=config.filter_rounds,
-                fraction=config.filter_fraction,
-                rank=min(config.n, config.p + 1),
-            ),
+            X, data.y, boosts, config.sim_hyper, filtering,
             max_iter=config.em_max_iter,
         )
         sb_scores = em_ranking_scores(trace, config.p)
@@ -326,10 +322,8 @@ def study_harness(
         gibbs_hyper = restage(
             config.sim_hyper, kappa=config.gibbs_kappa, xi0=config.gibbs_xi0
         )
-        Xs = np.column_stack([np.ones(config.n), X[:, survivors]])
-        design = truncate_design(Xs, min(Xs.shape))
         chain = gibbs_run(
-            design,
+            trace.survivor_design(X, filtering),
             data.y,
             boosts.values[survivors],
             gibbs_hyper,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import spatialboost
 from spatialboost.cli import main
@@ -50,7 +51,8 @@ def _sim_config(tmp_path, extra=""):
     return str(cfg)
 
 
-def test_filter_command_reports_counts(tmp_path, capsys):
+def test_filter_command_reports_counts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the command writes into the default out/
     cfg = _sim_config(tmp_path)
     rc = main(["--config", cfg, "filter"])
     assert rc == 0
@@ -103,3 +105,65 @@ def test_cli_import_skips_scipy_stats():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+STAGE_COMMANDS = {
+    "filter": "filters.tsv",
+    "fit-phi": "phi.tsv",
+    "boosts": "boosts.tsv",
+    "em-filter": "em_trace.tsv",
+    "gibbs": "gibbs_draws.tsv",
+    "kappa-scan": "kappa_scan.tsv",
+    "report": "report.tsv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_COMMANDS))
+def test_stage_commands_agree_with_report(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    report_dir, cmd_dir = tmp_path / "report_out", tmp_path / "cmd_out"
+    # phi unset (fitted) and out_dir only in the config file
+    report_cfg = _sim_config(tmp_path, f"phi = fit\nout_dir = {report_dir}\n")
+    assert main(["--config", report_cfg, "report"]) == 0
+    cfg = tmp_path / "cmd.cfg"
+    cfg.write_text(
+        open(report_cfg).read().replace(str(report_dir), str(cmd_dir))
+    )
+    capsys.readouterr()
+
+    assert main(["--config", str(cfg), command]) == 0
+    artifact = cmd_dir / STAGE_COMMANDS[command]
+    assert capsys.readouterr().out.strip().endswith(str(artifact))
+    assert artifact.exists()
+    assert not (tmp_path / "out").exists()
+    manifest = (cmd_dir / "manifest.txt").read_text()
+    assert f"{artifact.name} = " in manifest
+    assert not (cmd_dir / "pi_hat.tsv").exists()
+    for name in ("boosts.tsv", "em_trace.tsv"):
+        if (cmd_dir / name).exists():
+            assert (cmd_dir / name).read_bytes() == (report_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config_line, message",
+    [
+        ("em.kappa = abc", "run.cfg:8: bad value 'abc' for 'em.kappa'"),
+        ("genotypes = missing.tsv", "No such file"),
+        ("em.bogus = 1", "run.cfg:8: unknown config key 'em.bogus'"),
+    ],
+)
+def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, message):
+    cfg = _sim_config(tmp_path, config_line + "\n")
+    src = os.path.dirname(os.path.dirname(spatialboost.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "spatialboost", "--config", cfg, "report"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 2
+    lines = (out.stdout + out.stderr).splitlines()
+    assert len(lines) == 1, lines
+    assert message in lines[0]
+    assert "Traceback" not in out.stderr

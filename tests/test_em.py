@@ -331,6 +331,25 @@ def test_em_filter_pipeline_size_chain():
     assert not trace.stopped_early
 
 
+def test_em_filter_pipeline_keeps_survivor_design():
+    X, y, boosts, hyper = _separable_instance()
+    # the marker floor stops the filter before any removal, so the last
+    # round's design is the survivors' design
+    config = FilterConfig(max_rounds=3, rank=40, floor=100)
+    trace = em_filter_pipeline(X, y, boosts, hyper, config)
+    assert trace.final_survivors.size == 100
+    assert trace.survivor_design(X, config) is trace.design
+    assert trace.design.rank == 40
+
+    config = FilterConfig(max_rounds=2, floor=2, rank=40)
+    trace = em_filter_pipeline(X, y, boosts, hyper, config)
+    surv = trace.final_survivors
+    assert surv.size < trace.rounds[-1].retained.size
+    design = trace.survivor_design(X, config)
+    expected = truncate_design(np.column_stack([np.ones(X.shape[0]), X[:, surv]]), 40)
+    assert np.array_equal(design.reconstruct(), expected.reconstruct())
+
+
 def test_em_filter_pipeline_nesting_and_round_trip():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(

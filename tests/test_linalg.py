@@ -44,6 +44,19 @@ def test_select_rank_validation():
         select_rank(np.eye(3), tol=np.inf)
 
 
+def test_truncate_design_rank_from_tol_matches_select_rank(rng):
+    X = np.diag([4.0, 2.0, 1.0])
+    for tol, rank in ((6.0 / 21.0, 1), (3.0 / 21.0, 2), (0.5 / 21.0, 3)):
+        design = truncate_design(X, tol=tol)
+        assert design.rank == rank
+        assert design.relative_residual_energy <= tol
+    X = np.column_stack([np.ones(30), rng.integers(0, 3, size=(30, 50))])
+    for tol in (0.5, 0.1, 0.01, 1e-6):
+        assert truncate_design(X, tol=tol).rank == select_rank(X, tol)
+    with pytest.raises(ConfigurationError):
+        truncate_design(X, tol=0.0)
+
+
 def test_truncate_design_rank_one(rng):
     u = rng.standard_normal(6)
     u /= np.linalg.norm(u)
@@ -59,7 +72,7 @@ def test_truncate_design_rank_one(rng):
 def test_truncate_design_full_rank_zero_residual(rng):
     X = rng.standard_normal((7, 5))
     design = truncate_design(X, 5)
-    assert design.frobenius_mse == pytest.approx(0.0, abs=1e-12)
+    assert design.relative_residual_energy == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(design.reconstruct(), X, atol=1e-10)
 
 
@@ -67,8 +80,8 @@ def test_truncate_design_residual_matches_svd_oracle(rng):
     X = rng.standard_normal((5, 8))
     design = truncate_design(X, 3)
     s = np.linalg.svd(X, compute_uv=False)
-    expected = np.sqrt(np.sum(s[3:] ** 2)) / (5 * 8)
-    assert design.frobenius_mse == pytest.approx(expected, abs=1e-10)
+    expected = np.sum(s[3:] ** 2) / np.sum(s**2)
+    assert design.relative_residual_energy == pytest.approx(expected, abs=1e-10)
 
 
 def test_truncate_design_sign_determinism(rng):

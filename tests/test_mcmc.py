@@ -33,6 +33,18 @@ def test_pg_moment_formulas_continuous_at_zero():
     assert pg_var(1e-4) == pytest.approx(1.0 / 24.0, rel=1e-4)
 
 
+def test_pg_var_overflow_free_form():
+    def closed_form(z):
+        return (math.sinh(z) - z) / (4.0 * z**3 * math.cosh(z / 2.0) ** 2)
+
+    for z in (0.5, 5.0, 50.0):
+        assert pg_var(z) == pytest.approx(closed_form(z), rel=1e-12, abs=0.0)
+    for z in (1e4, -1e4):
+        v = pg_var(z)
+        assert math.isfinite(v)
+        assert v == pytest.approx(1.0 / (2.0 * 1e12), rel=1e-9, abs=0.0)
+
+
 def test_sample_pg_mean_at_zero(rng):
     draws = sample_pg_vector(np.zeros(100_000), rng)
     assert draws.mean() == pytest.approx(0.25, abs=0.005)
@@ -238,7 +250,7 @@ def test_gibbs_run_default_burnin_and_truncation_report():
     chain = gibbs_run(design, y, boosts, HYPER, iters=50, seed=3)
     assert chain.burnin == 10
     assert chain.draws_retained == 40
-    assert chain.truncation_mse == design.frobenius_mse
+    assert chain.relative_residual_energy == design.relative_residual_energy
 
 
 def test_gibbs_run_draw_log_stream():
