@@ -13,6 +13,7 @@ from spatialboost.errors import (
     ParseError,
     PipelineError,
 )
+from spatialboost.genome import DEFAULT_PHI
 from spatialboost.pipeline import (
     RunConfig,
     atomic_write,
@@ -73,7 +74,7 @@ def cmd_kappa_scan(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     rng = substream(cfg.seed, "sim")
-    snps, genes, boosts = synthetic_genome(args.p, rng, cfg.em.phi)
+    snps, genes, boosts = synthetic_genome(args.p, rng, cfg.phi or DEFAULT_PHI)
     X = synthetic_genotypes(args.n, args.p, rng, ld_rho=args.ld_rho)
     data = simulate(X, boosts, cfg.em, args.sigma2, rng, cfg.seed)
     header = "#pheno\t" + "\t".join(

@@ -8,7 +8,7 @@ markers with the lowest <theta_j> and refits until predictions degrade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -24,6 +24,7 @@ from spatialboost.linalg import (
 EM_TOL = 1e-6  # convergence threshold on max|delta beta|
 EM_MAX_ITER = 200
 ASCENT_SLACK = 1e-6  # log-joint drop beyond this flags divergence
+STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,6 @@ class Hyperparameters:
     nu, lam: inverse-gamma shape/scale for sigma^2
     xi0: baseline prior log-odds of association
     xi1: largest allowable gene boost on the log-odds (>= 0)
-    phi: range of the gene-proximity kernel, base pairs
-    s: minimum number of spike standard deviations for selection
     """
 
     kappa: float
@@ -43,14 +42,12 @@ class Hyperparameters:
     lam: float
     xi0: float
     xi1: float
-    phi: float = 30_000.0
-    s: float = 4.0
 
     def __post_init__(self):
         if self.kappa <= 1:
             raise ConfigurationError(f"kappa must be > 1, got {self.kappa}")
-        if self.nu <= 0 or self.lam <= 0 or self.phi <= 0 or self.s <= 0:
-            raise ConfigurationError("nu, lambda, phi, s must be positive")
+        if self.nu <= 0 or self.lam <= 0:
+            raise ConfigurationError("nu and lambda must be positive")
         if self.xi1 < 0:
             raise ConfigurationError(f"xi1 must be >= 0, got {self.xi1}")
 
@@ -252,10 +249,9 @@ def fitted_probabilities(design: TruncatedDesign, beta: np.ndarray) -> np.ndarra
 
 
 def should_stop(state: EmState, design: TruncatedDesign, y: np.ndarray) -> bool:
-    """True iff any fitted probability misses its response by more than 0.5
-    (strict inequality)."""
-    resid = np.abs(np.asarray(y, float) - fitted_probabilities(design, state.beta))
-    return bool(np.max(resid) > 0.5)
+    """True iff any fitted probability misses its response by more than
+    STOP_RESIDUAL (strict inequality)."""
+    return max_residual(state, design, y) > STOP_RESIDUAL
 
 
 def max_residual(state: EmState, design: TruncatedDesign, y: np.ndarray) -> float:
@@ -299,7 +295,7 @@ class FilterRound:
 class FilterTrace:
     initial: np.ndarray
     rounds: list[FilterRound] = field(default_factory=list)
-    stopped_early: bool = False
+    stop_reason: str = "rounds"  # or "residual", "floor"
     design: TruncatedDesign | None = None  # the last round's factors
 
     @property
@@ -317,38 +313,51 @@ class FilterTrace:
             return self.design
         return config.factor(X_markers, self.final_survivors)
 
-    def to_tsv(self, snp_ids: list[str] | None = None, top_k: int = 10) -> str:
-        """Per-round summary: round, retained count, ppl, max residual, and
-        the top-k markers by <theta_j>."""
-        lines = ["round\tretained\tppl\tmax_residual\ttop_markers"]
+    def to_tsv(self, snp_ids: list[str], top_k: int = 10) -> str:
+        """Per-round summary: round, retained count, ppl, max residual, the
+        top-k markers by <theta_j>, the EM fit's iterations and flags, and
+        on the last round why filtering stopped (NA before)."""
+        lines = [
+            "round\tretained\tppl\tmax_residual\ttop_markers"
+            "\titerations\tconverged\tdiverged\tstop_reason"
+        ]
         for r, rec in enumerate(self.rounds):
-            et = rec.state.etheta[1:]
+            st, et = rec.state, rec.state.etheta[1:]
             order = np.argsort(-et, kind="stable")[:top_k]
-            tops = []
-            for loc in order:
-                orig = rec.retained[loc]
-                name = snp_ids[orig] if snp_ids is not None else f"snp{orig}"
-                tops.append(f"{name}={et[loc]:.6g}")
+            tops = [f"{snp_ids[rec.retained[loc]]}={et[loc]:.6g}" for loc in order]
+            stop = self.stop_reason if r == len(self.rounds) - 1 else "NA"
             lines.append(
                 f"{r}\t{rec.retained.size}\t{rec.ppl:.10g}"
                 f"\t{rec.max_residual:.10g}\t{','.join(tops)}"
+                f"\t{st.iterations}\t{int(st.converged)}\t{int(st.diverged)}"
+                f"\t{stop}"
             )
         return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    max_rounds: int = 20
+    """EM filter settings; also the rank rule of every design factored."""
+
+    max_rounds: int = 5  # 0 runs no round: every marker survives
     fraction: float = 0.25
     rank_tol: float = 0.01
     rank: int | None = None  # explicit rank overrides rank_tol
     floor: int | None = None  # defaults to max(10, n // 10)
 
+    def __post_init__(self):
+        if self.max_rounds < 0:
+            raise ConfigurationError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if not 0 < self.fraction < 1:
+            raise ConfigurationError(f"fraction must be in (0,1), got {self.fraction}")
+        if self.rank is not None and self.rank < 1:
+            raise ConfigurationError(f"rank must be >= 1, got {self.rank}")
+
     def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
         """Truncated factors of the intercept plus the given marker columns,
         at the explicit rank (capped by the design's size) or by rank_tol."""
         X = np.column_stack([np.ones(X_markers.shape[0]), X_markers[:, columns]])
-        l = min(self.rank, min(X.shape)) if self.rank else None
+        l = None if self.rank is None else min(self.rank, min(X.shape))
         return truncate_design(X, l, self.rank_tol)
 
 
@@ -364,18 +373,17 @@ def em_filter_pipeline(
     """Iterate em_fit -> record PPL -> filter lowest-<theta> markers.
 
     Stops on the residual rule, on round exhaustion, or when another removal
-    would fall below the marker floor. Boosts are subset (never re-normalized)
-    and beta is warm-started by restriction to the surviving coordinates.
-    The design is re-factored per round since filtering changes columns;
-    the last round's factors are kept on the trace.
+    would fall below the marker floor; ``trace.stop_reason`` says which.
+    Boosts are subset (never re-normalized) and beta is warm-started by
+    restriction to the surviving coordinates. The design is re-factored per
+    round since filtering changes columns; the last round's factors are kept
+    on the trace.
     """
     X_markers = np.asarray(X_markers, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X_markers.shape
     b_all = _marker_boosts(boosts, p)
     floor = config.floor if config.floor is not None else max(10, n // 10)
-    if config.max_rounds < 1:
-        raise ConfigurationError("max_rounds must be >= 1")
 
     current = np.arange(p)
     trace = FilterTrace(initial=current.copy())
@@ -396,11 +404,12 @@ def em_filter_pipeline(
         )
         trace.rounds.append(record)
 
-        if should_stop(state, design, y):
-            trace.stopped_early = True
+        if record.max_residual > STOP_RESIDUAL:
+            trace.stop_reason = "residual"
             break
         k = int(np.floor(config.fraction * current.size))
         if k < 1 or current.size - k < max(floor, 2):
+            trace.stop_reason = "floor"
             break
         keep_local = filter_round(state, current.size, config.fraction)
         record.survivors = current[keep_local]
@@ -425,8 +434,3 @@ def em_ranking_scores(trace: FilterTrace, p: int) -> np.ndarray:
             scores[orig] = r + float(et[loc])
     return scores
 
-
-def restage(hyper: Hyperparameters, **overrides) -> Hyperparameters:
-    """Stage-specific hyperparameter block (e.g. a different kappa and xi0
-    for the sampling stage)."""
-    return replace(hyper, **overrides)

@@ -18,7 +18,7 @@ from scipy.special import ndtr
 from spatialboost.errors import ConfigurationError
 
 DEFAULT_REGION_GAP = 30_000  # average human gene length, base pairs
-DEFAULT_PHI = 30_000.0  # fallback when a region is too small to fit
+DEFAULT_PHI = 30_000.0  # fallback when a region is too small to fit; simulate's phi
 
 # coarse search grid for the range parameter: 50 log-spaced points
 PHI_GRID = np.logspace(2.0, 6.0, 50)

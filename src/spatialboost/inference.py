@@ -13,12 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spatialboost.em import (
-    EM_MAX_ITER,
-    EM_TOL,
-    Hyperparameters,
-    em_fit,
-)
+from spatialboost.em import Hyperparameters, em_fit
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import TruncatedDesign
 
@@ -185,8 +180,6 @@ def kappa_scan(
     hyper_base: Hyperparameters,
     kappas,
     gammas=DEFAULT_GAMMA_GRID,
-    max_iter: int = EM_MAX_ITER,
-    tol: float = EM_TOL,
 ) -> list[KappaScanRow]:
     """EMBFDR curves across a kappa grid, one em_fit per kappa on the same
     design."""
@@ -196,7 +189,7 @@ def kappa_scan(
     rows: list[KappaScanRow] = []
     for kappa in kappas:
         hyper = replace(hyper_base, kappa=float(kappa))
-        state = em_fit(design, y, boosts, hyper, max_iter=max_iter, tol=tol)
+        state = em_fit(design, y, boosts, hyper)
         for point in embfdr_curve(state.etheta[1:], gammas):
             rows.append(KappaScanRow(kappa=float(kappa), point=point))
     return rows

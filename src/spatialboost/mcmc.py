@@ -284,7 +284,6 @@ def gibbs_run(
     iters: int,
     burnin: int | None = None,
     seed: int | None = 0,
-    rng: np.random.Generator | None = None,
     draw_log: "object | None" = None,
 ) -> ChainSummary:
     """Run one chain and estimate marginal association probabilities.
@@ -298,8 +297,7 @@ def gibbs_run(
         burnin = iters // 5
     if not iters > burnin >= 0:
         raise ConfigurationError(f"need iters > burnin >= 0, got {iters}, {burnin}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     y = np.asarray(y, dtype=float)
 
     state = initial_state(design, hyper)

@@ -19,6 +19,7 @@ import io
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 from scipy.special import chdtrc
@@ -257,54 +258,37 @@ class RunConfig:
     phi: float | None = None  # None -> fit from correlation decay
     min_maf: float = 0.05
     hwe_alpha: float = 1e-6
-    rank_tol: float = 0.01
-    rank: int | None = None
-    filter_fraction: float = 0.25
-    filter_max_rounds: int = 5
+    filtering: FilterConfig = FilterConfig()
     gibbs_iters: int = 1000
     gibbs_burnin: int | None = None
     gammas: tuple[float, ...] = (1.0,)
-    em: Hyperparameters = field(
-        default_factory=lambda: Hyperparameters(
-            kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
-        )
+    em: Hyperparameters = Hyperparameters(
+        kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
     )
-    gibbs: Hyperparameters = field(
-        default_factory=lambda: Hyperparameters(
-            kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0
-        )
+    gibbs: Hyperparameters = Hyperparameters(
+        kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0
     )
 
     def __post_init__(self):
-        if not 0 < self.filter_fraction < 1:
-            raise ConfigurationError("filter fraction must be in (0,1)")
-
-    @property
-    def filtering(self) -> FilterConfig:
-        """EM filter settings; also the rank rule of every design factored."""
-        return FilterConfig(
-            max_rounds=self.filter_max_rounds,
-            fraction=self.filter_fraction,
-            rank_tol=self.rank_tol,
-            rank=self.rank,
-        )
+        if self.phi is not None and not self.phi > 0:
+            raise ConfigurationError(f"phi must be positive, got {self.phi}")
 
     def resolved_text(self) -> str:
+        """Every config key with its resolved value, in config-file
+        spelling: the text reads back through ``parse_config``."""
         lines = []
-        for f_ in fields(self):
-            val = getattr(self, f_.name)
-            if isinstance(val, Hyperparameters):
-                for hf in fields(val):
-                    lines.append(f"{f_.name}.{hf.name} = {getattr(val, hf.name)}")
-            else:
-                lines.append(f"{f_.name} = {val}")
+        for key, (path, _) in _KEYS.items():
+            val = reduce(getattr, path.split("."), self)
+            if val is None:
+                val = ""
+            elif isinstance(val, tuple):
+                val = ",".join(map(str, val))
+            lines.append(f"{key} = {val}".rstrip())
         return "\n".join(lines) + "\n"
 
 
-_HYPER_KEYS = {"kappa", "nu", "lam", "xi0", "xi1", "phi", "s"}
-
-# config key -> (RunConfig field, converter); the em./gibbs. hyperparameter
-# keys are the _HYPER_KEYS, all floats
+# config key -> (RunConfig field path, converter). parse_config reads with
+# it and RunConfig.resolved_text writes with it.
 _KEYS = {
     "genotypes": ("genotypes", str),
     "genes": ("genes", str),
@@ -314,52 +298,57 @@ _KEYS = {
     "phi": ("phi", lambda v: None if v in ("fit", "") else float(v)),
     "min_maf": ("min_maf", float),
     "hwe_alpha": ("hwe_alpha", float),
-    "rank_tol": ("rank_tol", float),
-    "rank": ("rank", int),
-    "gammas": ("gammas", lambda v: tuple(float(g) for g in v.split(","))),
+    "rank_tol": ("filtering.rank_tol", float),
+    "rank": ("filtering.rank", lambda v: int(v) if v else None),
+    "filter.fraction": ("filtering.fraction", float),
+    "filter.max_rounds": ("filtering.max_rounds", int),
     "gibbs.iters": ("gibbs_iters", int),
-    "gibbs.burnin": ("gibbs_burnin", int),
-    "filter.fraction": ("filter_fraction", float),
-    "filter.max_rounds": ("filter_max_rounds", int),
+    "gibbs.burnin": ("gibbs_burnin", lambda v: int(v) if v else None),
+    "gammas": ("gammas", lambda v: tuple(float(g) for g in v.split(","))),
+    **{
+        f"{stage}.{f_.name}": (f"{stage}.{f_.name}", float)
+        for stage in ("em", "gibbs")
+        for f_ in fields(Hyperparameters)
+    },
 }
+
+
+def _replaced(obj, path: str, value):
+    """``obj`` with the field at dotted ``path`` set to ``value``; each
+    dataclass on the path is rebuilt, so its own validation runs."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _replaced(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
 
 
 def parse_config(path: str) -> RunConfig:
     """Flat ``key = value`` config with stage prefixes em./gibbs./filter.
 
-    An unknown key or a value that does not convert raises
-    ConfigurationError naming ``path:line``.
+    An unknown key, a value that does not convert, or a value its dataclass
+    rejects raises ConfigurationError naming ``path:line``.
     """
-    run_kw: dict = {}
-    hyper_kw: dict[str, dict] = {"em": {}, "gibbs": {}}
+    cfg = RunConfig()
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.split("#", 1)[0].strip()
             if not ln:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in ln:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+                raise ParseError(f"{where}: expected 'key = value'")
             key, val = (part.strip() for part in ln.split("=", 1))
-            stage, _, sub = key.partition(".")
-            if key in _KEYS:
-                target, (name, convert) = run_kw, _KEYS[key]
-            elif stage in hyper_kw and sub in _HYPER_KEYS:
-                target, name, convert = hyper_kw[stage], sub, float
-            else:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unknown config key '{key}'"
-                )
+            if key not in _KEYS:
+                raise ConfigurationError(f"{where}: unknown config key '{key}'")
+            field_path, convert = _KEYS[key]
             try:
-                target[name] = convert(val)
-            except ValueError as exc:
+                cfg = _replaced(cfg, field_path, convert(val))
+            except ConfigurationError as exc:  # out of range for its dataclass
+                raise ConfigurationError(f"{where}: {exc}") from exc
+            except ValueError as exc:  # does not convert
                 raise ConfigurationError(
-                    f"{path}:{lineno}: bad value '{val}' for '{key}'"
+                    f"{where}: bad value '{val}' for '{key}'"
                 ) from exc
-
-    cfg = RunConfig(**run_kw)
-    phi = cfg.phi or 30_000.0
-    cfg.em = replace(cfg.em, **{"phi": phi, **hyper_kw["em"]})
-    cfg.gibbs = replace(cfg.gibbs, **{"phi": phi, **hyper_kw["gibbs"]})
     return cfg
 
 
@@ -397,7 +386,6 @@ class PipelineResult:
     boosts: BoostVector | None = None
     trace: FilterTrace | None = None
     chain: ChainSummary | None = None
-    reports: dict[float, SelectionReport] = field(default_factory=dict)
 
     @property
     def out_dir(self) -> str:
@@ -461,12 +449,11 @@ def _boosts(run: PipelineResult) -> str:
 
 def _em_filter(run: PipelineResult) -> str | None:
     cfg, ds = run.config, run.dataset
-    if cfg.filter_max_rounds < 1:
-        run.trace = FilterTrace(initial=np.arange(ds.p))  # every marker survives
-        return None
     run.trace = em_filter_pipeline(
         ds.markers, ds.y, run.boosts, cfg.em, cfg.filtering
     )
+    if not run.trace.rounds:  # filter.max_rounds = 0: every marker survives
+        return None
     return run.emit("em_trace.tsv", run.trace.to_tsv([s.id for s in ds.snps]))
 
 
@@ -514,7 +501,6 @@ def _report(run: PipelineResult) -> str:
     ids = [ds.snps[int(j)].id for j in survivors]
     for g in run.config.gammas:
         rep = SelectionReport.build(ids, pi_hat[1:], g)
-        run.reports[g] = rep
         metric = "NA" if rep.metric is None else f"{rep.metric:.10g}"
         bf_lines.append(
             f"{g:.10g}\t{1 / (1 + g):.10g}\t{metric}\t{int(rep.selected.sum())}"
@@ -572,32 +558,50 @@ STAGES: tuple[Stage, ...] = (
 )
 
 
+def _recorded_outputs(out_dir: str) -> list[str]:
+    """Files the previous run into ``out_dir`` wrote: the [checksums] of its
+    manifest.txt, or the [outputs] of its FAILED marker."""
+    names = []
+    for marker, section in (("manifest.txt", "[checksums]"), ("FAILED", "[outputs]")):
+        path = os.path.join(out_dir, marker)
+        if os.path.isfile(path):
+            with open(path) as fh:
+                listed = fh.read().partition(f"\n{section}\n")[2]
+            names += [ln.split(" = ")[0] for ln in listed.splitlines()]
+    return names
+
+
 def run_pipeline(
     config: RunConfig, until: str = "report", extra: Stage | None = None
 ) -> PipelineResult:
     """Run the stages of ``STAGES`` up to and including ``until``, then the
     ``extra`` stage if given, then write the manifest.
 
-    Every artifact, plus the resolved config and the checksums in
-    manifest.txt, is persisted under ``config.out_dir``; on failure a FAILED
-    marker names the broken stage.
+    First the files the previous run into ``config.out_dir`` recorded are
+    removed, with its manifest and FAILED marker. Every artifact, the
+    resolved config and the checksums in manifest.txt are persisted there;
+    on failure a FAILED marker names the broken stage and the files written.
     """
     names = [name for name, _ in STAGES]
     if until not in names:
         raise ConfigurationError(f"unknown stage '{until}'")
     stages = STAGES[: names.index(until) + 1] + ((extra,) if extra else ())
     os.makedirs(config.out_dir, exist_ok=True)
+    for name in _recorded_outputs(config.out_dir) + ["manifest.txt", "FAILED"]:
+        path = os.path.join(config.out_dir, os.path.basename(name))
+        if os.path.isfile(path):
+            os.remove(path)
     run = PipelineResult(config)
-    failed = os.path.join(config.out_dir, "FAILED")
     try:
         for stage, fn in stages:
             run.artifact = fn(run)
         stage = "manifest"
         _write_manifest(run)
     except Exception as exc:
-        atomic_write(failed, f"stage = {stage}\nerror = {exc}\n")
+        written = "".join(f"{os.path.basename(p)}\n" for p in run.outputs)
+        atomic_write(
+            os.path.join(config.out_dir, "FAILED"),
+            f"stage = {stage}\nerror = {exc}\n\n[outputs]\n{written}",
+        )
         raise PipelineError(stage, exc) from exc
-
-    if os.path.exists(failed):
-        os.remove(failed)
     return run

@@ -8,7 +8,7 @@ logistic regression per marker and reports Wald p-values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -18,7 +18,6 @@ from spatialboost.em import (
     Hyperparameters,
     em_filter_pipeline,
     em_ranking_scores,
-    restage,
 )
 from spatialboost.errors import ConfigurationError
 from spatialboost.genome import (
@@ -210,10 +209,9 @@ class StudyConfig:
     p: int = 200
     sigma2_true: float = 0.01
     ld_rho: float = 0.3
-    sim_hyper: Hyperparameters = field(
-        default_factory=lambda: Hyperparameters(
-            kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0, phi=1.5e4, s=3.0
-        )
+    phi: float = 1.5e4
+    sim_hyper: Hyperparameters = Hyperparameters(
+        kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
     )
     filter_rounds: int = 4
     filter_fraction: float = 0.25
@@ -296,7 +294,7 @@ def study_harness(
     for d in range(n_datasets):
         seed = seeds[d]
         rng = np.random.default_rng(seed)
-        _, _, boosts = synthetic_genome(config.p, rng, config.sim_hyper.phi)
+        _, _, boosts = synthetic_genome(config.p, rng, config.phi)
         X = synthetic_genotypes(config.n, config.p, rng, ld_rho=config.ld_rho)
         data = simulate(X, boosts, config.sim_hyper, config.sigma2_true, rng, seed)
         n_assoc = int(data.theta.sum())
@@ -319,7 +317,7 @@ def study_harness(
         sb_scores = em_ranking_scores(trace, config.p)
 
         survivors = trace.final_survivors
-        gibbs_hyper = restage(
+        gibbs_hyper = replace(
             config.sim_hyper, kappa=config.gibbs_kappa, xi0=config.gibbs_xi0
         )
         chain = gibbs_run(

@@ -103,7 +103,7 @@ def test_criterion_5_geweke_joint_distribution():
         t0 = time.perf_counter()
         n, p = 10, 3
         hyper = Hyperparameters(
-            kappa=4.0, nu=6.0, lam=5.0, xi0=0.0, xi1=1.0, phi=1e4, s=3.0
+            kappa=4.0, nu=6.0, lam=5.0, xi0=0.0, xi1=1.0
         )
         rng0 = np.random.default_rng(2024)
         X = np.column_stack(
@@ -272,14 +272,14 @@ def test_criterion_10_pipeline_determinism_and_planted_signal(tmp_path):
                 out_dir=str(tmp_path / run),
                 seed=11,
                 phi=5000.0,
-                filter_max_rounds=3,
+                filtering=FilterConfig(max_rounds=3),
                 gibbs_iters=600,
                 gibbs_burnin=150,
                 em=Hyperparameters(
-                    kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0, phi=5000.0
+                    kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
                 ),
                 gibbs=Hyperparameters(
-                    kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=2.0, phi=5000.0
+                    kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=2.0
                 ),
             )
             run_pipeline(cfg)

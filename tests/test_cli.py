@@ -7,6 +7,7 @@ import pytest
 
 import spatialboost
 from spatialboost.cli import main
+from spatialboost.pipeline import RunConfig, parse_config, run_pipeline
 
 
 def test_simulate_writes_dataset(tmp_path, capsys):
@@ -150,6 +151,10 @@ def test_stage_commands_agree_with_report(tmp_path, monkeypatch, capsys, command
         ("em.kappa = abc", "run.cfg:8: bad value 'abc' for 'em.kappa'"),
         ("genotypes = missing.tsv", "No such file"),
         ("em.bogus = 1", "run.cfg:8: unknown config key 'em.bogus'"),
+        ("em.kappa = 0.5", "run.cfg:8: kappa must be > 1, got 0.5"),
+        ("filter.fraction = 1.5", "run.cfg:8: fraction must be in (0,1), got 1.5"),
+        ("phi = -1", "run.cfg:8: phi must be positive, got -1.0"),
+        ("em.phi = 1", "run.cfg:8: unknown config key 'em.phi'"),
     ],
 )
 def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, message):
@@ -167,3 +172,14 @@ def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, message):
     assert len(lines) == 1, lines
     assert message in lines[0]
     assert "Traceback" not in out.stderr
+
+
+def test_manifest_config_reads_back(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the run writes into the default out/
+    ran = run_pipeline(parse_config(_sim_config(tmp_path)), "filter").config
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    section = manifest.partition("[config]\n")[2].partition("[checksums]\n")[0]
+    for config, text in ((RunConfig(), RunConfig().resolved_text()), (ran, section)):
+        path = tmp_path / "manifest.cfg"
+        path.write_text(text)
+        assert parse_config(str(path)) == config

@@ -18,7 +18,6 @@ from spatialboost.em import (
     marginal_log_posterior,
     max_residual,
     ppl,
-    restage,
     should_stop,
 )
 from spatialboost.errors import ConfigurationError
@@ -328,7 +327,7 @@ def test_em_filter_pipeline_size_chain():
     )
     assert [r.retained.size for r in trace.rounds] == [100, 75, 57]
     assert trace.final_survivors.size == 43
-    assert not trace.stopped_early
+    assert trace.stop_reason == "rounds"
 
 
 def test_em_filter_pipeline_keeps_survivor_design():
@@ -376,6 +375,43 @@ def test_em_filter_pipeline_trace_tsv():
     assert "rs" in lines[1]
 
 
+def test_em_filter_pipeline_stop_reason_and_trace_flags():
+    X, y, boosts, hyper = _separable_instance()
+    y_rare = np.zeros(X.shape[0])
+    y_rare[:3] = 1.0  # three cases: their fitted probabilities stay low
+    for reason, y_run, config in (
+        ("rounds", y, FilterConfig(max_rounds=2, floor=2, rank=40)),
+        ("floor", y, FilterConfig(max_rounds=3, floor=100, rank=40)),
+        ("residual", y_rare, FilterConfig(max_rounds=3, floor=2, rank=40)),
+    ):
+        trace = em_filter_pipeline(X, y_run, boosts, hyper, config)
+        assert trace.stop_reason == reason
+        rows = [
+            ln.split("\t")
+            for ln in trace.to_tsv([f"rs{j}" for j in range(100)]).splitlines()
+        ]
+        assert rows[0][5:] == ["iterations", "converged", "diverged", "stop_reason"]
+        for row, rec in zip(rows[1:], trace.rounds):
+            assert row[5:8] == [
+                str(rec.state.iterations),
+                str(int(rec.state.converged)),
+                str(int(rec.state.diverged)),
+            ]
+        assert [row[8] for row in rows[1:]] == ["NA"] * (len(trace.rounds) - 1) + [
+            reason
+        ]
+    trace = em_filter_pipeline(X, y, boosts, hyper, FilterConfig(max_rounds=0))
+    assert trace.rounds == [] and trace.final_survivors.size == 100
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_rounds": -1}, {"fraction": 0.0}, {"fraction": 1.0}, {"rank": 0}]
+)
+def test_filter_config_validation(kwargs):
+    with pytest.raises(ConfigurationError):
+        FilterConfig(**kwargs)
+
+
 def test_em_ranking_scores_survivors_rank_highest():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
@@ -386,13 +422,6 @@ def test_em_ranking_scores_survivors_rank_highest():
     removed_round0 = np.setdiff1d(trace.initial, trace.rounds[0].survivors)
     assert scores[surv].min() > scores[removed_round0].max()
     assert np.all(scores >= 0.0)
-
-
-def test_restage_overrides_fields():
-    staged = restage(HYPER, kappa=50.0, xi0=-3.0)
-    assert staged.kappa == 50.0 and staged.xi0 == -3.0
-    assert staged.lam == HYPER.lam
-    assert HYPER.kappa == 100.0  # original untouched
 
 
 def test_log_joint_finite(rng):

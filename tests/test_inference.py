@@ -144,9 +144,11 @@ def test_kappa_scan_single_point_composes():
     assert len(rows) == 1
     assert rows[0].kappa == 50.0
 
-    from spatialboost.em import em_fit, restage
+    from dataclasses import replace
 
-    state = em_fit(design, y, boosts, restage(hyper, kappa=50.0))
+    from spatialboost.em import em_fit
+
+    state = em_fit(design, y, boosts, replace(hyper, kappa=50.0))
     direct = embfdr_curve(state.etheta[1:], [1.0])[0]
     assert rows[0].point.retained == direct.retained
     assert rows[0].point.embfdr == direct.embfdr

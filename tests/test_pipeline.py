@@ -1,8 +1,11 @@
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spatialboost.em import FilterConfig
 from spatialboost.errors import (
     ConfigurationError,
     ParseError,
@@ -200,8 +203,18 @@ gammas = 0.5,1,2
     assert cfg.em.kappa == 500.0 and cfg.em.xi0 == -5.0
     assert cfg.gibbs.kappa == 50.0
     assert cfg.gibbs_iters == 300 and cfg.gibbs_burnin == 60
-    assert cfg.filter_fraction == 0.2 and cfg.filter_max_rounds == 3
+    assert cfg.filtering.fraction == 0.2 and cfg.filtering.max_rounds == 3
     assert cfg.gammas == (0.5, 1.0, 2.0)
+
+
+def test_readme_config_block_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.partition("```ini\n")[2].partition("```")[0]
+    cfg = parse_config(_write(tmp_path, "readme.cfg", block))
+    lines = [ln.split("#")[0] for ln in block.splitlines()]
+    listed = sorted(ln.split("=")[0].strip() for ln in lines if ln.strip())
+    schema = cfg.resolved_text().splitlines()
+    assert listed == sorted(ln.split(" =")[0] for ln in schema)
 
 
 def test_parse_config_phi_fit_and_unknown_key(tmp_path):
@@ -261,7 +274,7 @@ def test_run_pipeline_artifacts(tmp_path):
         out_dir=out,
         seed=11,
         phi=5000.0,
-        filter_max_rounds=2,
+        filtering=FilterConfig(max_rounds=2),
         gibbs_iters=120,
         gibbs_burnin=30,
     )
@@ -292,7 +305,7 @@ def test_run_pipeline_skips_em_stage(tmp_path):
         out_dir=str(tmp_path / "out0"),
         seed=1,
         phi=5000.0,
-        filter_max_rounds=0,
+        filtering=FilterConfig(max_rounds=0),
         gibbs_iters=60,
         gibbs_burnin=10,
     )
@@ -313,3 +326,46 @@ def test_run_pipeline_failure_marker(tmp_path):
     marker = os.path.join(str(tmp_path / "outfail"), "FAILED")
     assert os.path.exists(marker)
     assert "stage = load" in open(marker).read()
+
+
+def _rerun_config(tmp_path):
+    geno, genes, _ = _planted_files(tmp_path)
+    return RunConfig(
+        genotypes=geno,
+        genes=genes,
+        out_dir=str(tmp_path / "out"),
+        seed=1,
+        phi=5000.0,
+        filtering=FilterConfig(max_rounds=2),
+        gibbs_iters=60,
+        gibbs_burnin=10,
+    )
+
+
+def test_run_pipeline_prefix_rerun_replaces_report(tmp_path):
+    cfg = _rerun_config(tmp_path)
+    run_pipeline(cfg)
+    out = tmp_path / "out"
+    (out / "notes.txt").write_text("not written by a run\n")
+    run_pipeline(cfg, "boosts")
+    assert sorted(os.listdir(out)) == [
+        "boosts.tsv", "filters.tsv", "manifest.txt", "notes.txt"
+    ]
+
+
+def test_run_pipeline_failed_rerun_replaces_report(tmp_path):
+    cfg = _rerun_config(tmp_path)
+    run_pipeline(cfg)
+    out = tmp_path / "out"
+    (out / "notes.txt").write_text("not written by a run\n")
+    with pytest.raises(PipelineError) as exc:  # burnin >= iters
+        run_pipeline(replace(cfg, gibbs_burnin=60))
+    assert exc.value.stage == "gibbs"
+    written = ["filters.tsv", "boosts.tsv", "em_trace.tsv"]
+    assert sorted(os.listdir(out)) == sorted(written + ["FAILED", "notes.txt"])
+    assert (out / "FAILED").read_text().endswith(
+        "\n[outputs]\n" + "".join(f"{name}\n" for name in written)
+    )
+    # the next run removes the failed run's files too
+    run_pipeline(cfg, "filter")
+    assert sorted(os.listdir(out)) == ["filters.tsv", "manifest.txt", "notes.txt"]

@@ -16,7 +16,7 @@ from spatialboost.sim import (
 )
 
 SIM_HYPER = Hyperparameters(
-    kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0, phi=1.5e4, s=3.0
+    kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
 )
 
 
