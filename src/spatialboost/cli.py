@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
 
@@ -16,9 +15,9 @@ from spatialboost.errors import (
 from spatialboost.genome import DEFAULT_PHI
 from spatialboost.pipeline import (
     RunConfig,
-    atomic_write,
     parse_config,
     run_pipeline,
+    run_stages,
     scan_kappas,
     substream,
     write_phi_fits,
@@ -72,36 +71,35 @@ def cmd_kappa_scan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    rng = substream(cfg.seed, "sim")
-    snps, genes, boosts = synthetic_genome(args.p, rng, cfg.phi or DEFAULT_PHI)
-    X = synthetic_genotypes(args.n, args.p, rng, ld_rho=args.ld_rho)
-    data = simulate(X, boosts, cfg.em, args.sigma2, rng, cfg.seed)
-    header = "#pheno\t" + "\t".join(
-        f"{s.id}:{s.chromosome}:{s.position}" for s in snps
-    )
-    rows = [header]
-    for i in range(args.n):
-        rows.append(
-            str(int(data.y[i]))
-            + "\t"
-            + "\t".join(str(int(g)) for g in X[i])
+    def write_simulation(run) -> str:
+        cfg = run.config
+        rng = substream(cfg.seed, "sim")
+        snps, genes, boosts = synthetic_genome(args.p, rng, cfg.phi or DEFAULT_PHI)
+        X = synthetic_genotypes(args.n, args.p, rng, ld_rho=args.ld_rho)
+        data = simulate(X, boosts, cfg.em, args.sigma2, rng, cfg.seed)
+        header = "#pheno\t" + "\t".join(
+            f"{s.id}:{s.chromosome}:{s.position}" for s in snps
         )
-    genes_txt = "\n".join(
-        f"{g.chromosome}\t{g.start}\t{g.end}\t{g.id}" for g in genes
-    )
-    truth = "\n".join(
-        f"{s.id}\t{int(t)}\t{b:.10g}"
-        for s, t, b in zip(snps, data.theta, data.beta[1:])
-    )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for name, text in (
-        ("simulated_genotypes.tsv", "\n".join(rows) + "\n"),
-        ("simulated_genes.bed", genes_txt + "\n"),
-        ("simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n"),
-    ):
-        atomic_write(os.path.join(cfg.out_dir, name), text)
-    print(os.path.join(cfg.out_dir, "simulated_genotypes.tsv"))
+        rows = [header]
+        for i in range(args.n):
+            rows.append(
+                str(int(data.y[i]))
+                + "\t"
+                + "\t".join(str(int(g)) for g in X[i])
+            )
+        genes_txt = "\n".join(
+            f"{g.chromosome}\t{g.start}\t{g.end}\t{g.id}" for g in genes
+        )
+        truth = "\n".join(
+            f"{s.id}\t{int(t)}\t{b:.10g}"
+            for s, t, b in zip(snps, data.theta, data.beta[1:])
+        )
+        path = run.emit("simulated_genotypes.tsv", "\n".join(rows) + "\n")
+        run.emit("simulated_genes.bed", genes_txt + "\n")
+        run.emit("simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n")
+        return path
+
+    print(run_stages(_load_config(args), [("simulate", write_simulation)]).artifact)
     return 0
 
 
@@ -109,14 +107,16 @@ def cmd_study(args) -> int:
     cfg = _load_config(args)
     study = StudyConfig(n=args.n, p=args.p, use_gibbs_ranking=args.gibbs_ranking)
     seeds = [cfg.seed + k for k in range(args.datasets)]
-    result = study_harness(args.datasets, study, seeds)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "study.tsv")
-    atomic_write(path, result.to_tsv())
-    print(path)
+    outcome = []
+
+    def write_study(run) -> str:
+        outcome.append(study_harness(args.datasets, study, seeds))
+        return run.emit("study.tsv", outcome[0].to_tsv())
+
+    print(run_stages(cfg, [("study", write_study)]).artifact)
     print(
-        f"median AUC: spatial-boost {result.median_auc_sb:.3f}"
-        f" vs single-SNP {result.median_auc_ss:.3f}"
+        f"median AUC: spatial-boost {outcome[0].median_auc_sb:.3f}"
+        f" vs single-SNP {outcome[0].median_auc_ss:.3f}"
     )
     return 0
 

@@ -221,10 +221,17 @@ def fit_phi(
     """Fit the range parameter to the decay of genotype correlation.
 
     Minimizes the mean squared error between pairwise sample correlation
-    magnitudes and 2*Phi(-d/phi) over a log grid, refined locally around the
-    coarse minimum. Smallest minimizer wins on ties. Constant columns are
-    excluded; regions with fewer than two usable columns fall back to
-    ``default_phi``.
+    magnitudes and 2*Phi(-d/phi). A coarse pass evaluates every point of
+    ``grid`` and picks its first minimizer k. The fine pass searches 200
+    log-spaced points from grid[k-1] to grid[k+1] (clipped at the ends) by
+    bisection for the smallest index i with err(i) <= err(i+1), or the last
+    point if none qualifies. The bisection assumes the error is unimodal on
+    that bracket, as the coarse-then-local design does; there it returns the
+    exhaustive scan's first (smallest) minimizer, so the smallest minimizer
+    still wins on ties. Each fine point is evaluated at most once: at most
+    grid.size + 16 evaluations (66 with the default grid) instead of
+    grid.size + 200. Constant columns are excluded; regions with fewer than
+    two usable columns fall back to ``default_phi``.
     """
     X = np.asarray(genotype_columns, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -250,8 +257,21 @@ def fit_phi(
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
     fine = np.logspace(np.log10(lo), np.log10(hi), 200)
-    fine_errs = np.array([mse(p) for p in fine])
-    return float(fine[int(np.argmin(fine_errs))])
+    fine_errs: dict[int, float] = {}
+
+    def fine_err(i: int) -> float:
+        if i not in fine_errs:
+            fine_errs[i] = mse(fine[i])
+        return fine_errs[i]
+
+    a, b = 0, fine.size - 1  # the answer lies in [a, b]
+    while a < b:
+        mid = (a + b) // 2
+        if fine_err(mid) <= fine_err(mid + 1):
+            b = mid
+        else:
+            a = mid + 1
+    return float(fine[a])
 
 
 def fit_phi_by_region(

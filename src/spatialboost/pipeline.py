@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
@@ -571,24 +571,30 @@ def _recorded_outputs(out_dir: str) -> list[str]:
     return names
 
 
-def run_pipeline(
-    config: RunConfig, until: str = "report", extra: Stage | None = None
-) -> PipelineResult:
-    """Run the stages of ``STAGES`` up to and including ``until``, then the
-    ``extra`` stage if given, then write the manifest.
+def run_stages(config: RunConfig, stages: Sequence[Stage]) -> PipelineResult:
+    """Run ``stages`` in order over one run context, then write the manifest.
 
     First the files the previous run into ``config.out_dir`` recorded are
-    removed, with its manifest and FAILED marker. Every artifact, the
-    resolved config and the checksums in manifest.txt are persisted there;
-    on failure a FAILED marker names the broken stage and the files written.
+    removed, with its manifest and FAILED marker; a run that would remove
+    one of its own input files raises ConfigurationError instead. Every
+    artifact, the resolved config and the checksums in manifest.txt are
+    persisted there; on failure a FAILED marker names the broken stage and
+    the files written.
     """
-    names = [name for name, _ in STAGES]
-    if until not in names:
-        raise ConfigurationError(f"unknown stage '{until}'")
-    stages = STAGES[: names.index(until) + 1] + ((extra,) if extra else ())
     os.makedirs(config.out_dir, exist_ok=True)
-    for name in _recorded_outputs(config.out_dir) + ["manifest.txt", "FAILED"]:
-        path = os.path.join(config.out_dir, os.path.basename(name))
+    stale = [
+        os.path.join(config.out_dir, os.path.basename(name))
+        for name in _recorded_outputs(config.out_dir) + ["manifest.txt", "FAILED"]
+    ]
+    inputs = {config.genotypes, config.genes, config.relevances} - {None, ""}
+    inputs = {os.path.realpath(f) for f in inputs}
+    for path in stale:
+        if os.path.realpath(path) in inputs:
+            raise ConfigurationError(
+                f"{path} is an input of this run and an output of the previous"
+                f" run in {config.out_dir}; choose another output directory"
+            )
+    for path in stale:
         if os.path.isfile(path):
             os.remove(path)
     run = PipelineResult(config)
@@ -605,3 +611,15 @@ def run_pipeline(
         )
         raise PipelineError(stage, exc) from exc
     return run
+
+
+def run_pipeline(
+    config: RunConfig, until: str = "report", extra: Stage | None = None
+) -> PipelineResult:
+    """Run the stages of ``STAGES`` up to and including ``until``, then the
+    ``extra`` stage if given, through ``run_stages``."""
+    names = [name for name, _ in STAGES]
+    if until not in names:
+        raise ConfigurationError(f"unknown stage '{until}'")
+    stages = STAGES[: names.index(until) + 1] + ((extra,) if extra else ())
+    return run_stages(config, stages)

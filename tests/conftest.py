@@ -7,6 +7,7 @@ import pytest
 from scipy.special import log_ndtr
 
 from spatialboost.errors import ConfigurationError
+from spatialboost.genome import DEFAULT_PHI, PHI_GRID, correlation_model
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
@@ -116,6 +117,40 @@ def correlated_columns(C: np.ndarray, n: int,
     cov = Z.T @ Z / n
     W = Z @ np.linalg.inv(np.linalg.cholesky(cov)).T
     return W @ np.linalg.cholesky(C).T
+
+
+def exhaustive_fit_phi(genotype_columns: np.ndarray, positions: np.ndarray,
+                       default_phi: float = DEFAULT_PHI,
+                       grid: np.ndarray = PHI_GRID) -> float:
+    """Exhaustive-scan oracle for ``fit_phi``: every coarse grid point, then
+    every one of 200 fine points around the coarse minimum; the first
+    (smallest) minimizer wins on both passes."""
+    X = np.asarray(genotype_columns, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if X.ndim != 2 or X.shape[1] != positions.size:
+        raise ConfigurationError("genotype columns and positions misaligned")
+
+    usable = np.std(X, axis=0) > 0
+    if usable.sum() < 2:
+        return float(default_phi)
+    X = X[:, usable]
+    pos = positions[usable]
+
+    corr = np.abs(np.corrcoef(X, rowvar=False))
+    iu = np.triu_indices(pos.size, k=1)
+    target = corr[iu]
+    dists = np.abs(pos[:, None] - pos[None, :])[iu]
+
+    def mse(phi: float) -> float:
+        return float(np.mean((target - correlation_model(dists, phi)) ** 2))
+
+    errs = np.array([mse(p) for p in grid])
+    k = int(np.argmin(errs))  # argmin returns the first (smallest) minimizer
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, grid.size - 1)]
+    fine = np.logspace(np.log10(lo), np.log10(hi), 200)
+    fine_errs = np.array([mse(p) for p in fine])
+    return float(fine[int(np.argmin(fine_errs))])
 
 
 def dense_woodbury(S: np.ndarray, sigma: np.ndarray,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -183,3 +184,41 @@ def test_manifest_config_reads_back(tmp_path, monkeypatch):
         path = tmp_path / "manifest.cfg"
         path.write_text(text)
         assert parse_config(str(path)) == config
+
+
+def _manifest_checksums(out_dir):
+    text = (out_dir / "manifest.txt").read_text()
+    return dict(
+        ln.split(" = ") for ln in text.partition("[checksums]\n")[2].splitlines()
+    )
+
+
+def test_simulate_and_study_replace_report_directory(tmp_path, capsys):
+    cfg = _sim_config(tmp_path)
+    out_dir = tmp_path / "reused"
+    assert main(["--config", cfg, "--out-dir", str(out_dir), "report"]) == 0
+    assert (out_dir / "report.tsv").exists()
+    sim_files = {"simulated_genes.bed", "simulated_truth.tsv"}
+    for command, artifact, written in (
+        (["simulate", "--n", "30", "--p", "20"], "simulated_genotypes.tsv", sim_files),
+        (["study", "--datasets", "1", "--n", "40", "--p", "30"], "study.tsv", set()),
+    ):
+        written = written | {artifact}
+        capsys.readouterr()
+        assert main(["--seed", "3", "--out-dir", str(out_dir), *command]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == str(out_dir / artifact)
+        assert set(os.listdir(out_dir)) == written | {"manifest.txt"}
+        checksums = _manifest_checksums(out_dir)
+        assert set(checksums) == written
+        for name, digest in checksums.items():
+            data = (out_dir / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_run_refuses_to_remove_its_own_inputs(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    cfg = _sim_config(tmp_path, f"out_dir = {sim_dir}\n")
+    before = set(os.listdir(sim_dir))
+    assert main(["--config", cfg, "report"]) == 2
+    assert "choose another output directory" in capsys.readouterr().err
+    assert set(os.listdir(sim_dir)) == before

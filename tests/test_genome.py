@@ -4,7 +4,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from spatialboost.errors import ConfigurationError
+import spatialboost.genome as genome
 from spatialboost.genome import (
+    PHI_GRID,
     Gene,
     GenomicBlock,
     RegionPartition,
@@ -17,7 +19,7 @@ from spatialboost.genome import (
     gene_weight,
     partition_regions,
 )
-from tests.conftest import correlated_columns
+from tests.conftest import correlated_columns, exhaustive_fit_phi
 
 
 def test_build_blocks_overlap():
@@ -182,6 +184,104 @@ def test_fit_phi_by_region(rng):
     part = fit_phi_by_region(X, snps, RegionPartition([(0, 12)]))
     assert part.phis[0] == pytest.approx(phi_star, rel=0.05)
     assert part.global_phi() == pytest.approx(part.phis[0])
+
+
+def _decay_region(phi_star, spacing, m=20, n=150):
+    """Columns whose correlation decays as 2*Phi(-d/phi_star) at even spacing."""
+    pos = np.arange(m) * float(spacing)
+    C = correlation_model(np.abs(pos[:, None] - pos[None, :]), phi_star)
+    np.fill_diagonal(C, 1.0)
+    return correlated_columns(C, n, np.random.default_rng(0)), pos
+
+
+def _ld_genotypes(n, m, rho, seed):
+    """0/1/2 genotypes from two thresholded AR(1) haplotypes."""
+    rng = np.random.default_rng(seed)
+    haps = []
+    for _ in range(2):
+        z = rng.standard_normal((n, m))
+        for j in range(1, m):
+            z[:, j] = rho * z[:, j - 1] + np.sqrt(1 - rho**2) * z[:, j]
+        haps.append(z > rng.uniform(-1.0, 1.0, m))
+    return haps[0].astype(float) + haps[1]
+
+
+def _coarse_k(X, pos, grid=PHI_GRID):
+    corr = np.abs(np.corrcoef(X, rowvar=False))
+    iu = np.triu_indices(pos.size, k=1)
+    d = np.abs(pos[:, None] - pos[None, :])[iu]
+    errs = [np.mean((corr[iu] - correlation_model(d, p)) ** 2) for p in grid]
+    return int(np.argmin(errs))
+
+
+def _case(name):
+    if name.startswith("phi_star="):
+        phi_star = float(name.partition("=")[2])
+        return (*_decay_region(phi_star, phi_star / 5), PHI_GRID)
+    if name == "coarse_k0":  # decay far faster than the smallest grid phi
+        return (*_decay_region(20.0, 40.0), PHI_GRID)
+    if name == "coarse_k49":  # decay far slower than the largest grid phi
+        return (*_decay_region(5e7, 1e5), PHI_GRID)
+    if name == "duplicate_positions":
+        pos = np.repeat(np.arange(8) * 3000.0, 2)
+        return _ld_genotypes(120, pos.size, 0.7, 3), pos, PHI_GRID
+    if name == "far_apart_plateau":  # every model correlation underflows to 0
+        X = np.random.default_rng(7).standard_normal((100, 6))
+        return X, np.arange(6) * 1e10, PHI_GRID
+    if name == "two_usable_columns":
+        X = np.ones((60, 4))
+        X[:, [1, 3]] = _decay_region(800.0, 500.0, m=2, n=60)[0]
+        return X, np.array([0.0, 500.0, 700.0, 1000.0]), PHI_GRID
+    if name == "grid_of_3":
+        X, pos = _decay_region(3000.0, 1000.0)
+        return X, pos, np.array([1e3, 1e4, 1e5])
+    seed = int(name.partition("=")[2])  # random LD region
+    m = 10 + 3 * seed
+    pos = np.sort(np.random.default_rng(seed).integers(0, 200_000, m)).astype(float)
+    return _ld_genotypes(100, m, 0.3 + 0.06 * (seed % 10), seed), pos, PHI_GRID
+
+
+FIT_PHI_CASES = [
+    *(f"phi_star={p:g}" for p in (150.0, 2e3, 3e4, 4e5, 8e5)),
+    "coarse_k0",
+    "coarse_k49",
+    "duplicate_positions",
+    "far_apart_plateau",
+    "two_usable_columns",
+    "grid_of_3",
+    *(f"random={s}" for s in range(12)),
+]
+
+
+@pytest.mark.parametrize("name", FIT_PHI_CASES)
+def test_fit_phi_matches_exhaustive_scan(name):
+    X, pos, grid = _case(name)
+    assert fit_phi(X, pos, grid=grid) == exhaustive_fit_phi(X, pos, grid=grid)
+
+
+def test_fit_phi_cases_reach_grid_ends():
+    assert _coarse_k(*_case("coarse_k0")[:2]) == 0
+    assert _coarse_k(*_case("coarse_k49")[:2]) == PHI_GRID.size - 1
+    # the plateau: no phi on the grid moves the model off 0
+    X, pos, _ = _case("far_apart_plateau")
+    assert not correlation_model(pos[1:] - pos[:-1], PHI_GRID[-1]).any()
+    assert fit_phi(X, pos) == PHI_GRID[0]
+
+
+@pytest.mark.parametrize("name", ["phi_star=2000", "coarse_k0", "coarse_k49",
+                                  "grid_of_3", "random=4"])
+def test_fit_phi_evaluation_count(monkeypatch, name):
+    X, pos, grid = _case(name)
+    calls = []
+    model = genome.correlation_model
+
+    def counting(distances, phi):
+        calls.append(phi)
+        return model(distances, phi)
+
+    monkeypatch.setattr(genome, "correlation_model", counting)
+    fit_phi(X, pos, grid=grid)
+    assert len(calls) <= grid.size + 16
 
 
 def test_global_phi_requires_fits():
