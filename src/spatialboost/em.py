@@ -130,14 +130,16 @@ def cm_beta(
         beta+ = (X'WX + Sigma^-1)^-1 (X'WX beta + X'(y - mu))
 
     with mu_i = logit^-1(x_i' beta), W = diag(mu (1 - mu)), everything
-    routed through the truncated factors and a Woodbury solve.
+    routed through the truncated factors and a rank-space Woodbury solve:
+    X'WX beta is taken as V C_w' C_w V' beta, so S = C_w V' is never formed.
     """
     mu = expit(design.matvec(beta))
     W = mu * (1.0 - mu)
-    S = weighted_cholesky(design, W)
-    rhs = S.T @ (S @ beta) + design.rmatvec(y - mu)
+    Cw = weighted_cholesky(design, W)
+    V = design.V
+    rhs = V @ (Cw.T @ (Cw @ (V.T @ beta))) + design.rmatvec(y - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
-    return WoodburySolver(S, sigma).solve(rhs)
+    return WoodburySolver(Cw, V, sigma).solve(rhs)
 
 
 def log_joint(

@@ -1,9 +1,10 @@
 """Rank-truncated design factors and Woodbury-identity solves.
 
-The design matrix X (n x (p+1)) is replaced by its top-l SVD factors. Ridge
-systems (X'WX + Sigma^-1)^-1 rhs are then solved through an l x l core via
-the Kailath variant of the Woodbury identity, so only small factorizations
-are ever formed.
+The design matrix X (n x (p+1)) is replaced by its top-l SVD factors
+U diag(d) V'. Ridge systems (X'WX + Sigma^-1)^-1 rhs are then solved in rank
+space: X'WX ~ S'S with S = C_w V' and C_w the l x l weighted-Gram Cholesky
+factor (``weighted_cholesky``, O(n l^2 + l^3)), through an l x l Woodbury
+core (``WoodburySolver``). S itself is never formed.
 """
 
 from __future__ import annotations
@@ -139,26 +140,36 @@ def _chol_with_jitter(G: np.ndarray, context: str):
 
 
 class WoodburySolver:
-    """Applies (S'S + Sigma^-1)^-1 as Sigma - Sigma S' (I + S Sigma S')^-1 S Sigma.
+    """Applies (S'S + Sigma^-1)^-1 with S = C V' and Sigma = diag(sigma) as
 
-    Only the l x l core matrix is factored; the factor is cached so repeated
-    solves (e.g. posterior mean plus a Gaussian draw) reuse it.
+        Sigma r - Sigma V C' (I + C (V' Sigma V) C')^-1 C V' Sigma r,
+
+    without forming the l x (p+1) matrix S. V must have orthonormal columns
+    (V'V = I), as the right factor of a ``TruncatedDesign`` does. Then
+    V' Sigma V = c I + V_B' diag(sigma_B - c) V_B with c = min sigma and
+    B = {j : sigma_j > c}, so the core is I + c C C' + T T' with
+    T = C V_B' diag(sigma_B - c)^(1/2). It costs O(l^3 + |B| l^2), and every
+    other product with S is a matvec through C and V. Only the core is
+    factored; the factor is cached so repeated solves (e.g. posterior mean
+    plus a Gaussian draw) reuse it.
     """
 
-    def __init__(self, S: np.ndarray, sigma: np.ndarray):
-        S = np.atleast_2d(np.asarray(S, dtype=float))
+    def __init__(self, C: np.ndarray, V: np.ndarray, sigma: np.ndarray):
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        V = np.asarray(V, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ConfigurationError("prior covariance entries must be positive")
-        if S.shape[1] != sigma.size:
+        if V.shape[0] != sigma.size or C.shape != (V.shape[1], V.shape[1]):
             raise ConfigurationError(
-                f"S has {S.shape[1]} columns but Sigma has {sigma.size} entries"
+                f"C {C.shape} and V {V.shape} do not fit Sigma with "
+                f"{sigma.size} entries"
             )
-        self.S = S
-        self.sigma = sigma
-        self._SSig = S * sigma  # S Sigma, l x (p+1)
-        core = self._SSig @ S.T
-        core = 0.5 * (core + core.T) + np.eye(S.shape[0])
+        self.C, self.V, self.sigma = C, V, sigma
+        c = sigma.min()
+        B = np.flatnonzero(sigma > c)
+        T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
+        core = c * (C @ C.T) + T @ T.T + np.eye(C.shape[0])
         self._factor = _chol_with_jitter(core, "woodbury core")
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
@@ -171,20 +182,17 @@ class WoodburySolver:
         vec = rhs.ndim == 1
         R = rhs[:, None] if vec else rhs
         SigR = self.sigma[:, None] * R
-        out = SigR - self._SSig.T @ self.solve_core(self.S @ SigR)
+        w = self.solve_core(self.C @ (self.V.T @ SigR))
+        out = SigR - self.sigma[:, None] * (self.V @ (self.C.T @ w))
         return out[:, 0] if vec else out
 
 
-def woodbury_solve(S: np.ndarray, sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One-shot (S'S + Sigma^-1)^-1 rhs; Sigma is the diagonal prior covariance."""
-    return WoodburySolver(S, sigma).solve(rhs)
-
-
 def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
-    """S = C_w V' with C_w the upper Cholesky factor of D U' diag(W) U D.
+    """Upper Cholesky factor C_w (l x l) of D U' diag(W) U D.
 
-    S'S approximates X' diag(W) X within truncation error. W entries may be
-    zero (IRLS weights vanish at saturated fits); an all-zero W yields S = 0.
+    With S = C_w V', S'S approximates X' diag(W) X within truncation error;
+    S itself is never formed. W entries may be zero (IRLS weights vanish at
+    saturated fits); an all-zero W yields C_w = 0.
     """
     W = np.asarray(W, dtype=float)
     if np.any(W < 0):
@@ -192,7 +200,6 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
     B = design.U * np.sqrt(W)[:, None]
     G = (B.T @ B) * np.outer(design.d, design.d)
     if not np.any(np.diag(G) > 0):
-        return np.zeros((design.rank, design.p1))
+        return np.zeros((design.rank, design.rank))
     factor, _ = _chol_with_jitter(0.5 * (G + G.T), "weighted Gram")
-    Cw = np.triu(factor)
-    return Cw @ design.V.T
+    return np.triu(factor)

@@ -5,8 +5,11 @@ exact PG(1, z_i) draw per individual by Devroye's alternating-series
 rejection sampler (Polson, Scott & Windle 2013), vectorised over the sweep:
 every pending entry is proposed at once (exponential tail or truncated
 inverse Gaussian), the series decides each entry on its own term count, and
-only the rejected entries are proposed again. The beta draw goes through the
-rank-truncated Woodbury machinery so only an l x l factor is formed.
+only the rejected entries are proposed again. The beta draw works in the
+rank space of the truncated design X ~ U diag(d) V' (V'V = I): it factors
+the l x l weighted Gram and the l x l Woodbury core and touches the p + 1
+coefficients only through matvecs with V, so one draw costs
+O(n l^2 + l^3 + |A| l^2 + l p), A being the markers with theta = 1.
 """
 
 from __future__ import annotations
@@ -137,25 +140,6 @@ def sample_pg_vector(zs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def pg_mean(z: float) -> float:
-    """E[PG(1, z)] = tanh(z/2) / (2 z), with limit 1/4 at z = 0."""
-    if z == 0.0:
-        return 0.25
-    return math.tanh(z / 2.0) / (2.0 * z)
-
-
-def pg_var(z: float) -> float:
-    """Var[PG(1, z)] = (sinh z - z) / (4 z^3 cosh^2(z/2)), evaluated as
-    (2 tanh(z/2) - z sech^2(z/2)) / (4 z^3) so that no term overflows at
-    large |z|; near 0, where that difference cancels, its Taylor series
-    1/24 - z^2/120 + 17 z^4/13440 is used."""
-    z2 = z * z
-    if z2 < 1e-4:
-        return 1.0 / 24.0 - z2 / 120.0 + 17.0 * z2 * z2 / 13440.0
-    t = math.tanh(z / 2.0)
-    return (2.0 * t - z * (1.0 - t * t)) / (4.0 * z2 * z)
-
-
 def sigma2_posterior_params(
     theta: np.ndarray, beta: np.ndarray, hyper: Hyperparameters
 ) -> tuple[float, float]:
@@ -202,19 +186,23 @@ def sample_beta(
     hyper: Hyperparameters,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Gaussian conditional draw N(V^-1 X'(y - 1/2), V^-1) with
-    V = X' Omega X + Sigma^-1, via the Woodbury-form covariance factor."""
+    """Gaussian conditional draw N(Q^-1 X'(y - 1/2), Q^-1) with
+    Q = X' Omega X + Sigma^-1, via the Woodbury-form covariance factor.
+
+    X' Omega X ~ S'S with S = C_w V'; S u is taken as C_w (V'u) and S'w as
+    V (C_w'w), so S is never formed.
+    """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigurationError("omega entries must be positive")
     sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
-    S = weighted_cholesky(design, omega)
-    solver = WoodburySolver(S, sigma)
+    Cw = weighted_cholesky(design, omega)
+    solver = WoodburySolver(Cw, design.V, sigma)
     mean = solver.solve(design.rmatvec(np.asarray(y, float) - 0.5))
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
-    delta = rng.standard_normal(S.shape[0])
-    w = solver.solve_core(S @ u + delta)
-    return mean + u - sigma * (S.T @ w)
+    delta = rng.standard_normal(design.rank)
+    w = solver.solve_core(Cw @ (design.V.T @ u) + delta)
+    return mean + u - sigma * (design.V @ (Cw.T @ w))
 
 
 @dataclass

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit, log_ndtr
 
+from spatialboost.em import em_prior_covariance
 from spatialboost.errors import ConfigurationError
 from spatialboost.genome import DEFAULT_PHI, PHI_GRID, correlation_model
+from spatialboost.linalg import weighted_cholesky
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
@@ -158,6 +161,76 @@ def dense_woodbury(S: np.ndarray, sigma: np.ndarray,
     """Direct dense oracle for (S'S + Sigma^-1)^-1 rhs."""
     A = S.T @ S + np.diag(1.0 / sigma)
     return np.linalg.solve(A, rhs)
+
+
+def orthonormal(p1: int, l: int, rng: np.random.Generator) -> np.ndarray:
+    """A p1 x l matrix with orthonormal columns (QR of a Gaussian matrix)."""
+    return np.linalg.qr(rng.standard_normal((p1, l)))[0]
+
+
+def pg_mean(z: float) -> float:
+    """E[PG(1, z)] = tanh(z/2) / (2 z), with limit 1/4 at z = 0."""
+    if z == 0.0:
+        return 0.25
+    return math.tanh(z / 2.0) / (2.0 * z)
+
+
+def pg_var(z: float) -> float:
+    """Var[PG(1, z)] = (sinh z - z) / (4 z^3 cosh^2(z/2)), evaluated as
+    (2 tanh(z/2) - z sech^2(z/2)) / (4 z^3) so that no term overflows at
+    large |z|; near 0, where that difference cancels, its Taylor series
+    1/24 - z^2/120 + 17 z^4/13440 is used."""
+    z2 = z * z
+    if z2 < 1e-4:
+        return 1.0 / 24.0 - z2 / 120.0 + 17.0 * z2 * z2 / 13440.0
+    t = math.tanh(z / 2.0)
+    return (2.0 * t - z * (1.0 - t * t)) / (4.0 * z2 * z)
+
+
+class _SFormWoodbury:
+    """(S'S + Sigma^-1)^-1 with S = C_w V' multiplied out: the core
+    I + (S Sigma) S' is formed from the l x (p+1) matrix S."""
+
+    def __init__(self, S: np.ndarray, sigma: np.ndarray):
+        self.S = S
+        self.sigma = sigma
+        self._SSig = S * sigma
+        core = self._SSig @ S.T
+        self._factor = cho_factor(0.5 * (core + core.T) + np.eye(S.shape[0]))
+
+    def solve_core(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve(self._factor, rhs)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        SigR = self.sigma * rhs
+        return SigR - self._SSig.T @ self.solve_core(self.S @ SigR)
+
+
+def s_form_sample_beta(omega, theta, sigma2, design, y, hyper,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Oracle for ``mcmc.sample_beta``: the same draw, with the same normals
+    in the same order, through the S-forming Woodbury path."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ConfigurationError("omega entries must be positive")
+    sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
+    S = weighted_cholesky(design, omega) @ design.V.T
+    solver = _SFormWoodbury(S, sigma)
+    mean = solver.solve(design.rmatvec(np.asarray(y, float) - 0.5))
+    u = rng.standard_normal(design.p1) * np.sqrt(sigma)
+    delta = rng.standard_normal(S.shape[0])
+    w = solver.solve_core(S @ u + delta)
+    return mean + u - sigma * (S.T @ w)
+
+
+def s_form_cm_beta(design, y, beta, etheta, sigma2, hyper) -> np.ndarray:
+    """Oracle for ``em.cm_beta`` through the S-forming Woodbury path."""
+    mu = expit(design.matvec(beta))
+    W = mu * (1.0 - mu)
+    S = weighted_cholesky(design, W) @ design.V.T
+    rhs = S.T @ (S @ beta) + design.rmatvec(y - mu)
+    sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
+    return _SFormWoodbury(S, sigma).solve(rhs)
 
 
 @pytest.fixture

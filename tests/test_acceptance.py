@@ -24,9 +24,10 @@ from spatialboost.em import (
 from spatialboost.genome import GenomicBlock, correlation_model, fit_phi, gene_weight
 from spatialboost.inference import centroid, xi0_constraint_satisfied, xi1_bound
 from spatialboost.linalg import WoodburySolver, truncate_design
-from spatialboost.mcmc import GibbsState, gibbs_cycle, pg_mean, pg_var, sample_pg_vector
+from spatialboost.mcmc import GibbsState, gibbs_cycle, sample_pg_vector
 from spatialboost.pipeline import RunConfig, run_pipeline
 from spatialboost.sim import StudyConfig, study_harness
+from tests.conftest import orthonormal, pg_mean, pg_var
 
 
 @contextmanager
@@ -72,14 +73,22 @@ def test_criterion_3_woodbury_oracle_suite():
     with criterion(3, "Woodbury vs dense inversion"):
         rng = np.random.default_rng(301)
         t0 = time.perf_counter()
-        for _ in range(500):
+        for case in range(500):
             l = int(rng.integers(1, 9))
             p1 = int(rng.integers(max(l, 2), 41))
-            S = rng.standard_normal((l, p1))
-            sigma = rng.uniform(0.05, 3.0, p1)
+            C = rng.standard_normal((l, l))
+            V = orthonormal(p1, l, rng)
+            if case % 3 == 0:  # spike/slab: sigma^2 off A, kappa sigma^2 on A
+                sigma = np.full(p1, rng.uniform(0.05, 1.0))
+                sigma[rng.random(p1) < 0.3] *= rng.uniform(2.0, 100.0)
+            elif case % 3 == 1:  # constant: B is empty
+                sigma = np.full(p1, rng.uniform(0.05, 3.0))
+            else:
+                sigma = rng.uniform(0.05, 3.0, p1)
             rhs = rng.standard_normal(p1)
-            got = WoodburySolver(S, sigma).solve(rhs)
-            expected = np.linalg.solve(S.T @ S + np.diag(1.0 / sigma), rhs)
+            got = WoodburySolver(C, V, sigma).solve(rhs)
+            dense = V @ C.T @ C @ V.T + np.diag(1.0 / sigma)
+            expected = np.linalg.solve(dense, rhs)
             rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert rel < 1e-8
         elapsed = time.perf_counter() - t0

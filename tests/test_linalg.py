@@ -8,9 +8,8 @@ from spatialboost.linalg import (
     select_rank,
     truncate_design,
     weighted_cholesky,
-    woodbury_solve,
 )
-from tests.conftest import dense_woodbury
+from tests.conftest import dense_woodbury, orthonormal
 
 
 def test_select_rank_exact_low_rank(rng):
@@ -116,7 +115,7 @@ def test_matvec_rmatvec_consistency(rng):
 def test_woodbury_zero_s_collapses_to_sigma(rng):
     sigma = rng.uniform(0.5, 2.0, 5)
     rhs = rng.standard_normal(5)
-    out = woodbury_solve(np.zeros((1, 5)), sigma, rhs)
+    out = WoodburySolver(np.zeros((1, 1)), orthonormal(5, 1, rng), sigma).solve(rhs)
     assert np.allclose(out, sigma * rhs, atol=1e-12)
 
 
@@ -129,57 +128,71 @@ def test_woodbury_sherman_morrison(rng):
     expected = (
         Dinv - np.outer(Dinv @ s, s @ Dinv) / (1.0 + s @ Dinv @ s)
     ) @ rhs
-    assert np.allclose(woodbury_solve(s[None, :], sigma, rhs), expected, atol=1e-10)
+    norm = np.linalg.norm(s)
+    solver = WoodburySolver(np.array([[norm]]), (s / norm)[:, None], sigma)
+    assert np.allclose(solver.solve(rhs), expected, atol=1e-10)
 
 
 def test_woodbury_dense_oracle(rng):
-    S = rng.standard_normal((4, 10))
+    C = rng.standard_normal((4, 4))
+    V = orthonormal(10, 4, rng)
     sigma = rng.uniform(0.1, 3.0, 10)
     rhs = rng.standard_normal(10)
-    out = woodbury_solve(S, sigma, rhs)
-    expected = dense_woodbury(S, sigma, rhs)
+    out = WoodburySolver(C, V, sigma).solve(rhs)
+    expected = dense_woodbury(C @ V.T, sigma, rhs)
     assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-8
 
 
 def test_woodbury_matrix_rhs(rng):
-    S = rng.standard_normal((3, 7))
+    C = rng.standard_normal((3, 3))
+    V = orthonormal(7, 3, rng)
     sigma = rng.uniform(0.1, 2.0, 7)
     R = rng.standard_normal((7, 4))
-    out = WoodburySolver(S, sigma).solve(R)
-    assert np.allclose(out, dense_woodbury(S, sigma, R), atol=1e-9)
+    out = WoodburySolver(C, V, sigma).solve(R)
+    assert np.allclose(out, dense_woodbury(C @ V.T, sigma, R), atol=1e-9)
 
 
 def test_woodbury_validation(rng):
-    S = rng.standard_normal((2, 4))
+    C = rng.standard_normal((2, 2))
+    V = orthonormal(4, 2, rng)
     with pytest.raises(ConfigurationError):
-        WoodburySolver(S, np.array([1.0, -1.0, 1.0, 1.0]))
+        WoodburySolver(C, V, np.array([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ConfigurationError):
-        WoodburySolver(S, np.ones(3))
+        WoodburySolver(C, V, np.ones(3))
+    with pytest.raises(ConfigurationError):
+        WoodburySolver(rng.standard_normal((2, 3)), V, np.ones(4))
+
+
+def _gram(Cw, design):
+    """(C_w V')'(C_w V'), the Gram the rank-space factor stands for."""
+    S = Cw @ design.V.T
+    return S.T @ S
 
 
 def test_weighted_cholesky_identity_weights(rng):
     X = rng.standard_normal((10, 6))
     design = truncate_design(X, 6)
-    S = weighted_cholesky(design, np.ones(10))
+    Cw = weighted_cholesky(design, np.ones(10))
     gram = design.V @ np.diag(design.d**2) @ design.V.T
-    assert np.allclose(S.T @ S, gram, atol=1e-8)
+    assert np.allclose(_gram(Cw, design), gram, atol=1e-8)
+    assert np.array_equal(Cw, np.triu(Cw))
 
 
 def test_weighted_cholesky_zero_weights(rng):
     X = rng.standard_normal((5, 4))
     design = truncate_design(X, 4)
-    S = weighted_cholesky(design, np.zeros(5))
-    assert np.all(S == 0.0)
-    assert S.shape == (4, 4)
+    Cw = weighted_cholesky(design, np.zeros(5))
+    assert np.all(Cw == 0.0)
+    assert Cw.shape == (4, 4)
 
 
 def test_weighted_cholesky_random_weights_dense_oracle(rng):
     X = rng.standard_normal((12, 5))
     design = truncate_design(X, 5)
     W = rng.uniform(0.01, 1.0, 12)
-    S = weighted_cholesky(design, W)
+    Cw = weighted_cholesky(design, W)
     dense = X.T @ np.diag(W) @ X
-    assert np.allclose(S.T @ S, dense, atol=1e-8)
+    assert np.allclose(_gram(Cw, design), dense, atol=1e-8)
 
 
 def test_weighted_cholesky_rejects_negative_weights(rng):

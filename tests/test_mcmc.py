@@ -6,14 +6,12 @@ import pytest
 from scipy.special import expit
 from scipy.stats import ks_2samp
 
-from spatialboost.em import Hyperparameters, e_step
+from spatialboost.em import Hyperparameters, cm_beta, e_step
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
 from spatialboost.mcmc import (
     gibbs_run,
     initial_state,
-    pg_mean,
-    pg_var,
     sample_beta,
     sample_pg_vector,
     sample_sigma2,
@@ -21,7 +19,14 @@ from spatialboost.mcmc import (
     sigma2_posterior_params,
     theta_bitmask,
 )
-from tests.conftest import gamma_series_pg, scalar_pg
+from tests.conftest import (
+    gamma_series_pg,
+    pg_mean,
+    pg_var,
+    s_form_cm_beta,
+    s_form_sample_beta,
+    scalar_pg,
+)
 
 HYPER = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0)
 
@@ -182,6 +187,63 @@ def test_sample_beta_matches_dense_gaussian(rng):
     assert np.allclose(
         np.diag(emp_cov), np.diag(cov), rtol=0.15
     )
+
+
+def _genotype_design(rng, n, p1, l):
+    X = np.column_stack([np.ones(n), rng.integers(0, 3, (n, p1 - 1)).astype(float)])
+    return truncate_design(X, l)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "n, p1, l, included",
+    [
+        (30, 61, 20, "random"),  # l < p+1
+        (40, 11, 11, "random"),  # l = p+1
+        (30, 61, 20, "intercept"),  # B = {0}
+        (40, 11, 11, "intercept"),
+        (30, 61, 20, "all"),  # every theta = 1: B is empty
+        (40, 11, 11, "all"),
+    ],
+)
+def test_sample_beta_matches_s_form_oracle(n, p1, l, included):
+    rng = np.random.default_rng(606)
+    design = _genotype_design(rng, n, p1, l)
+    y = rng.integers(0, 2, n).astype(float)
+    omega = rng.uniform(0.05, 0.3, n)
+    theta = {
+        "random": rng.integers(0, 2, p1),
+        "intercept": np.zeros(p1),
+        "all": np.ones(p1),
+    }[included].astype(np.int8)
+    theta[0] = 1
+    for sigma2 in (1e-3, 0.3):
+        got = sample_beta(omega, theta, sigma2, design, y, HYPER,
+                          np.random.default_rng(7))
+        want = s_form_sample_beta(omega, theta, sigma2, design, y, HYPER,
+                                  np.random.default_rng(7))
+        assert _rel_err(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("n, p1, l", [(30, 61, 20), (40, 11, 11)])
+def test_cm_beta_with_zero_weights_matches_s_form_oracle(n, p1, l):
+    rng = np.random.default_rng(607)
+    design = _genotype_design(rng, n, p1, l)
+    y = rng.integers(0, 2, n).astype(float)
+    etheta = rng.uniform(0.0, 1.0, p1)
+    etheta[0] = 1.0
+    beta = rng.standard_normal(p1) * 10.0
+    beta[0] = 40.0
+    mu = expit(design.matvec(beta))
+    W = mu * (1.0 - mu)
+    assert 0 < np.count_nonzero(W == 0.0) < n  # saturated fits
+    for b in (beta, np.full(p1, 40.0)):  # the second saturates every W
+        got = cm_beta(design, y, b, etheta, 0.05, HYPER)
+        want = s_form_cm_beta(design, y, b, etheta, 0.05, HYPER)
+        assert _rel_err(got, want) < 1e-10
 
 
 def test_sample_beta_rejects_nonpositive_omega(rng):
