@@ -14,12 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from spatialboost.errors import ConfigurationError
-from spatialboost.linalg import (
-    TruncatedDesign,
-    WoodburySolver,
-    truncate_design,
-    weighted_cholesky,
-)
+from spatialboost.linalg import TruncatedDesign, truncate_design, weighted_woodbury
 
 EM_TOL = 1e-6  # convergence threshold on max|delta beta|
 EM_MAX_ITER = 200
@@ -130,16 +125,15 @@ def cm_beta(
         beta+ = (X'WX + Sigma^-1)^-1 (X'WX beta + X'(y - mu))
 
     with mu_i = logit^-1(x_i' beta), W = diag(mu (1 - mu)), everything
-    routed through the truncated factors and a rank-space Woodbury solve:
-    X'WX beta is taken as V C_w' C_w V' beta, so S = C_w V' is never formed.
+    routed through the truncated factors and the design's Woodbury solver:
+    X'WX beta is taken as S'(S beta), so S is never formed.
     """
     mu = expit(design.matvec(beta))
     W = mu * (1.0 - mu)
-    Cw = weighted_cholesky(design, W)
-    V = design.V
-    rhs = V @ (Cw.T @ (Cw @ (V.T @ beta))) + design.rmatvec(y - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
-    return WoodburySolver(Cw, V, sigma).solve(rhs)
+    solver = weighted_woodbury(design, W, sigma)
+    rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu)
+    return solver.solve(rhs)
 
 
 def log_joint(
@@ -248,12 +242,6 @@ def em_fit(
 
 def fitted_probabilities(design: TruncatedDesign, beta: np.ndarray) -> np.ndarray:
     return expit(design.matvec(beta))
-
-
-def should_stop(state: EmState, design: TruncatedDesign, y: np.ndarray) -> bool:
-    """True iff any fitted probability misses its response by more than
-    STOP_RESIDUAL (strict inequality)."""
-    return max_residual(state, design, y) > STOP_RESIDUAL
 
 
 def max_residual(state: EmState, design: TruncatedDesign, y: np.ndarray) -> float:

@@ -1,15 +1,24 @@
 """Rank-truncated design factors and Woodbury-identity solves.
 
 The design matrix X (n x (p+1)) is replaced by its top-l SVD factors
-U diag(d) V'. Ridge systems (X'WX + Sigma^-1)^-1 rhs are then solved in rank
-space: X'WX ~ S'S with S = C_w V' and C_w the l x l weighted-Gram Cholesky
-factor (``weighted_cholesky``, O(n l^2 + l^3)), through an l x l Woodbury
-core (``WoodburySolver``). S itself is never formed.
+U diag(d) V' = X_l. Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved
+through a Woodbury core (``WoodburySolver``) in one of two spaces, chosen
+once per design from (n, l) (``TruncatedDesign.sample_space``):
+
+- rank space (3 l < 2 n): X_l'WX_l = S'S with S = C_w V' and C_w the l x l
+  weighted-Gram Cholesky factor (``weighted_cholesky``, O(n l^2 + l^3)); the
+  core is l x l.
+- sample space (3 l >= 2 n): S = diag(sqrt W) X_l, and the n x n core is
+  built from K = X_l X_l', which is fixed for the design, so no weighted Gram
+  is formed.
+
+S itself is never formed in either space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -47,6 +56,23 @@ class TruncatedDesign:
     @property
     def rank(self) -> int:
         return self.d.size
+
+    @property
+    def sample_space(self) -> bool:
+        """Whether ridge solves use the n x n sample-space Woodbury core
+        (3 l >= 2 n) instead of the l x l rank-space one."""
+        return 3 * self.rank >= 2 * self.n
+
+    @cached_property
+    def Xt(self) -> np.ndarray:
+        """X_l' as a C-contiguous (p+1) x n array, computed once."""
+        return (self.V * self.d) @ self.U.T
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """K = X_l X_l' = U diag(d^2) U' (n x n), computed once."""
+        Ud = self.U * self.d
+        return Ud @ Ud.T
 
     def matvec(self, beta: np.ndarray) -> np.ndarray:
         """X beta through the factors."""
@@ -129,7 +155,8 @@ def _chol_with_jitter(G: np.ndarray, context: str):
     scale = max(float(np.mean(np.diag(G))), np.finfo(float).tiny)
     for jit in JITTERS:
         try:
-            return cho_factor(G + jit * scale * np.eye(G.shape[0]), lower=False)
+            jittered = G + jit * scale * np.eye(G.shape[0]) if jit else G
+            return cho_factor(jittered, lower=False)
         except np.linalg.LinAlgError:
             continue
     cond = np.linalg.cond(G)
@@ -144,33 +171,77 @@ class WoodburySolver:
 
         Sigma r - Sigma V C' (I + C (V' Sigma V) C')^-1 C V' Sigma r,
 
-    without forming the l x (p+1) matrix S. V must have orthonormal columns
-    (V'V = I), as the right factor of a ``TruncatedDesign`` does. Then
-    V' Sigma V = c I + V_B' diag(sigma_B - c) V_B with c = min sigma and
-    B = {j : sigma_j > c}, so the core is I + c C C' + T T' with
-    T = C V_B' diag(sigma_B - c)^(1/2). It costs O(l^3 + |B| l^2), and every
-    other product with S is a matvec through C and V. Only the core is
-    factored; the factor is cached so repeated solves (e.g. posterior mean
-    plus a Gaussian draw) reuse it.
+    without forming S. The left factor C takes one of two forms:
+
+    - rank space: C is an l x l matrix and V ((p+1) x l) has orthonormal
+      columns, as the right factor of a ``TruncatedDesign`` does;
+    - sample space: C is a vector of n entries standing for diag(C), V is
+      X_l' ((p+1) x n), and ``gram`` is K = V'V = X_l X_l'.
+
+    With G = V'V (I in rank space), V' Sigma V = c G + V_B' diag(sigma_B - c)
+    V_B for c = min sigma and B = {j : sigma_j > c}, so the core is
+    I + c C G C' + T T' with T = C V_B' diag(sigma_B - c)^(1/2). In rank space
+    that costs O(l^3 + |B| l^2). In sample space C G C' is (C C') o K and T
+    is a scaled copy of rows of V, so it costs O(n^2 |B|) and the core's
+    n^3/3 Cholesky. Every other product with S is a matvec through C and V.
+    Only the core is factored; the factor is cached so repeated solves (e.g.
+    posterior mean plus a Gaussian draw) reuse it.
     """
 
-    def __init__(self, C: np.ndarray, V: np.ndarray, sigma: np.ndarray):
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+    def __init__(
+        self,
+        C: np.ndarray,
+        V: np.ndarray,
+        sigma: np.ndarray,
+        gram: np.ndarray | None = None,
+    ):
+        C = np.asarray(C, dtype=float)
+        self._diag = C.ndim == 1
+        if not self._diag:
+            C = np.atleast_2d(C)
         V = np.asarray(V, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ConfigurationError("prior covariance entries must be positive")
-        if V.shape[0] != sigma.size or C.shape != (V.shape[1], V.shape[1]):
+        k = V.shape[1]
+        if self._diag:
+            fits = C.shape == (k,) and np.shape(gram) == (k, k)
+        else:
+            fits = C.shape == (k, k) and gram is None
+        if V.shape[0] != sigma.size or not fits:
             raise ConfigurationError(
-                f"C {C.shape} and V {V.shape} do not fit Sigma with "
-                f"{sigma.size} entries"
+                f"C {C.shape}, V {V.shape} and gram {np.shape(gram)} do not "
+                f"fit Sigma with {sigma.size} entries"
             )
         self.C, self.V, self.sigma = C, V, sigma
         c = sigma.min()
         B = np.flatnonzero(sigma > c)
-        T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
-        core = c * (C @ C.T) + T @ T.T + np.eye(C.shape[0])
+        if self._diag:
+            Tt = V[B] * np.sqrt(sigma[B] - c)[:, None] * C
+            core = Tt.T @ Tt
+            cCC = np.outer(c * C, C)
+            cCC *= gram
+            core += cCC
+        else:
+            T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
+            core = c * (C @ C.T) + T @ T.T
+        core.flat[:: k + 1] += 1.0
         self._factor = _chol_with_jitter(core, "woodbury core")
+
+    @property
+    def core_dim(self) -> int:
+        """Side of the core: l in rank space, n in sample space."""
+        return self.V.shape[1]
+
+    def left(self, u: np.ndarray) -> np.ndarray:
+        """S u for a vector or matrix u."""
+        Vu = self.V.T @ u
+        # diag(C) scales the rows of a vector or matrix
+        return (self.C * Vu.T).T if self._diag else self.C @ Vu
+
+    def left_t(self, w: np.ndarray) -> np.ndarray:
+        """S' w for a vector or matrix w."""
+        return self.V @ ((self.C * w.T).T if self._diag else self.C.T @ w)
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """(I + S Sigma S')^-1 rhs."""
@@ -182,8 +253,8 @@ class WoodburySolver:
         vec = rhs.ndim == 1
         R = rhs[:, None] if vec else rhs
         SigR = self.sigma[:, None] * R
-        w = self.solve_core(self.C @ (self.V.T @ SigR))
-        out = SigR - self.sigma[:, None] * (self.V @ (self.C.T @ w))
+        w = self.solve_core(self.left(SigR))
+        out = SigR - self.sigma[:, None] * self.left_t(w)
         return out[:, 0] if vec else out
 
 
@@ -203,3 +274,17 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
         return np.zeros((design.rank, design.rank))
     factor, _ = _chol_with_jitter(0.5 * (G + G.T), "weighted Gram")
     return np.triu(factor)
+
+
+def weighted_woodbury(
+    design: TruncatedDesign, W: np.ndarray, sigma: np.ndarray
+) -> WoodburySolver:
+    """Solver for (X_l' diag(W) X_l + diag(sigma)^-1)^-1 in the design's
+    space: the left factor is diag(sqrt W) with X_l' and K in sample space,
+    and C_w from ``weighted_cholesky`` with V in rank space."""
+    if not design.sample_space:
+        return WoodburySolver(weighted_cholesky(design, W), design.V, sigma)
+    W = np.asarray(W, dtype=float)
+    if np.any(W < 0):
+        raise ConfigurationError("weights must be non-negative")
+    return WoodburySolver(np.sqrt(W), design.Xt, sigma, gram=design.K)

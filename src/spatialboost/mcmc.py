@@ -5,11 +5,17 @@ exact PG(1, z_i) draw per individual by Devroye's alternating-series
 rejection sampler (Polson, Scott & Windle 2013), vectorised over the sweep:
 every pending entry is proposed at once (exponential tail or truncated
 inverse Gaussian), the series decides each entry on its own term count, and
-only the rejected entries are proposed again. The beta draw works in the
-rank space of the truncated design X ~ U diag(d) V' (V'V = I): it factors
-the l x l weighted Gram and the l x l Woodbury core and touches the p + 1
-coefficients only through matvecs with V, so one draw costs
-O(n l^2 + l^3 + |A| l^2 + l p), A being the markers with theta = 1.
+only the rejected entries are proposed again. The beta draw is the
+Woodbury-form draw of Bhattacharya, Chakraborty & Mallick (2016) on the
+truncated design X_l = U diag(d) V', run in the design's space (see
+``spatialboost.linalg``), with A the markers with theta = 1:
+
+- rank space (3 l < 2 n): it factors the l x l weighted Gram and the l x l
+  core and touches the p + 1 coefficients only through matvecs with V, for
+  O(n l^2 + l^3 + |A| l^2 + l p) per draw;
+- sample space (3 l >= 2 n): the n x n core is (sqrt(omega) sqrt(omega)') o K
+  plus a rank-|A| update, with K = X_l X_l' computed once per design, for
+  O(n^2 |A| + n^3/3 + n p) per draw.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from scipy.special import expit, log_ndtr
 
 from spatialboost.em import Hyperparameters, e_step, prior_scale
 from spatialboost.errors import ConfigurationError
-from spatialboost.linalg import TruncatedDesign, WoodburySolver, weighted_cholesky
+from spatialboost.linalg import TruncatedDesign, weighted_woodbury
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
@@ -189,20 +195,20 @@ def sample_beta(
     """Gaussian conditional draw N(Q^-1 X'(y - 1/2), Q^-1) with
     Q = X' Omega X + Sigma^-1, via the Woodbury-form covariance factor.
 
-    X' Omega X ~ S'S with S = C_w V'; S u is taken as C_w (V'u) and S'w as
-    V (C_w'w), so S is never formed.
+    X' Omega X ~ S'S, with S = C_w V' in rank space and S = diag(sqrt(omega))
+    X_l in sample space; products with S are matvecs, so S is never formed.
+    The auxiliary normal delta has the core's dimension (l or n).
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigurationError("omega entries must be positive")
     sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
-    Cw = weighted_cholesky(design, omega)
-    solver = WoodburySolver(Cw, design.V, sigma)
+    solver = weighted_woodbury(design, omega, sigma)
     mean = solver.solve(design.rmatvec(np.asarray(y, float) - 0.5))
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
-    delta = rng.standard_normal(design.rank)
-    w = solver.solve_core(Cw @ (design.V.T @ u) + delta)
-    return mean + u - sigma * (design.V @ (Cw.T @ w))
+    delta = rng.standard_normal(solver.core_dim)
+    w = solver.solve_core(solver.left(u) + delta)
+    return mean + u - sigma * solver.left_t(w)
 
 
 @dataclass
@@ -257,11 +263,8 @@ def gibbs_cycle(
 
 def theta_bitmask(theta: np.ndarray) -> str:
     """Hex encoding of the inclusion vector, bit j = theta_j."""
-    value = 0
-    for j, t in enumerate(theta):
-        if t:
-            value |= 1 << j
-    return format(value, "x")
+    packed = np.packbits(np.asarray(theta) != 0, bitorder="little")
+    return format(int.from_bytes(packed.tobytes(), "little"), "x")
 
 
 def gibbs_run(
@@ -292,10 +295,11 @@ def gibbs_run(
     thetas, betas, sigmas = [], [], []
     if draw_log is not None:
         draw_log.write("iteration\tsigma2\ttheta_hex\tbeta\n")
+        beta_fmt = ",".join(["%.10g"] * design.p1)
     for it in range(iters):
         state = gibbs_cycle(state, design, y, boosts, hyper, rng)
         if draw_log is not None:
-            beta_txt = ",".join(f"{b:.10g}" for b in state.beta)
+            beta_txt = beta_fmt % tuple(state.beta.tolist())
             draw_log.write(
                 f"{it}\t{state.sigma2:.10g}\t{theta_bitmask(state.theta)}"
                 f"\t{beta_txt}\n"

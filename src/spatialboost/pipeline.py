@@ -103,17 +103,40 @@ class Dataset:
 
 def load_genotypes(path: str) -> Dataset:
     """Parse the self-describing genotype table; ``.`` cells are imputed to
-    the rounded mean dosage of the observed entries in their column."""
+    the rounded mean dosage of the observed entries in their column.
+
+    A valid row is one character per field with single tabs between
+    (2p + 1 characters), so the cells are decoded and checked in numpy.
+    When that check fails, a per-line parse names the first bad
+    ``file:line``.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty genotype file")
-    header = lines[0].split("\t")
+    snps = _parse_genotype_header(path, lines[0])
+    rows = lines[1:]
+    parsed = _fixed_width_cells(rows, len(snps))
+    y, G = parsed if parsed is not None else _parse_rows(path, rows, len(snps))
+    miss = np.isnan(G)
+    imputed = int(miss.sum())
+    if imputed:
+        # integer dosages sum exactly, so this is each column's nanmean
+        observed = (~miss).sum(axis=0)
+        total = np.where(miss, 0.0, G).sum(axis=0)
+        fill = np.round(total / np.maximum(observed, 1))  # 0 if none observed
+        G = np.where(miss, np.clip(fill, 0, 2), G)
+    X = np.column_stack([np.ones(G.shape[0]), G])
+    return Dataset(y=y, X=X, snps=snps, imputed=imputed)
+
+
+def _parse_genotype_header(path: str, line: str) -> list[SnpLocus]:
+    header = line.split("\t")
     if header[0] != "#pheno":
         raise ParseError(f"{path}:1: header must start with '#pheno'")
     snps = []
-    for k, col in enumerate(header[1:], start=1):
+    for col in header[1:]:
         parts = col.split(":")
         if len(parts) != 3:
             raise ParseError(
@@ -124,10 +147,44 @@ def load_genotypes(path: str) -> Dataset:
             snps.append(SnpLocus(sid, int(pos), chrom))
         except ValueError as exc:
             raise ParseError(f"{path}:1: bad position in '{col}': {exc}") from exc
+    return snps
 
-    p = len(snps)
+
+_TAB, _DOT = ord("\t"), ord(MISSING_CODE)
+_ZERO, _TWO = ord("0"), ord("2")
+
+
+def _fixed_width_cells(
+    rows: list[str], p: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Phenotypes and genotype matrix (NaN where missing) of rows that are
+    all 2p + 1 ASCII characters long with valid codes, or None."""
+    width = 2 * p + 1
+    if not rows or any(len(ln) != width for ln in rows):
+        return None
+    buf = "".join(rows).encode()
+    if len(buf) != len(rows) * width:  # a multi-byte character
+        return None
+    A = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width)
+    pheno, cells = A[:, 0], A[:, 2::2]
+    missing = cells == _DOT
+    if not (
+        np.all(A[:, 1::2] == _TAB)
+        and np.all((pheno == _ZERO) | (pheno == _ZERO + 1))
+        and np.all(((cells >= _ZERO) & (cells <= _TWO)) | missing)
+    ):
+        return None
+    G = cells.astype(float) - _ZERO
+    G[missing] = np.nan
+    return (pheno - _ZERO).astype(np.int64), G
+
+
+def _parse_rows(
+    path: str, rows: list[str], p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line parse of the data rows; raises on the first bad line."""
     y_rows, g_rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in enumerate(rows, start=2):
         cells = ln.split("\t")
         if len(cells) != p + 1:
             raise ParseError(
@@ -150,18 +207,7 @@ def load_genotypes(path: str) -> Dataset:
                     f"{{0,1,2,{MISSING_CODE}}} (column {k})"
                 )
         g_rows.append(row)
-
-    G = np.array(g_rows, dtype=float)
-    imputed = int(np.isnan(G).sum())
-    if imputed:
-        for j in range(p):
-            col = G[:, j]
-            miss = np.isnan(col)
-            if miss.any():
-                fill = np.round(np.nanmean(col)) if (~miss).any() else 0.0
-                col[miss] = np.clip(fill, 0, 2)
-    X = np.column_stack([np.ones(G.shape[0]), G])
-    return Dataset(y=np.array(y_rows), X=X, snps=snps, imputed=imputed)
+    return np.array(y_rows), np.array(g_rows, dtype=float)
 
 
 def load_genes(path: str) -> list[Gene]:

@@ -8,9 +8,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, log_ndtr
 
 from spatialboost.em import em_prior_covariance
-from spatialboost.errors import ConfigurationError
-from spatialboost.genome import DEFAULT_PHI, PHI_GRID, correlation_model
+from spatialboost.errors import ConfigurationError, ParseError
+from spatialboost.genome import DEFAULT_PHI, PHI_GRID, SnpLocus, correlation_model
 from spatialboost.linalg import weighted_cholesky
+from spatialboost.pipeline import MISSING_CODE, Dataset
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
@@ -188,8 +189,8 @@ def pg_var(z: float) -> float:
 
 
 class _SFormWoodbury:
-    """(S'S + Sigma^-1)^-1 with S = C_w V' multiplied out: the core
-    I + (S Sigma) S' is formed from the l x (p+1) matrix S."""
+    """(S'S + Sigma^-1)^-1 with S multiplied out: the core I + (S Sigma) S'
+    is formed from the k x (p+1) matrix S."""
 
     def __init__(self, S: np.ndarray, sigma: np.ndarray):
         self.S = S
@@ -206,15 +207,25 @@ class _SFormWoodbury:
         return SigR - self._SSig.T @ self.solve_core(self.S @ SigR)
 
 
+def s_form(design, W: np.ndarray) -> np.ndarray:
+    """The left factor S with S'S = X_l' diag(W) X_l, multiplied out:
+    diag(sqrt W) X_l (n x (p+1)) on sample-space designs, C_w V'
+    (l x (p+1)) on rank-space ones."""
+    if design.sample_space:
+        return np.sqrt(W)[:, None] * design.reconstruct()
+    return weighted_cholesky(design, W) @ design.V.T
+
+
 def s_form_sample_beta(omega, theta, sigma2, design, y, hyper,
                        rng: np.random.Generator) -> np.ndarray:
     """Oracle for ``mcmc.sample_beta``: the same draw, with the same normals
-    in the same order, through the S-forming Woodbury path."""
+    in the same order (delta has S's row count), through the S-forming
+    Woodbury path."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigurationError("omega entries must be positive")
     sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
-    S = weighted_cholesky(design, omega) @ design.V.T
+    S = s_form(design, omega)
     solver = _SFormWoodbury(S, sigma)
     mean = solver.solve(design.rmatvec(np.asarray(y, float) - 0.5))
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
@@ -227,10 +238,79 @@ def s_form_cm_beta(design, y, beta, etheta, sigma2, hyper) -> np.ndarray:
     """Oracle for ``em.cm_beta`` through the S-forming Woodbury path."""
     mu = expit(design.matvec(beta))
     W = mu * (1.0 - mu)
-    S = weighted_cholesky(design, W) @ design.V.T
+    S = s_form(design, W)
     rhs = S.T @ (S @ beta) + design.rmatvec(y - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
     return _SFormWoodbury(S, sigma).solve(rhs)
+
+
+def loop_theta_bitmask(theta) -> str:
+    """Oracle for ``mcmc.theta_bitmask``: bit j set one index at a time."""
+    value = 0
+    for j, t in enumerate(theta):
+        if t:
+            value |= 1 << j
+    return format(value, "x")
+
+
+def per_cell_load_genotypes(path: str) -> Dataset:
+    """Oracle for ``pipeline.load_genotypes``: every line split and every
+    cell checked in Python, then each column with missing cells imputed to
+    the rounded mean of its observed cells."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln for ln in lines if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty genotype file")
+    header = lines[0].split("\t")
+    if header[0] != "#pheno":
+        raise ParseError(f"{path}:1: header must start with '#pheno'")
+    snps = []
+    for col in header[1:]:
+        parts = col.split(":")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:1: SNP header '{col}' is not id:chrom:pos")
+        sid, chrom, pos = parts
+        try:
+            snps.append(SnpLocus(sid, int(pos), chrom))
+        except ValueError as exc:
+            raise ParseError(f"{path}:1: bad position in '{col}': {exc}") from exc
+
+    p = len(snps)
+    y_rows, g_rows = [], []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split("\t")
+        if len(cells) != p + 1:
+            raise ParseError(
+                f"{path}:{lineno}: expected {p + 1} fields, got {len(cells)}"
+            )
+        if cells[0] not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: phenotype '{cells[0]}' not in {{0,1}}")
+        y_rows.append(int(cells[0]))
+        row = []
+        for k, cell in enumerate(cells[1:], start=1):
+            if cell == MISSING_CODE:
+                row.append(np.nan)
+            elif cell in ("0", "1", "2"):
+                row.append(float(cell))
+            else:
+                raise ParseError(
+                    f"{path}:{lineno}: genotype '{cell}' not in "
+                    f"{{0,1,2,{MISSING_CODE}}} (column {k})"
+                )
+        g_rows.append(row)
+
+    G = np.array(g_rows, dtype=float)
+    imputed = int(np.isnan(G).sum())
+    if imputed:
+        for j in range(p):
+            col = G[:, j]
+            miss = np.isnan(col)
+            if miss.any():
+                fill = np.round(np.nanmean(col)) if (~miss).any() else 0.0
+                col[miss] = np.clip(fill, 0, 2)
+    X = np.column_stack([np.ones(G.shape[0]), G])
+    return Dataset(y=np.array(y_rows), X=X, snps=snps, imputed=imputed)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import expit
 
 from spatialboost.em import (
+    STOP_RESIDUAL,
     EmState,
     FilterConfig,
     Hyperparameters,
@@ -18,7 +19,6 @@ from spatialboost.em import (
     marginal_log_posterior,
     max_residual,
     ppl,
-    should_stop,
 )
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
@@ -230,14 +230,20 @@ def _state_with_beta(beta):
 def test_should_stop_cases():
     X = np.ones((1, 1))
     design = _full_design(X)
+    y = np.array([1.0])
+
+    def should_stop(state):
+        # the filter's residual stop rule in em_filter_pipeline
+        return max_residual(state, design, y) > STOP_RESIDUAL
+
     # fitted 0.5 on y=1: residual exactly 0.5, strict inequality -> keep going
-    assert not should_stop(_state_with_beta([0.0]), design, np.array([1.0]))
+    assert not should_stop(_state_with_beta([0.0]))
     # fitted 0.3 on y=1: residual 0.7 -> stop
     state = _state_with_beta([np.log(0.3 / 0.7)])
-    assert should_stop(state, design, np.array([1.0]))
-    assert max_residual(state, design, np.array([1.0])) == pytest.approx(0.7)
+    assert should_stop(state)
+    assert max_residual(state, design, y) == pytest.approx(0.7)
     # well-fitted point
-    assert not should_stop(_state_with_beta([2.0]), design, np.array([1.0]))
+    assert not should_stop(_state_with_beta([2.0]))
 
 
 def test_ppl_exact_values():

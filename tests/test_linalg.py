@@ -8,6 +8,7 @@ from spatialboost.linalg import (
     select_rank,
     truncate_design,
     weighted_cholesky,
+    weighted_woodbury,
 )
 from tests.conftest import dense_woodbury, orthonormal
 
@@ -161,6 +162,69 @@ def test_woodbury_validation(rng):
         WoodburySolver(C, V, np.ones(3))
     with pytest.raises(ConfigurationError):
         WoodburySolver(rng.standard_normal((2, 3)), V, np.ones(4))
+
+
+def test_woodbury_sample_space_dense_oracle(rng):
+    # S = diag(r) X with X n x (p+1), p+1 > n, given as V = X' and K = X X'
+    X = rng.integers(0, 3, (8, 15)).astype(float)
+    r = rng.uniform(0.1, 0.6, 8)
+    S = r[:, None] * X
+    for sigma in (
+        rng.uniform(0.1, 3.0, 15),  # B is every index but one
+        np.where(rng.random(15) < 0.3, 2.0, 0.02),  # two-valued
+        np.full(15, 0.7),  # B is empty
+    ):
+        solver = WoodburySolver(r, X.T, sigma, gram=X @ X.T)
+        assert solver.core_dim == 8
+        R = rng.standard_normal((15, 3))
+        for rhs in (R[:, 0], R):
+            want = dense_woodbury(S, sigma, rhs)
+            err = np.linalg.norm(solver.solve(rhs) - want) / np.linalg.norm(want)
+            assert err < 1e-8
+        u, w = rng.standard_normal(15), rng.standard_normal(8)
+        assert np.allclose(solver.left(u), S @ u, atol=1e-12)
+        assert np.allclose(solver.left_t(w), S.T @ w, atol=1e-12)
+
+
+def test_woodbury_sample_space_validation(rng):
+    X = rng.standard_normal((4, 6))
+    r, K = np.ones(4), X @ X.T
+    with pytest.raises(ConfigurationError):
+        WoodburySolver(r, X.T, np.ones(6))  # no gram
+    with pytest.raises(ConfigurationError):
+        WoodburySolver(r[:3], X.T, np.ones(6), gram=K)
+    with pytest.raises(ConfigurationError):
+        WoodburySolver(r, X.T, np.ones(6), gram=K[:3, :3])
+    with pytest.raises(ConfigurationError):
+        WoodburySolver(np.eye(4), X.T, np.ones(6), gram=K)
+
+
+@pytest.mark.parametrize("n, l, sample", [(9, 6, True), (9, 5, False),
+                                          (250, 166, False), (250, 167, True)])
+def test_sample_space_rule(n, l, sample):
+    d = TruncatedDesign(U=np.zeros((n, l)), d=np.ones(l), V=np.zeros((300, l)),
+                        relative_residual_energy=0.0)
+    assert d.sample_space is sample
+
+
+def test_sample_space_factors_and_weighted_woodbury(rng):
+    X = np.column_stack([np.ones(10), rng.integers(0, 3, (10, 19)).astype(float)])
+    design = truncate_design(X, 10)
+    assert design.sample_space
+    assert design.Xt.flags.c_contiguous and design.Xt.shape == (20, 10)
+    assert np.allclose(design.Xt, X.T, atol=1e-10)
+    assert np.allclose(design.K, X @ X.T, atol=1e-9)
+    assert np.array_equal(design.K, design.K.T)
+    W = rng.uniform(0.0, 0.25, 10)
+    W[3] = 0.0
+    sigma = rng.uniform(0.1, 1.0, 20)
+    rhs = rng.standard_normal(20)
+    solver = weighted_woodbury(design, W, sigma)
+    assert solver.core_dim == 10
+    want = dense_woodbury(np.sqrt(W)[:, None] * X, sigma, rhs)
+    assert np.allclose(solver.solve(rhs), want, atol=1e-8)
+    with pytest.raises(ConfigurationError):
+        weighted_woodbury(design, -W, sigma)
 
 
 def _gram(Cw, design):

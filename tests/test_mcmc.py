@@ -10,6 +10,8 @@ from spatialboost.em import Hyperparameters, cm_beta, e_step
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
 from spatialboost.mcmc import (
+    GibbsState,
+    gibbs_cycle,
     gibbs_run,
     initial_state,
     sample_beta,
@@ -21,6 +23,7 @@ from spatialboost.mcmc import (
 )
 from tests.conftest import (
     gamma_series_pg,
+    loop_theta_bitmask,
     pg_mean,
     pg_var,
     s_form_cm_beta,
@@ -198,20 +201,29 @@ def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+# (n, p1, l) -> whether the design takes the sample-space core
+_ORACLE_DESIGNS = {
+    (30, 61, 20): True,  # l < p+1, 3l = 2n
+    (40, 11, 11): False,  # l = p+1
+    (30, 61, 30): True,  # full rank, l = n < p+1
+    (40, 41, 27): True,  # l < n < p+1
+    (40, 41, 26): False,  # one below the switch
+}
+
+
 @pytest.mark.parametrize(
     "n, p1, l, included",
     [
-        (30, 61, 20, "random"),  # l < p+1
-        (40, 11, 11, "random"),  # l = p+1
-        (30, 61, 20, "intercept"),  # B = {0}
-        (40, 11, 11, "intercept"),
-        (30, 61, 20, "all"),  # every theta = 1: B is empty
-        (40, 11, 11, "all"),
+        (*shape, included)
+        for shape in _ORACLE_DESIGNS
+        # "intercept" gives B = {0}; "all" sets every theta = 1, so B is empty
+        for included in ("random", "intercept", "all")
     ],
 )
 def test_sample_beta_matches_s_form_oracle(n, p1, l, included):
     rng = np.random.default_rng(606)
     design = _genotype_design(rng, n, p1, l)
+    assert design.sample_space == _ORACLE_DESIGNS[n, p1, l]
     y = rng.integers(0, 2, n).astype(float)
     omega = rng.uniform(0.05, 0.3, n)
     theta = {
@@ -228,7 +240,7 @@ def test_sample_beta_matches_s_form_oracle(n, p1, l, included):
         assert _rel_err(got, want) < 1e-10
 
 
-@pytest.mark.parametrize("n, p1, l", [(30, 61, 20), (40, 11, 11)])
+@pytest.mark.parametrize("n, p1, l", list(_ORACLE_DESIGNS))
 def test_cm_beta_with_zero_weights_matches_s_form_oracle(n, p1, l):
     rng = np.random.default_rng(607)
     design = _genotype_design(rng, n, p1, l)
@@ -244,6 +256,50 @@ def test_cm_beta_with_zero_weights_matches_s_form_oracle(n, p1, l):
         got = cm_beta(design, y, b, etheta, 0.05, HYPER)
         want = s_form_cm_beta(design, y, b, etheta, 0.05, HYPER)
         assert _rel_err(got, want) < 1e-10
+
+
+def test_geweke_joint_distribution_sample_space():
+    # criterion 5's successive-conditional check on a full-rank design with
+    # p + 1 > n, so every beta draw takes the sample-space path
+    n, p = 6, 8
+    hyper = Hyperparameters(kappa=4.0, nu=6.0, lam=5.0, xi0=0.0, xi1=1.0)
+    rng0 = np.random.default_rng(2025)
+    X = np.column_stack([np.ones(n), rng0.integers(0, 3, size=(n, p)).astype(float)])
+    boosts = rng0.uniform(0, 1, size=p)
+    design = truncate_design(X, min(X.shape))
+    assert design.rank == n and design.sample_space
+    N = 20_000
+
+    def g_funcs(sigma2, theta, beta):
+        ts = theta[1:].sum()
+        return np.array([sigma2, sigma2**2, ts, ts**2, beta[0], beta[0] ** 2,
+                         beta[1], beta[1] ** 2])
+
+    def prior_draw(rng):
+        sigma2 = hyper.lam / rng.gamma(hyper.nu)
+        theta = np.ones(p + 1, dtype=np.int8)
+        theta[1:] = rng.random(p) < expit(hyper.xi0 + hyper.xi1 * boosts)
+        sd = np.sqrt(sigma2 * (theta * hyper.kappa + 1.0 - theta))
+        return sigma2, theta, rng.standard_normal(p + 1) * sd
+
+    rng_mc = np.random.default_rng(21)
+    mc = np.array([g_funcs(*prior_draw(rng_mc)) for _ in range(N)])
+
+    rng_sc = np.random.default_rng(22)
+    sigma2, theta, beta = prior_draw(rng_sc)
+    state = GibbsState(beta=beta, theta=theta, sigma2=sigma2, omega=np.full(n, 0.25))
+    sc = np.empty_like(mc)
+    for it in range(N):
+        y = (rng_sc.random(n) < expit(design.matvec(state.beta))).astype(float)
+        state = gibbs_cycle(state, design, y, boosts, hyper, rng_sc)
+        sc[it] = g_funcs(state.sigma2, state.theta, state.beta)
+
+    se_mc = mc.std(axis=0, ddof=1) / np.sqrt(N)
+    nb = 100
+    batch_means = sc.reshape(nb, N // nb, -1).mean(axis=1)
+    se_sc = batch_means.std(axis=0, ddof=1) / np.sqrt(nb)
+    z = (mc.mean(axis=0) - sc.mean(axis=0)) / np.sqrt(se_mc**2 + se_sc**2)
+    assert np.all(np.abs(z) < 4.0), f"z-scores {np.round(z, 2)}"
 
 
 def test_sample_beta_rejects_nonpositive_omega(rng):
@@ -264,6 +320,15 @@ def test_sample_beta_rejects_nonpositive_omega(rng):
 def test_theta_bitmask():
     assert theta_bitmask(np.array([1, 0, 1])) == "5"
     assert theta_bitmask(np.zeros(3, dtype=np.int8)) == "0"
+
+
+@pytest.mark.parametrize("length", [1, 8, 9, 1201])
+def test_theta_bitmask_matches_loop_oracle(length):
+    rng = np.random.default_rng(length)
+    cases = [np.zeros(length, dtype=np.int8), np.ones(length, dtype=np.int8)]
+    cases += [(rng.random(length) < q).astype(np.int8) for q in (0.1, 0.5, 0.9)]
+    for theta in cases:
+        assert theta_bitmask(theta) == loop_theta_bitmask(theta)
 
 
 def _small_problem(seed=0, n=20, p=5):

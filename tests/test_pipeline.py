@@ -27,6 +27,7 @@ from spatialboost.pipeline import (
     run_pipeline,
     substream,
 )
+from tests.conftest import per_cell_load_genotypes
 
 GENO_SMALL = """#pheno\trs1:1:100\trs2:1:200
 1\t0\t2
@@ -75,6 +76,60 @@ def test_load_genotypes_errors_name_lines(tmp_path):
     bad_snp = "#pheno\trs1:100\n1\t0\n"
     with pytest.raises(ParseError, match="id:chrom:pos"):
         load_genotypes(_write(tmp_path, "e.tsv", bad_snp))
+
+
+def _genotype_text(rng, n, p, missing, sep="\n"):
+    header = "\t".join(["#pheno"] + [f"rs{j}:{1 + j % 3}:{100 * j}" for j in range(p)])
+    codes = np.array(["0", "1", "2"])[rng.integers(0, 3, (n, p))]
+    codes[rng.random((n, p)) < missing] = "."
+    codes[:, 0] = "."  # a column with no observed cell imputes to 0
+    rows = [
+        "\t".join([str(rng.integers(0, 2))] + list(r)) for r in codes
+    ]
+    return sep.join([header] + rows) + sep
+
+
+def _assert_same_dataset(got, want):
+    assert np.array_equal(got.X, want.X) and got.X.dtype == want.X.dtype
+    assert np.array_equal(got.y, want.y) and got.y.dtype == want.y.dtype
+    assert got.snps == want.snps
+    assert got.imputed == want.imputed
+
+
+@pytest.mark.parametrize("n, p, missing", [(1, 1, 0.0), (7, 5, 0.3), (40, 90, 0.05)])
+def test_load_genotypes_matches_per_cell_oracle(tmp_path, n, p, missing):
+    rng = np.random.default_rng(n * 1000 + p)
+    text = _genotype_text(rng, n, p, missing)
+    path = _write(tmp_path, "g.tsv", text)
+    _assert_same_dataset(load_genotypes(path), per_cell_load_genotypes(path))
+    # the same table with CRLF line ends and blank lines between rows
+    lines = text.split("\n")
+    odd = "\r\n".join(lines[:2] + ["", "  "] + lines[2:])
+    path = _write(tmp_path, "crlf.tsv", odd)
+    _assert_same_dataset(load_genotypes(path), per_cell_load_genotypes(path))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1\t0\t3",  # bad genotype code
+        "2\t0\t1",  # bad phenotype
+        "1\t0\t\t",  # empty cell: right width, wrong tabs
+        "1\t01\t1",  # a two-character cell
+        "1\t0",  # too few fields
+        "1\t0 \t1",  # trailing space in a cell
+        "1\t\u00e9\t1",  # non-ASCII cell of the right width
+        "1 0\t1",  # space for a tab
+    ],
+)
+def test_load_genotypes_errors_match_per_cell_oracle(tmp_path, row):
+    text = "#pheno\trs1:1:100\trs2:1:200\n0\t1\t.\n\n" + row + "\n1\t2\t2\n"
+    path = _write(tmp_path, "bad.tsv", text)
+    with pytest.raises(ParseError) as want:
+        per_cell_load_genotypes(path)
+    with pytest.raises(ParseError) as got:
+        load_genotypes(path)
+    assert str(got.value) == str(want.value)
 
 
 def test_load_genes(tmp_path):
