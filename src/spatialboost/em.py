@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from spatialboost._special import expit
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import TruncatedDesign, truncate_design, weighted_woodbury
 

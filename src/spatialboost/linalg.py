@@ -12,7 +12,9 @@ once per design from (n, l) (``TruncatedDesign.sample_space``):
   built from K = X_l X_l', which is fixed for the design, so no weighted Gram
   is formed.
 
-S itself is never formed in either space.
+S itself is never formed in either space. The core I + S Sigma S' has every
+eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
+(``numpy.linalg.solve``) with all its right-hand sides at once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from spatialboost.errors import ConfigurationError, NumericalError
 
@@ -151,12 +152,16 @@ def truncate_design(
     )
 
 
-def _chol_with_jitter(G: np.ndarray, context: str):
+def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factor L of G = L L', escalating the diagonal jitter
+    until G is positive definite."""
+    if not np.all(np.isfinite(G)):
+        raise NumericalError(f"{context}: non-finite entries")
     scale = max(float(np.mean(np.diag(G))), np.finfo(float).tiny)
     for jit in JITTERS:
         try:
             jittered = G + jit * scale * np.eye(G.shape[0]) if jit else G
-            return cho_factor(jittered, lower=False)
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             continue
     cond = np.linalg.cond(G)
@@ -183,9 +188,10 @@ class WoodburySolver:
     I + c C G C' + T T' with T = C V_B' diag(sigma_B - c)^(1/2). In rank space
     that costs O(l^3 + |B| l^2). In sample space C G C' is (C C') o K and T
     is a scaled copy of rows of V, so it costs O(n^2 |B|) and the core's
-    n^3/3 Cholesky. Every other product with S is a matvec through C and V.
-    Only the core is factored; the factor is cached so repeated solves (e.g.
-    posterior mean plus a Gaussian draw) reuse it.
+    2n^3/3 LU solve. Every other product with S is a matvec through C and V.
+    The core is symmetric with every eigenvalue >= 1, so it is solved as is,
+    without jitter; a caller with several right-hand sides passes them
+    together to one ``solve_core`` (or ``solve``) call.
     """
 
     def __init__(
@@ -226,7 +232,9 @@ class WoodburySolver:
             T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
             core = c * (C @ C.T) + T @ T.T
         core.flat[:: k + 1] += 1.0
-        self._factor = _chol_with_jitter(core, "woodbury core")
+        if not np.all(np.isfinite(core)):
+            raise NumericalError(f"woodbury core: non-finite entries ({k}x{k})")
+        self._core = core
 
     @property
     def core_dim(self) -> int:
@@ -244,8 +252,15 @@ class WoodburySolver:
         return self.V @ ((self.C * w.T).T if self._diag else self.C.T @ w)
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
-        """(I + S Sigma S')^-1 rhs."""
-        return cho_solve(self._factor, rhs)
+        """(I + S Sigma S')^-1 rhs for a vector or matrix rhs, by one LU
+        solve."""
+        try:
+            out = np.linalg.solve(self._core, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"woodbury core: {exc}") from exc
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("woodbury core: non-finite solution")
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(S'S + Sigma^-1)^-1 rhs for a vector or matrix rhs."""
@@ -259,7 +274,8 @@ class WoodburySolver:
 
 
 def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor C_w (l x l) of D U' diag(W) U D.
+    """Upper Cholesky factor C_w (l x l) of D U' diag(W) U D, the transpose
+    of its lower factor.
 
     With S = C_w V', S'S approximates X' diag(W) X within truncation error;
     S itself is never formed. W entries may be zero (IRLS weights vanish at
@@ -272,8 +288,7 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
     G = (B.T @ B) * np.outer(design.d, design.d)
     if not np.any(np.diag(G) > 0):
         return np.zeros((design.rank, design.rank))
-    factor, _ = _chol_with_jitter(0.5 * (G + G.T), "weighted Gram")
-    return np.triu(factor)
+    return _chol_with_jitter(0.5 * (G + G.T), "weighted Gram").T
 
 
 def weighted_woodbury(

@@ -15,7 +15,10 @@ truncated design X_l = U diag(d) V', run in the design's space (see
   O(n l^2 + l^3 + |A| l^2 + l p) per draw;
 - sample space (3 l >= 2 n): the n x n core is (sqrt(omega) sqrt(omega)') o K
   plus a rank-|A| update, with K = X_l X_l' computed once per design, for
-  O(n^2 |A| + n^3/3 + n p) per draw.
+  O(n^2 |A| + 2 n^3/3 + n p) per draw.
+
+In both spaces the core is solved by one LU solve per draw (see
+``sample_beta``).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
+from spatialboost._special import expit, log_ndtr
 from spatialboost.em import Hyperparameters, e_step, prior_scale
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import TruncatedDesign, weighted_woodbury
@@ -42,8 +45,10 @@ def _tail_mass(zh: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """
     root = math.sqrt(1.0 / _TRUNC)
     x0 = np.log(fz) + fz * _TRUNC
-    xb = x0 - zh + log_ndtr(root * (_TRUNC * zh - 1.0))
-    xa = x0 + zh + log_ndtr(-root * (_TRUNC * zh + 1.0))
+    lb, la = log_ndtr(np.stack((root * (_TRUNC * zh - 1.0),
+                                -root * (_TRUNC * zh + 1.0))))
+    xb = x0 - zh + lb
+    xa = x0 + zh + la
     return expit(-(math.log(4.0 / math.pi) + np.logaddexp(xb, xa)))
 
 
@@ -197,18 +202,25 @@ def sample_beta(
 
     X' Omega X ~ S'S, with S = C_w V' in rank space and S = diag(sqrt(omega))
     X_l in sample space; products with S are matvecs, so S is never formed.
-    The auxiliary normal delta has the core's dimension (l or n).
+    With u ~ N(0, Sigma), an auxiliary normal delta of the core's dimension
+    (l or n) and v = Sigma X'(y - 1/2) + u, the draw is
+
+        v - Sigma S' (I + S Sigma S')^-1 (S v + delta):
+
+    the posterior mean and the Bhattacharya et al. perturbation are linear
+    in the core's right-hand side, so they are summed before the core is
+    solved and each draw takes one LU solve.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigurationError("omega entries must be positive")
     sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
     solver = weighted_woodbury(design, omega, sigma)
-    mean = solver.solve(design.rmatvec(np.asarray(y, float) - 0.5))
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
     delta = rng.standard_normal(solver.core_dim)
-    w = solver.solve_core(solver.left(u) + delta)
-    return mean + u - sigma * solver.left_t(w)
+    v = sigma * design.rmatvec(np.asarray(y, float) - 0.5) + u
+    w = solver.solve_core(solver.left(v) + delta)
+    return v - sigma * solver.left_t(w)
 
 
 @dataclass

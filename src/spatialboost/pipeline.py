@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
 import numpy as np
-from scipy.special import chdtrc
 
 from spatialboost import __version__
+from spatialboost._special import chi2_sf_1df
 from spatialboost.em import (
     FilterConfig,
     FilterTrace,
@@ -108,17 +108,22 @@ def load_genotypes(path: str) -> Dataset:
     A valid row is one character per field with single tabs between
     (2p + 1 characters), so the cells are decoded and checked in numpy.
     When that check fails, a per-line parse names the first bad
-    ``file:line``.
+    ``file:line``, counting blank lines.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+        numbered = [
+            (lineno, ln.rstrip("\n"))
+            for lineno, ln in enumerate(fh, start=1)
+            if ln.strip()
+        ]
+    if not numbered:
         raise ParseError(f"{path}: empty genotype file")
-    snps = _parse_genotype_header(path, lines[0])
-    rows = lines[1:]
+    snps = _parse_genotype_header(path, *numbered[0])
+    rows = [ln for _, ln in numbered[1:]]
     parsed = _fixed_width_cells(rows, len(snps))
-    y, G = parsed if parsed is not None else _parse_rows(path, rows, len(snps))
+    if parsed is None:
+        parsed = _parse_rows(path, numbered[1:], len(snps))
+    y, G = parsed
     miss = np.isnan(G)
     imputed = int(miss.sum())
     if imputed:
@@ -131,22 +136,24 @@ def load_genotypes(path: str) -> Dataset:
     return Dataset(y=y, X=X, snps=snps, imputed=imputed)
 
 
-def _parse_genotype_header(path: str, line: str) -> list[SnpLocus]:
+def _parse_genotype_header(path: str, lineno: int, line: str) -> list[SnpLocus]:
     header = line.split("\t")
     if header[0] != "#pheno":
-        raise ParseError(f"{path}:1: header must start with '#pheno'")
+        raise ParseError(f"{path}:{lineno}: header must start with '#pheno'")
     snps = []
     for col in header[1:]:
         parts = col.split(":")
         if len(parts) != 3:
             raise ParseError(
-                f"{path}:1: SNP header '{col}' is not id:chrom:pos"
+                f"{path}:{lineno}: SNP header '{col}' is not id:chrom:pos"
             )
         sid, chrom, pos = parts
         try:
             snps.append(SnpLocus(sid, int(pos), chrom))
         except ValueError as exc:
-            raise ParseError(f"{path}:1: bad position in '{col}': {exc}") from exc
+            raise ParseError(
+                f"{path}:{lineno}: bad position in '{col}': {exc}"
+            ) from exc
     return snps
 
 
@@ -180,11 +187,12 @@ def _fixed_width_cells(
 
 
 def _parse_rows(
-    path: str, rows: list[str], p: int
+    path: str, rows: list[tuple[int, str]], p: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-line parse of the data rows; raises on the first bad line."""
+    """Per-line parse of the (line number, text) data rows; raises on the
+    first bad line."""
     y_rows, g_rows = [], []
-    for lineno, ln in enumerate(rows, start=2):
+    for lineno, ln in rows:
         cells = ln.split("\t")
         if len(cells) != p + 1:
             raise ParseError(
@@ -284,7 +292,7 @@ def hwe_pvalues(dataset: Dataset) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
     stat = terms.sum(axis=0)
-    return chdtrc(1, stat)
+    return chi2_sf_1df(stat)
 
 
 def hwe_filter(dataset: Dataset, alpha: float = 1e-6) -> tuple[Dataset, np.ndarray]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, ndtr
 
+from spatialboost._special import expit, ndtr
 from spatialboost.em import (
     FilterConfig,
     Hyperparameters,
@@ -171,14 +171,23 @@ class RocCurve:
         return float(self.points[ok, 1].max()) if ok.any() else 0.0
 
 
+def average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores``, each tie group given its mean rank."""
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # group starts
+    last = np.r_[first[1:], s.size]  # one past each group's end
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((first + last + 1) / 2.0, last - first)
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     """ROC via threshold sweep; AUC via pairwise concordance with ties 1/2.
 
     Grouping tied scores makes the trapezoidal integral equal the
     Mann-Whitney statistic exactly.
     """
-    from scipy.stats import rankdata  # deferred: keeps scipy.stats off CLI start-up
-
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(bool)
     n1 = int(truth.sum())
@@ -186,7 +195,7 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     if n1 == 0 or n0 == 0:
         raise ConfigurationError("truth must contain both classes")
 
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     auc = (ranks[truth].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
     order = np.argsort(-scores, kind="stable")

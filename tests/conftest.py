@@ -258,27 +258,32 @@ def per_cell_load_genotypes(path: str) -> Dataset:
     cell checked in Python, then each column with missing cells imputed to
     the rounded mean of its observed cells."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1)]
+    lines = [(i, ln) for i, ln in lines if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty genotype file")
-    header = lines[0].split("\t")
+    head_no, head = lines[0]
+    header = head.split("\t")
     if header[0] != "#pheno":
-        raise ParseError(f"{path}:1: header must start with '#pheno'")
+        raise ParseError(f"{path}:{head_no}: header must start with '#pheno'")
     snps = []
     for col in header[1:]:
         parts = col.split(":")
         if len(parts) != 3:
-            raise ParseError(f"{path}:1: SNP header '{col}' is not id:chrom:pos")
+            raise ParseError(
+                f"{path}:{head_no}: SNP header '{col}' is not id:chrom:pos"
+            )
         sid, chrom, pos = parts
         try:
             snps.append(SnpLocus(sid, int(pos), chrom))
         except ValueError as exc:
-            raise ParseError(f"{path}:1: bad position in '{col}': {exc}") from exc
+            raise ParseError(
+                f"{path}:{head_no}: bad position in '{col}': {exc}"
+            ) from exc
 
     p = len(snps)
     y_rows, g_rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         cells = ln.split("\t")
         if len(cells) != p + 1:
             raise ParseError(

@@ -96,8 +96,27 @@ def test_fit_phi_command(tmp_path, capsys):
     assert "# global_phi" in text
 
 
-def test_cli_import_skips_scipy_stats():
-    code = "import sys, spatialboost.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_skips_scipy_stats(tmp_path):
+    # no scipy module is loaded by importing the CLI, nor by simulating a
+    # dataset and running report on it with phi fitted per region
+    sim, cfg = tmp_path / "sim", tmp_path / "run.cfg"
+    cfg.write_text(
+        f"genotypes = {sim}/simulated_genotypes.tsv\n"
+        f"genes = {sim}/simulated_genes.bed\n"
+        "gibbs.iters = 40\n"
+    )
+    code = f"""
+import sys
+from spatialboost.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+main(["--seed", "3", "--out-dir", {str(sim)!r}, "simulate", "--n", "40", "--p", "16"])
+rc = main(["--config", {str(cfg)!r}, "--out-dir", {str(tmp_path / "out")!r}, "report"])
+print(rc, scipy_modules())
+"""
     src = os.path.dirname(os.path.dirname(spatialboost.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -106,7 +125,11 @@ def test_cli_import_skips_scipy_stats():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().split("\n")
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    boosts = (tmp_path / "out" / "boosts.tsv").read_text()
+    assert "source=fit" in boosts.split("\n")[0]
 
 
 STAGE_COMMANDS = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spatialboost.errors import ConfigurationError
+from spatialboost.errors import ConfigurationError, NumericalError
 from spatialboost.linalg import (
     TruncatedDesign,
     WoodburySolver,
@@ -231,6 +231,22 @@ def _gram(Cw, design):
     """(C_w V')'(C_w V'), the Gram the rank-space factor stands for."""
     S = Cw @ design.V.T
     return S.T @ S
+
+
+def test_woodbury_non_finite_core_or_solution_raises(rng):
+    V = orthonormal(4, 2, rng)
+    C = np.array([[1.0, 0.0], [np.inf, 1.0]])
+    with pytest.raises(NumericalError, match="woodbury core"):
+        WoodburySolver(C, V, np.ones(4))
+    solver = WoodburySolver(rng.standard_normal((2, 2)), V, np.ones(4))
+    with pytest.raises(NumericalError, match="non-finite solution"):
+        solver.solve_core(np.array([1.0, np.nan]))
+
+
+def test_weighted_cholesky_non_finite_gram_raises(rng):
+    design = truncate_design(rng.standard_normal((4, 3)), 3)
+    with pytest.raises(NumericalError, match="weighted Gram"):
+        weighted_cholesky(design, np.array([1.0, np.inf, 1.0, 1.0]))
 
 
 def test_weighted_cholesky_identity_weights(rng):

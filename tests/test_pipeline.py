@@ -78,6 +78,18 @@ def test_load_genotypes_errors_name_lines(tmp_path):
         load_genotypes(_write(tmp_path, "e.tsv", bad_snp))
 
 
+def test_load_genotypes_errors_count_blank_lines(tmp_path):
+    # line 2 is blank and line 4 holds genotype 7
+    text = "#pheno\trs1:1:100\n\n1\t0\n1\t7\n"
+    with pytest.raises(ParseError, match=r"^\S*blank\.tsv:4: genotype '7'"):
+        load_genotypes(_write(tmp_path, "blank.tsv", text))
+    text = "\n#pheno\trs1:1:100\n1\t0\n\n\n1\t0\t1\n"
+    with pytest.raises(ParseError, match=r"^\S*wide\.tsv:6: expected 2 fields"):
+        load_genotypes(_write(tmp_path, "wide.tsv", text))
+    with pytest.raises(ParseError, match=r"^\S*head\.tsv:2: header"):
+        load_genotypes(_write(tmp_path, "head.tsv", "\npheno\trs1:1:100\n1\t0\n"))
+
+
 def _genotype_text(rng, n, p, missing, sep="\n"):
     header = "\t".join(["#pheno"] + [f"rs{j}:{1 + j % 3}:{100 * j}" for j in range(p)])
     codes = np.array(["0", "1", "2"])[rng.integers(0, 3, (n, p))]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.special import expit
-from scipy.stats import kstest
+from scipy.stats import kstest, rankdata
 
 from spatialboost.em import Hyperparameters
 from spatialboost.errors import ConfigurationError
 from spatialboost.sim import (
     StudyConfig,
+    average_ranks,
     roc_auc,
     simulate,
     single_snp_tests,
@@ -103,6 +104,19 @@ def test_single_snp_constant_column_flagged(rng):
     assert "constant" in res.reasons[0]
     assert res.scores()[0] == -np.inf
     assert res.bonferroni_threshold(0.05) == pytest.approx(0.05 / 1)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7, 1000])
+def test_average_ranks_match_rankdata_with_heavy_ties(levels):
+    rng = np.random.default_rng(levels)
+    for n in (1, 2, 9, 500):
+        scores = rng.integers(0, levels, n) / 7.0
+        assert np.array_equal(average_ranks(scores), rankdata(scores))
+        truth = np.arange(n) % 3 == 0
+        if 0 < truth.sum() < n:
+            n1, n0 = truth.sum(), n - truth.sum()
+            want = (rankdata(scores)[truth].sum() - n1 * (n1 + 1) / 2) / (n1 * n0)
+            assert roc_auc(scores, truth).auc == want
 
 
 def test_roc_auc_hand_examples():
