@@ -11,10 +11,10 @@ branch points and operation order, so they agree with scipy to a few ulps
             = exp(-x^2) R(x) / S(x)                  for 8 <= x, 0 once
                                                        x^2 > MAXLOG
 
-``log_ndtr`` takes log(erfcx(t) / 2) - t^2 with erfcx(t) = exp(t^2) erfc(t)
-= P(t)/Q(t) or R(t)/S(t) for the tail below -sqrt(2), so it never forms the
-underflowing erfc there. Every branch runs on its own piece of the input:
-contiguous slices when the input is ascending, boolean masks otherwise.
+``erfcx(x) = exp(x^2) erfc(x)`` is P(x)/Q(x) or R(x)/S(x) itself above 1,
+so it never forms the underflowing erfc there. Every branch runs on its own
+piece of the input: contiguous slices when the input is ascending, boolean
+masks otherwise.
 """
 
 from __future__ import annotations
@@ -154,25 +154,23 @@ def ndtr(a) -> np.ndarray:
     return y
 
 
-def log_ndtr(a) -> np.ndarray:
-    """log of the standard normal CDF in t = a / sqrt 2: log(erfc(-t) / 2)
-    from erfcx below t = -1, where ndtr(a) would underflow,
-    log(1/2 + erf(t) / 2) on [-1, 1), and log1p(-erfc(t) / 2) above."""
-    a = np.asarray(a, dtype=float)
-    t = a.ravel() * SQRT1_2
-    out = _piecewise(
-        t,
-        (-np.inf, -8.0, -1.0, 1.0, 8.0, _XMAX, np.inf),
-        (
-            lambda t: np.log(0.5 * _erfcx_r(-t)) - t * t,
-            lambda t: np.log(0.5 * _erfcx_p(-t)) - t * t,
-            lambda t: np.log(0.5 + 0.5 * _erf(t)),
-            lambda t: np.log1p(-0.5 * _erfc_p(t)),
-            lambda t: np.log1p(-0.5 * _erfc_r(t)),
-            np.zeros_like,
-        ),
-    )
-    return out.reshape(a.shape)
+def erfcx(x) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x): P(|x|)/Q(|x|)
+    on 1 <= |x| < 8 and R(|x|)/S(|x|) above give erfcx(|x|), exp(x^2)
+    (1 - erf(x)) covers |x| < 1, and the reflection 2 exp(x^2) - erfcx(-x)
+    takes x <= -1, where it overflows to inf without a warning."""
+    x = np.asarray(x, dtype=float)
+    t = x.ravel()
+    a = np.abs(t)
+    out = _piecewise(a, (1.0, 8.0, np.inf), (_erfcx_p, _erfcx_r))
+    near = a < 1.0
+    v = t[near]
+    out[near] = np.exp(v * v) * (1.0 - _erf(v))
+    neg = t <= -1.0
+    v = t[neg]
+    with np.errstate(over="ignore"):
+        out[neg] = 2.0 * np.exp(v * v) - out[neg]
+    return out.reshape(x.shape)
 
 
 def expit(x) -> np.ndarray:

@@ -28,28 +28,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spatialboost._special import expit, log_ndtr
+from spatialboost._special import erfcx
 from spatialboost.em import Hyperparameters, e_step, prior_scale
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import TruncatedDesign, weighted_woodbury
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
+# the constant factor (2/pi) exp(pi^2 T/8 - 1/(2T)) of _tail_mass's q/p
+_QDIVP = 2.0 / math.pi * math.exp(_PI2 * _TRUNC / 8.0 - 0.5 / _TRUNC)
 
 
 def _tail_mass(zh: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """Probability of proposing from the exponential tail (x > _TRUNC).
 
-    The ratio q/p of the two proposal masses is summed in log space, so a
-    saturated |z| gives a tail mass of 0 instead of overflowing.
+    With Phi written through erfcx the zh^2 terms of both proposal masses
+    cancel, so the ratio q/p of the two masses is
+
+        (2/pi) exp(pi^2 T/8 - 1/(2T)) fz (erfcx(t_a) + erfcx(-s))
+
+    with T = _TRUNC, t_a = (T zh + 1)/sqrt(2T) and s = (T zh - 1)/sqrt(2T).
+    A saturated |z| makes q/p overflow to inf and the tail mass 0.
     """
-    root = math.sqrt(1.0 / _TRUNC)
-    x0 = np.log(fz) + fz * _TRUNC
-    lb, la = log_ndtr(np.stack((root * (_TRUNC * zh - 1.0),
-                                -root * (_TRUNC * zh + 1.0))))
-    xb = x0 - zh + lb
-    xa = x0 + zh + la
-    return expit(-(math.log(4.0 / math.pi) + np.logaddexp(xb, xa)))
+    root = math.sqrt(0.5 / _TRUNC)
+    ta, ms = erfcx(np.stack((root * (_TRUNC * zh + 1.0),
+                             root * (1.0 - _TRUNC * zh))))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + _QDIVP * fz * (ta + ms))
 
 
 def _rtigauss(zh: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -193,17 +198,18 @@ def sample_beta(
     theta: np.ndarray,
     sigma2: float,
     design: TruncatedDesign,
-    y: np.ndarray,
+    xty: np.ndarray,
     hyper: Hyperparameters,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Gaussian conditional draw N(Q^-1 X'(y - 1/2), Q^-1) with
     Q = X' Omega X + Sigma^-1, via the Woodbury-form covariance factor.
 
-    X' Omega X ~ S'S, with S = C_w V' in rank space and S = diag(sqrt(omega))
-    X_l in sample space; products with S are matvecs, so S is never formed.
-    With u ~ N(0, Sigma), an auxiliary normal delta of the core's dimension
-    (l or n) and v = Sigma X'(y - 1/2) + u, the draw is
+    ``xty`` is the sufficient statistic X'(y - 1/2) (``design.rmatvec``),
+    fixed for a chain. X' Omega X ~ S'S, with S = C_w V' in rank space and
+    S = diag(sqrt(omega)) X_l in sample space; products with S are matvecs,
+    so S is never formed. With u ~ N(0, Sigma), an auxiliary normal delta of
+    the core's dimension (l or n) and v = Sigma X'(y - 1/2) + u, the draw is
 
         v - Sigma S' (I + S Sigma S')^-1 (S v + delta):
 
@@ -218,7 +224,7 @@ def sample_beta(
     solver = weighted_woodbury(design, omega, sigma)
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
     delta = rng.standard_normal(solver.core_dim)
-    v = sigma * design.rmatvec(np.asarray(y, float) - 0.5) + u
+    v = sigma * xty + u
     w = solver.solve_core(solver.left(v) + delta)
     return v - sigma * solver.left_t(w)
 
@@ -260,23 +266,18 @@ def initial_state(design: TruncatedDesign, hyper: Hyperparameters) -> GibbsState
 def gibbs_cycle(
     state: GibbsState,
     design: TruncatedDesign,
-    y: np.ndarray,
+    xty: np.ndarray,
     boosts,
     hyper: Hyperparameters,
     rng: np.random.Generator,
 ) -> GibbsState:
-    """One full sweep: sigma^2 -> theta -> omega -> beta."""
+    """One full sweep: sigma^2 -> theta -> omega -> beta, with ``xty`` the
+    response's sufficient statistic X'(y - 1/2)."""
     sigma2 = sample_sigma2(state.theta, state.beta, hyper, rng)
     theta = sample_theta(state.beta, sigma2, boosts, hyper, rng)
     omega = sample_pg_vector(design.matvec(state.beta), rng)
-    beta = sample_beta(omega, theta, sigma2, design, y, hyper, rng)
+    beta = sample_beta(omega, theta, sigma2, design, xty, hyper, rng)
     return GibbsState(beta=beta, theta=theta, sigma2=sigma2, omega=omega)
-
-
-def theta_bitmask(theta: np.ndarray) -> str:
-    """Hex encoding of the inclusion vector, bit j = theta_j."""
-    packed = np.packbits(np.asarray(theta) != 0, bitorder="little")
-    return format(int.from_bytes(packed.tobytes(), "little"), "x")
 
 
 def gibbs_run(
@@ -287,50 +288,42 @@ def gibbs_run(
     iters: int,
     burnin: int | None = None,
     seed: int | None = 0,
-    draw_log: "object | None" = None,
 ) -> ChainSummary:
     """Run one chain and estimate marginal association probabilities.
 
     ``burnin`` defaults to 20% of ``iters``. With a fixed seed the summary is
-    bit-identical across runs. ``draw_log`` is an optional writable text
-    stream receiving one TSV row per iteration (iteration, sigma2, theta as a
-    hex bitmask, beta values).
+    bit-identical across runs. The draws after burn-in are kept in the
+    summary's theta, beta and sigma^2 arrays; burn-in draws are not kept.
     """
     if burnin is None:
         burnin = iters // 5
     if not iters > burnin >= 0:
         raise ConfigurationError(f"need iters > burnin >= 0, got {iters}, {burnin}")
     rng = np.random.default_rng(seed)
-    y = np.asarray(y, dtype=float)
+    xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5)
 
+    retained = iters - burnin
+    theta_draws = np.empty((retained, design.p1), dtype=np.int8)
+    beta_draws = np.empty((retained, design.p1))
+    sigma2_draws = np.empty(retained)
     state = initial_state(design, hyper)
-    thetas, betas, sigmas = [], [], []
-    if draw_log is not None:
-        draw_log.write("iteration\tsigma2\ttheta_hex\tbeta\n")
-        beta_fmt = ",".join(["%.10g"] * design.p1)
     for it in range(iters):
-        state = gibbs_cycle(state, design, y, boosts, hyper, rng)
-        if draw_log is not None:
-            beta_txt = beta_fmt % tuple(state.beta.tolist())
-            draw_log.write(
-                f"{it}\t{state.sigma2:.10g}\t{theta_bitmask(state.theta)}"
-                f"\t{beta_txt}\n"
-            )
+        state = gibbs_cycle(state, design, xty, boosts, hyper, rng)
         if it >= burnin:
-            thetas.append(state.theta.copy())
-            betas.append(state.beta.copy())
-            sigmas.append(state.sigma2)
+            k = it - burnin
+            theta_draws[k] = state.theta
+            beta_draws[k] = state.beta
+            sigma2_draws[k] = state.sigma2
 
-    theta_draws = np.array(thetas, dtype=np.int8)
     pi_hat = theta_draws.mean(axis=0)
     pi_hat[0] = 1.0
     return ChainSummary(
         pi_hat=pi_hat,
-        draws_retained=len(thetas),
+        draws_retained=retained,
         burnin=burnin,
         seed=seed,
         relative_residual_energy=design.relative_residual_energy,
         theta_draws=theta_draws,
-        beta_draws=np.array(betas),
-        sigma2_draws=np.array(sigmas),
+        beta_draws=beta_draws,
+        sigma2_draws=sigma2_draws,
     )

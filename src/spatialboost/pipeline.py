@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import zipfile
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
@@ -414,10 +415,30 @@ def substream(root_seed: int, name: str) -> np.random.Generator:
 
 
 def atomic_write(path: str, text: str) -> None:
+    atomic_write_bytes(path, text.encode())
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path``, then rename it
+    over ``path``, so a reader never sees a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
+
+
+def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    """An uncompressed .npz archive of ``arrays`` that ``np.load`` reads,
+    one ``<name>.npy`` member each. Unlike ``np.savez``, every member carries
+    the same fixed timestamp, so equal arrays give equal bytes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in arrays.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.asarray(arr), allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, npy.getvalue())
+    return buf.getvalue()
 
 
 def _checksum(path: str) -> str:
@@ -453,9 +474,12 @@ class PipelineResult:
     def pi_hat(self) -> np.ndarray | None:
         return None if self.chain is None else self.chain.pi_hat
 
-    def emit(self, name: str, text: str) -> str:
+    def emit(self, name: str, data: str | bytes) -> str:
         path = os.path.join(self.out_dir, name)
-        atomic_write(path, text)
+        if isinstance(data, bytes):
+            atomic_write_bytes(path, data)
+        else:
+            atomic_write(path, data)
         self.outputs.append(path)
         return path
 
@@ -513,8 +537,7 @@ def _em_filter(run: PipelineResult) -> str | None:
 
 def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
-    log_buf = io.StringIO()
-    run.chain = gibbs_run(
+    run.chain = chain = gibbs_run(
         run.trace.survivor_design(ds.markers, cfg.filtering),
         ds.y,
         run.boosts.values[run.survivors],
@@ -522,9 +545,13 @@ def _gibbs(run: PipelineResult) -> str:
         iters=cfg.gibbs_iters,
         burnin=cfg.gibbs_burnin,
         seed=int(substream(cfg.seed, "gibbs.chain0").integers(2**31)),
-        draw_log=log_buf,
     )
-    return run.emit("gibbs_draws.tsv", log_buf.getvalue())
+    draws = _npz_bytes({
+        "theta": chain.theta_draws,
+        "beta": chain.beta_draws,
+        "sigma2": chain.sigma2_draws,
+    })
+    return run.emit("gibbs_draws.npz", draws)
 
 
 def _report(run: PipelineResult) -> str:

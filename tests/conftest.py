@@ -9,7 +9,13 @@ from scipy.special import expit, log_ndtr
 
 from spatialboost.em import em_prior_covariance
 from spatialboost.errors import ConfigurationError, ParseError
-from spatialboost.genome import DEFAULT_PHI, PHI_GRID, SnpLocus, correlation_model
+from spatialboost.genome import (
+    DEFAULT_PHI,
+    PHI_GRID,
+    SnpLocus,
+    correlation_model,
+    gene_weight,
+)
 from spatialboost.linalg import weighted_cholesky
 from spatialboost.pipeline import MISSING_CODE, Dataset
 
@@ -45,7 +51,11 @@ def _a_coef(n: int, x: float) -> float:
 
 
 def _mass_texpon(z: float) -> float:
-    """Probability of proposing from the exponential tail (x > _TRUNC)."""
+    """Probability of proposing from the exponential tail (x > _TRUNC).
+
+    Where q/p overflows (z above about 46) the mass is below the smallest
+    normal double, and 0 is returned.
+    """
     t = _TRUNC
     fz = _PI2 / 8.0 + z * z / 2.0
     b = math.sqrt(1.0 / t) * (t * z - 1.0)
@@ -53,7 +63,10 @@ def _mass_texpon(z: float) -> float:
     x0 = math.log(fz) + fz * t
     xb = x0 - z + log_ndtr(b)
     xa = x0 + z + log_ndtr(a)
-    qdivp = 4.0 / math.pi * (math.exp(xb) + math.exp(xa))
+    try:
+        qdivp = 4.0 / math.pi * (math.exp(xb) + math.exp(xa))
+    except OverflowError:
+        return 0.0
     return 1.0 / (1.0 + qdivp)
 
 
@@ -244,13 +257,19 @@ def s_form_cm_beta(design, y, beta, etheta, sigma2, hyper) -> np.ndarray:
     return _SFormWoodbury(S, sigma).solve(rhs)
 
 
-def loop_theta_bitmask(theta) -> str:
-    """Oracle for ``mcmc.theta_bitmask``: bit j set one index at a time."""
-    value = 0
-    for j, t in enumerate(theta):
-        if t:
-            value |= 1 << j
-    return format(value, "x")
+def loop_compute_boosts(snps, blocks, phi: float) -> np.ndarray:
+    """Oracle for ``genome.compute_boosts``' values: one ``gene_weight`` call
+    per (SNP, block) pair, summed per SNP in block order from 0.0, then
+    rescaled to max 1 unless every total is 0."""
+    raw = np.zeros(len(snps))
+    by_chrom = {}
+    for b in blocks:
+        by_chrom.setdefault(b.chromosome, []).append(b)
+    for j, snp in enumerate(snps):
+        for b in by_chrom.get(snp.chromosome, ()):
+            raw[j] += gene_weight(snp.position, b, phi) * b.relevance
+    top = raw.max()
+    return raw / top if top > 0.0 else raw
 
 
 def per_cell_load_genotypes(path: str) -> Dataset:

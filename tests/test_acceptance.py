@@ -144,7 +144,8 @@ def test_criterion_5_geweke_joint_distribution():
         sc = np.empty((N, 6))
         for it in range(N):
             y = (rng_sc.random(n) < expit(design.matvec(state.beta))).astype(float)
-            state = gibbs_cycle(state, design, y, boosts, hyper, rng_sc)
+            xty = design.rmatvec(y - 0.5)
+            state = gibbs_cycle(state, design, xty, boosts, hyper, rng_sc)
             sc[it] = g_funcs(state.sigma2, state.theta, state.beta)
 
         se_mc = mc.std(axis=0, ddof=1) / np.sqrt(N)

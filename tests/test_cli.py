@@ -137,7 +137,7 @@ STAGE_COMMANDS = {
     "fit-phi": "phi.tsv",
     "boosts": "boosts.tsv",
     "em-filter": "em_trace.tsv",
-    "gibbs": "gibbs_draws.tsv",
+    "gibbs": "gibbs_draws.npz",
     "kappa-scan": "kappa_scan.tsv",
     "report": "report.tsv",
 }
@@ -164,7 +164,7 @@ def test_stage_commands_agree_with_report(tmp_path, monkeypatch, capsys, command
     manifest = (cmd_dir / "manifest.txt").read_text()
     assert f"{artifact.name} = " in manifest
     assert not (cmd_dir / "pi_hat.tsv").exists()
-    for name in ("boosts.tsv", "em_trace.tsv"):
+    for name in ("boosts.tsv", "em_trace.tsv", "gibbs_draws.npz"):
         if (cmd_dir / name).exists():
             assert (cmd_dir / name).read_bytes() == (report_dir / name).read_bytes()
 

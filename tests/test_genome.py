@@ -19,7 +19,11 @@ from spatialboost.genome import (
     gene_weight,
     partition_regions,
 )
-from tests.conftest import correlated_columns, exhaustive_fit_phi
+from tests.conftest import (
+    correlated_columns,
+    exhaustive_fit_phi,
+    loop_compute_boosts,
+)
 
 
 def test_build_blocks_overlap():
@@ -110,6 +114,31 @@ def test_compute_boosts_quadrature_oracle():
     expected = raw / raw.max()
     boosts = compute_boosts(snps, blocks, phi)
     assert np.allclose(boosts.values, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("phi", [1e-3, 1.0, 3e4, 1e9])
+def test_compute_boosts_matches_loop_oracle_bitwise(phi):
+    # chromosome "2" has SNPs and no blocks, "4" blocks and no SNPs; the
+    # SNPs of each chromosome are interleaved with the others'
+    rng = np.random.default_rng(17)
+    chroms = ["1", "2", "3"]
+    snps = [
+        SnpLocus(f"s{k}", int(pos), chroms[k % 3])
+        for k, pos in enumerate(rng.integers(0, 2_000_000, 300))
+    ]
+    genes = [
+        Gene(f"g{k}", int(a), int(a) + int(w), c)
+        for k, (a, w, c) in enumerate(zip(
+            rng.integers(0, 2_000_000, 40),
+            rng.integers(100, 90_000, 40),
+            rng.choice(["1", "3", "4"], 40),
+        ))
+    ]
+    blocks = build_blocks(genes, rng.uniform(0.0, 3.0, len(genes)))
+    want = loop_compute_boosts(snps, blocks, phi)
+    got = compute_boosts(snps, blocks, phi).values
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[1::3] == 0.0)
 
 
 def test_compute_boosts_all_zero_warns():

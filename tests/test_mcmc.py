@@ -1,5 +1,5 @@
-import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from spatialboost.em import Hyperparameters, cm_beta, e_step
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
 from spatialboost.mcmc import (
+    _PI2,
     GibbsState,
+    _tail_mass,
     gibbs_cycle,
     gibbs_run,
     initial_state,
@@ -19,11 +21,10 @@ from spatialboost.mcmc import (
     sample_sigma2,
     sample_theta,
     sigma2_posterior_params,
-    theta_bitmask,
 )
 from tests.conftest import (
+    _mass_texpon,
     gamma_series_pg,
-    loop_theta_bitmask,
     pg_mean,
     pg_var,
     s_form_cm_beta,
@@ -98,6 +99,26 @@ def test_sample_pg_saturated_z(z, rng):
     assert draws.mean() == pytest.approx(math.tanh(z / 2.0) / (2.0 * z), rel=0.02)
 
 
+def test_tail_mass_matches_scalar_oracle():
+    zh = np.linspace(0.0, 60.0, 6001)
+    got = _tail_mass(zh, _PI2 / 8.0 + zh * zh / 2.0)
+    want = np.array([_mass_texpon(z) for z in zh])
+    normal = want >= np.finfo(float).tiny
+    assert normal[0] and not normal[-1]
+    rel = np.abs(got[normal] - want[normal]) / want[normal]
+    assert rel.max() <= 1e-12
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= np.finfo(float).tiny)
+
+
+def test_tail_mass_saturated_is_zero_without_warnings():
+    zh = np.array([50.0, 1e4, 1e150, np.inf])
+    fz = _PI2 / 8.0 + zh * zh / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _tail_mass(zh, fz)
+    assert got.tolist() == [0.0] * 4
+
+
 def test_sample_pg_rejects_nonfinite(rng):
     for bad in (float("nan"), float("inf"), -float("inf")):
         for pos in (0, 2, 4):
@@ -152,11 +173,12 @@ def test_sample_beta_prior_domination(rng):
     X = np.column_stack([np.ones(8), rng.integers(0, 3, (8, 3)).astype(float)])
     design = truncate_design(X, 4)
     y = rng.integers(0, 2, 8).astype(float)
+    xty = design.rmatvec(y - 0.5)
     theta = np.zeros(4)
     omega = np.full(8, 0.25)
     draws = np.array(
         [
-            sample_beta(omega, theta, 1e-8, design, y, HYPER, rng)
+            sample_beta(omega, theta, 1e-8, design, xty, HYPER, rng)
             for _ in range(500)
         ]
     )
@@ -176,11 +198,12 @@ def test_sample_beta_matches_dense_gaussian(rng):
     V = X.T @ np.diag(omega) @ X + np.diag(1.0 / sigma_vec)
     cov = np.linalg.inv(V)
     mean = cov @ (X.T @ (y - 0.5))
+    xty = design.rmatvec(y - 0.5)
 
     m = 4000
     draws = np.array(
         [
-            sample_beta(omega, theta, sigma2, design, y, HYPER, rng)
+            sample_beta(omega, theta, sigma2, design, xty, HYPER, rng)
             for _ in range(m)
         ]
     )
@@ -233,8 +256,8 @@ def test_sample_beta_matches_s_form_oracle(n, p1, l, included):
     }[included].astype(np.int8)
     theta[0] = 1
     for sigma2 in (1e-3, 0.3):
-        got = sample_beta(omega, theta, sigma2, design, y, HYPER,
-                          np.random.default_rng(7))
+        got = sample_beta(omega, theta, sigma2, design, design.rmatvec(y - 0.5),
+                          HYPER, np.random.default_rng(7))
         want = s_form_sample_beta(omega, theta, sigma2, design, y, HYPER,
                                   np.random.default_rng(7))
         assert _rel_err(got, want) < 1e-10
@@ -291,7 +314,8 @@ def test_geweke_joint_distribution_sample_space():
     sc = np.empty_like(mc)
     for it in range(N):
         y = (rng_sc.random(n) < expit(design.matvec(state.beta))).astype(float)
-        state = gibbs_cycle(state, design, y, boosts, hyper, rng_sc)
+        state = gibbs_cycle(state, design, design.rmatvec(y - 0.5), boosts,
+                            hyper, rng_sc)
         sc[it] = g_funcs(state.sigma2, state.theta, state.beta)
 
     se_mc = mc.std(axis=0, ddof=1) / np.sqrt(N)
@@ -311,24 +335,10 @@ def test_sample_beta_rejects_nonpositive_omega(rng):
             np.ones(1),
             0.1,
             design,
-            np.zeros(3),
+            np.zeros(1),
             HYPER,
             rng,
         )
-
-
-def test_theta_bitmask():
-    assert theta_bitmask(np.array([1, 0, 1])) == "5"
-    assert theta_bitmask(np.zeros(3, dtype=np.int8)) == "0"
-
-
-@pytest.mark.parametrize("length", [1, 8, 9, 1201])
-def test_theta_bitmask_matches_loop_oracle(length):
-    rng = np.random.default_rng(length)
-    cases = [np.zeros(length, dtype=np.int8), np.ones(length, dtype=np.int8)]
-    cases += [(rng.random(length) < q).astype(np.int8) for q in (0.1, 0.5, 0.9)]
-    for theta in cases:
-        assert theta_bitmask(theta) == loop_theta_bitmask(theta)
 
 
 def _small_problem(seed=0, n=20, p=5):
@@ -380,13 +390,23 @@ def test_gibbs_run_default_burnin_and_truncation_report():
     assert chain.relative_residual_energy == design.relative_residual_energy
 
 
-def test_gibbs_run_draw_log_stream():
+def test_gibbs_run_retained_draws():
+    # the retained arrays hold the states of the sweeps after burn-in, as a
+    # hand-run chain from the same seed produces them
     design, y, boosts = _small_problem()
-    buf = io.StringIO()
-    gibbs_run(design, y, boosts, HYPER, iters=6, burnin=1, seed=4, draw_log=buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "iteration\tsigma2\ttheta_hex\tbeta"
-    assert len(lines) == 7
+    chain = gibbs_run(design, y, boosts, HYPER, iters=6, burnin=2, seed=4)
+    assert chain.theta_draws.dtype == np.int8
+    assert chain.theta_draws.shape == chain.beta_draws.shape == (4, design.p1)
+    assert chain.sigma2_draws.shape == (4,)
+    rng = np.random.default_rng(4)
+    state = initial_state(design, HYPER)
+    xty = design.rmatvec(y - 0.5)
+    for it in range(6):
+        state = gibbs_cycle(state, design, xty, boosts, HYPER, rng)
+        if it >= 2:
+            assert np.array_equal(chain.theta_draws[it - 2], state.theta)
+            assert chain.beta_draws[it - 2].tobytes() == state.beta.tobytes()
+            assert chain.sigma2_draws[it - 2] == state.sigma2
 
 
 def test_gibbs_seeds_agree_within_monte_carlo_error():

@@ -16,6 +16,7 @@ from spatialboost.pipeline import (
     Dataset,
     RunConfig,
     atomic_write,
+    atomic_write_bytes,
     hwe_filter,
     hwe_pvalues,
     load_genes,
@@ -306,6 +307,9 @@ def test_atomic_write(tmp_path):
     atomic_write(path, "hello\n")
     assert open(path).read() == "hello\n"
     assert not os.path.exists(path + ".tmp")
+    atomic_write_bytes(path, b"\x00\xff")
+    assert open(path, "rb").read() == b"\x00\xff"
+    assert not os.path.exists(path + ".tmp")
 
 
 def _planted_files(tmp_path, seed=5, n=120, p=20, planted=8):
@@ -350,7 +354,7 @@ def test_run_pipeline_artifacts(tmp_path):
         "filters.tsv",
         "boosts.tsv",
         "em_trace.tsv",
-        "gibbs_draws.tsv",
+        "gibbs_draws.npz",
         "report.tsv",
         "bfdr.tsv",
         "selection_gamma1.tsv",
@@ -362,6 +366,32 @@ def test_run_pipeline_artifacts(tmp_path):
     man = open(os.path.join(out, "manifest.txt")).read()
     assert "report.tsv = " in man
     assert "seed = 11" in man
+    assert "\ngibbs_draws.npz = " in man
+    assert "gibbs_draws.tsv" not in man
+    assert not os.path.exists(os.path.join(out, "gibbs_draws.tsv"))
+
+
+def test_gibbs_draws_npz_holds_the_chain(tmp_path):
+    geno, genes, _ = _planted_files(tmp_path)
+    chains, paths = [], []
+    for run in ("run1", "run2"):
+        cfg = RunConfig(genotypes=geno, genes=genes, out_dir=str(tmp_path / run),
+                        seed=3, phi=5000.0, gibbs_iters=40, gibbs_burnin=15)
+        chains.append(run_pipeline(cfg).chain)
+        paths.append(tmp_path / run / "gibbs_draws.npz")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    chain = chains[0]
+    with np.load(paths[0], allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["beta", "sigma2", "theta"]
+        for key, want in (("theta", chain.theta_draws),
+                          ("beta", chain.beta_draws),
+                          ("sigma2", chain.sigma2_draws)):
+            got = npz[key]
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), key
+    assert chain.theta_draws.dtype == np.int8
+    assert chain.theta_draws.shape == (25, chain.pi_hat.size)
+    assert chain.sigma2_draws.shape == (25,)
 
 
 def test_run_pipeline_skips_em_stage(tmp_path):
