@@ -22,13 +22,6 @@ from spatialboost.pipeline import (
     substream,
     write_phi_fits,
 )
-from spatialboost.sim import (
-    StudyConfig,
-    simulate,
-    study_harness,
-    synthetic_genome,
-    synthetic_genotypes,
-)
 
 
 def _load_config(args) -> RunConfig:
@@ -71,6 +64,10 @@ def cmd_kappa_scan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here, not at the top: no other command uses the simulator,
+    # and its import would add to every command's start-up
+    from spatialboost.sim import simulate, synthetic_genome, synthetic_genotypes
+
     def write_simulation(run) -> str:
         cfg = run.config
         rng = substream(cfg.seed, "sim")
@@ -104,6 +101,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from spatialboost.sim import StudyConfig, study_harness
+
     cfg = _load_config(args)
     study = StudyConfig(n=args.n, p=args.p, use_gibbs_ranking=args.gibbs_ranking)
     seeds = [cfg.seed + k for k in range(args.datasets)]

@@ -98,7 +98,9 @@ def build_blocks(genes: list[Gene], relevances: np.ndarray) -> list[GenomicBlock
 
     Block relevance is the arithmetic mean of the relevances of all genes
     covering it (positive-length intersection; endpoint touching does not
-    count).
+    count), taken in gene order. A sweep over the sorted gene endpoints keeps
+    the set of genes covering the current block, so the cost grows with the
+    blocks times the genes covering each, not times all genes.
     """
     relevances = np.asarray(relevances, dtype=float)
     if relevances.shape != (len(genes),):
@@ -114,15 +116,19 @@ def build_blocks(genes: list[Gene], relevances: np.ndarray) -> list[GenomicBlock
         by_chrom.setdefault(g.chromosome, []).append(i)
 
     for chrom, idx in by_chrom.items():
-        cuts = sorted({p for i in idx for p in (genes[i].start, genes[i].end)})
+        opening: dict[int, list[int]] = {}
+        closing: dict[int, list[int]] = {}
+        for i in idx:
+            opening.setdefault(genes[i].start, []).append(i)
+            closing.setdefault(genes[i].end, []).append(i)
+        cuts = sorted(opening.keys() | closing.keys())
+        covering: set[int] = set()
         for a, b in zip(cuts[:-1], cuts[1:]):
-            covering = [
-                relevances[i]
-                for i in idx
-                if genes[i].start < b and genes[i].end > a
-            ]
+            covering.difference_update(closing.get(a, ()))
+            covering.update(opening.get(a, ()))
             if covering:
-                blocks.append(GenomicBlock(a, b, float(np.mean(covering)), chrom))
+                mean = np.mean(relevances[sorted(covering)])
+                blocks.append(GenomicBlock(a, b, float(mean), chrom))
     return blocks
 
 
@@ -240,6 +246,89 @@ def correlation_model(distances: np.ndarray, phi: float) -> np.ndarray:
     return erfc_nonneg(np.abs(distances) / phi * SQRT1_2)
 
 
+# fit_phi's search. Past x = d / (phi sqrt 2) >= _TAIL_X the model is below
+# erfc(8) = 1.1e-29, which leaves t - f == t for every target t >= _TINY_T,
+# so such a pair's squared error is t^2 without evaluating the model.
+_TAIL_X = 8.0
+_TINY_T = 2.0**-40
+# The coarse scan bounds every grid point by its error sum over the first
+# max(_HEAD_MIN, N // _HEAD_DIV) distance-sorted pairs (at most _BATCH_CELLS
+# model values per call), then completes the points in order of that bound,
+# doubling the prefix, and drops a point once its prefix sum plus its t^2
+# tail exceeds the best complete sum by the relative margin _PRUNE_MARGIN.
+_HEAD_MIN = 1024
+_HEAD_DIV = 16
+_BATCH_CELLS = 1 << 18
+_PRUNE_MARGIN = 1e-9
+
+
+class _PairErrors:
+    """Squared errors (t - 2 Phi(-d/phi))^2 of distance-sorted pairs, with
+    the model evaluated only where it can change an entry: before the first
+    pair at x >= _TAIL_X, and past it at the pairs with t < _TINY_T."""
+
+    def __init__(self, dists: np.ndarray, target: np.ndarray):
+        self.d = dists
+        self.t = target
+        tiny = target < _TINY_T
+        self.tiny = np.flatnonzero(tiny)
+        # every tail error that is t^2 whatever phi is; 0 at the tiny targets
+        self.t2 = np.where(tiny, 0.0, target * target)
+        self.err = np.empty(dists.size)
+
+    def tail(self, phi: float) -> int:
+        """Index of the first pair at x >= _TAIL_X."""
+        return int(np.searchsorted(self.d, _TAIL_X / SQRT1_2 * phi))
+
+    def fill(self, a: int, b: int, phi: float) -> None:
+        """Write the squared errors of pairs [a, b) at phi into ``err``."""
+        d, t, err = self.d, self.t, self.err
+        c = min(max(self.tail(phi), a), b)
+        err[a:c] = (t[a:c] - correlation_model(d[a:c], phi)) ** 2
+        err[c:b] = self.t2[c:b]
+        k = self.tiny[slice(*np.searchsorted(self.tiny, (c, b)))]
+        if k.size:
+            err[k] = (t[k] - correlation_model(d[k], phi)) ** 2
+
+    def mse(self, phi: float) -> float:
+        self.fill(0, self.d.size, phi)
+        return float(np.mean(self.err))
+
+    def coarse(self, grid: np.ndarray) -> np.ndarray:
+        """MSE at each grid point, or inf where a partial sum proves the
+        point's error larger than the smallest one."""
+        n, d, t = self.d.size, self.d, self.t
+        head = min(n, max(_HEAD_MIN, n // _HEAD_DIV))
+        rows = max(1, _BATCH_CELLS // head)
+        bound = np.concatenate([
+            ((t[:head] - correlation_model(d[:head], grid[g:g + rows, None]))
+             ** 2).sum(axis=1)
+            for g in range(0, grid.size, rows)
+        ])
+        errs = np.full(grid.size, np.inf)
+        best = np.inf
+        for g in np.argsort(bound, kind="stable"):
+            limit = best * n * (1.0 + _PRUNE_MARGIN)
+            if bound[g] > limit:
+                break  # every later bound is at least as large
+            phi = grid[g]
+            c = self.tail(phi)
+            if bound[g] + float(np.sum(self.t2[max(c, head):])) > limit:
+                continue  # the head and the fixed tail errors suffice
+            # the model pairs [0, a) plus the fixed tail errors
+            a, b = 0, min(2 * head, c)
+            partial = float(np.sum(self.t2[c:]))
+            while a < c and partial <= limit:
+                self.fill(a, b, phi)
+                partial += float(np.sum(self.err[a:b]))
+                a, b = b, min(2 * b, c)
+            if a >= c:
+                self.fill(c, n, phi)
+                errs[g] = float(np.mean(self.err))
+                best = min(best, errs[g])
+        return errs
+
+
 def fit_phi(
     genotype_columns: np.ndarray,
     positions: np.ndarray,
@@ -249,17 +338,28 @@ def fit_phi(
     """Fit the range parameter to the decay of genotype correlation.
 
     Minimizes the mean squared error between pairwise sample correlation
-    magnitudes and 2*Phi(-d/phi). A coarse pass evaluates every point of
-    ``grid`` and picks its first minimizer k. The fine pass searches 200
+    magnitudes t and the model f = 2*Phi(-d/phi). A coarse pass picks the
+    first minimizer k of the error over ``grid``. The fine pass searches 200
     log-spaced points from grid[k-1] to grid[k+1] (clipped at the ends) by
     bisection for the smallest index i with err(i) <= err(i+1), or the last
     point if none qualifies. The bisection assumes the error is unimodal on
     that bracket, as the coarse-then-local design does; there it returns the
     exhaustive scan's first (smallest) minimizer, so the smallest minimizer
-    still wins on ties. Each fine point is evaluated at most once: at most
-    grid.size + 16 evaluations (66 with the default grid) instead of
-    grid.size + 200. Constant columns are excluded; regions with fewer than
-    two usable columns fall back to ``default_phi``.
+    still wins on ties. Each fine point is evaluated at most once, at most
+    16 of them. Constant columns are excluded; regions with fewer than two
+    usable columns fall back to ``default_phi``.
+
+    Every error is one ``np.mean`` over all pairs in ascending distance, the
+    same bits as a full evaluation, but the model is evaluated only where it
+    can change an entry: pairs at x = d/(phi sqrt 2) >= 8 have f < 1.2e-29,
+    so their squared error is t^2 (exactly, for t >= 2^-40; smaller targets
+    are evaluated). The coarse pass bounds every grid point by its error sum
+    over a distance-sorted prefix of about max(1024, N/16) of the N pairs
+    (squared errors are non-negative), completes the points in order of that
+    bound while doubling the prefix, and drops a point once its prefix sum
+    plus its t^2 tail exceeds the smallest complete sum by a relative 1e-9.
+    A dropped point's error is strictly larger than the minimum and ties are
+    always completed, so k is that of the exhaustive scan.
     """
     X = np.asarray(genotype_columns, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -274,17 +374,13 @@ def fit_phi(
 
     corr = np.abs(np.corrcoef(X, rowvar=False))
     iu = np.triu_indices(pos.size, k=1)
-    dists = np.abs(pos[:, None] - pos[None, :])[iu]
-    # ascending distances let correlation_model take each erfc branch on
-    # one contiguous slice
+    dists = np.abs(pos[iu[0]] - pos[iu[1]])
+    # ascending distances make the model's tail a suffix and let
+    # correlation_model take each erfc branch on one contiguous slice
     order = np.argsort(dists, kind="stable")
-    dists = dists[order]
-    target = corr[iu][order]
+    pairs = _PairErrors(dists[order], corr[iu][order])
 
-    def mse(phi: float) -> float:
-        return float(np.mean((target - correlation_model(dists, phi)) ** 2))
-
-    errs = np.array([mse(p) for p in grid])
+    errs = pairs.coarse(grid)
     k = int(np.argmin(errs))  # argmin returns the first (smallest) minimizer
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
@@ -293,7 +389,7 @@ def fit_phi(
 
     def fine_err(i: int) -> float:
         if i not in fine_errs:
-            fine_errs[i] = mse(fine[i])
+            fine_errs[i] = pairs.mse(fine[i])
         return fine_errs[i]
 
     a, b = 0, fine.size - 1  # the answer lies in [a, b]

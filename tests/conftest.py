@@ -12,6 +12,7 @@ from spatialboost.errors import ConfigurationError, ParseError
 from spatialboost.genome import (
     DEFAULT_PHI,
     PHI_GRID,
+    GenomicBlock,
     SnpLocus,
     correlation_model,
     gene_weight,
@@ -255,6 +256,28 @@ def s_form_cm_beta(design, y, beta, etheta, sigma2, hyper) -> np.ndarray:
     rhs = S.T @ (S @ beta) + design.rmatvec(y - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
     return _SFormWoodbury(S, sigma).solve(rhs)
+
+
+def loop_build_blocks(genes, relevances) -> list:
+    """Oracle for ``genome.build_blocks``: at every pair of consecutive gene
+    endpoints of a chromosome, scan all its genes for those covering it and
+    average their relevances in gene order."""
+    relevances = np.asarray(relevances, dtype=float)
+    blocks = []
+    by_chrom = {}
+    for i, g in enumerate(genes):
+        by_chrom.setdefault(g.chromosome, []).append(i)
+    for chrom, idx in by_chrom.items():
+        cuts = sorted({p for i in idx for p in (genes[i].start, genes[i].end)})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            covering = [
+                relevances[i]
+                for i in idx
+                if genes[i].start < b and genes[i].end > a
+            ]
+            if covering:
+                blocks.append(GenomicBlock(a, b, float(np.mean(covering)), chrom))
+    return blocks
 
 
 def loop_compute_boosts(snps, blocks, phi: float) -> np.ndarray:

@@ -132,6 +132,33 @@ print(rc, scipy_modules())
     assert "source=fit" in boosts.split("\n")[0]
 
 
+def test_report_does_not_import_sim(tmp_path):
+    # the simulation module is loaded by simulate and study only
+    sim, cfg = tmp_path / "sim", tmp_path / "run.cfg"
+    main(["--seed", "3", "--out-dir", str(sim), "simulate", "--n", "40", "--p", "16"])
+    cfg.write_text(
+        f"genotypes = {sim}/simulated_genotypes.tsv\n"
+        f"genes = {sim}/simulated_genes.bed\n"
+        "gibbs.iters = 40\n"
+    )
+    code = f"""
+import sys
+from spatialboost.cli import main
+
+rc = main(["--config", {str(cfg)!r}, "--out-dir", {str(tmp_path / "out")!r}, "report"])
+print(rc, "spatialboost.sim" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(spatialboost.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip().split("\n")[-1] == "0 False"
+
+
 STAGE_COMMANDS = {
     "filter": "filters.tsv",
     "fit-phi": "phi.tsv",

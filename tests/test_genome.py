@@ -22,6 +22,7 @@ from spatialboost.genome import (
 from tests.conftest import (
     correlated_columns,
     exhaustive_fit_phi,
+    loop_build_blocks,
     loop_compute_boosts,
 )
 
@@ -52,6 +53,29 @@ def test_build_blocks_validation():
         build_blocks([Gene("a", 0, 10)], np.array([1.0, 2.0]))
     with pytest.raises(ConfigurationError):
         build_blocks([Gene("a", 0, 10)], np.array([-1.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_blocks_matches_loop_oracle(seed):
+    # overlapping genes on interleaved chromosomes, with shared endpoints and
+    # stacks deep enough that the mean sums more than 8 relevances
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, 40, 300) * 500
+    genes = [
+        Gene(f"g{k}", int(a), int(a + w), c)
+        for k, (a, w, c) in enumerate(zip(
+            starts, rng.integers(1, 30, starts.size) * 500,
+            rng.choice(["1", "2", "X"], starts.size),
+        ))
+    ]
+    relevances = rng.uniform(0.0, 3.0, len(genes))
+    got = build_blocks(genes, relevances)
+    assert got == loop_build_blocks(genes, relevances)
+    assert max(
+        sum(g.start < b.end and g.end > b.start and g.chromosome == b.chromosome
+            for g in genes)
+        for b in got
+    ) > 8
 
 
 def test_gene_weight_reference_values():
@@ -235,12 +259,29 @@ def _ld_genotypes(n, m, rho, seed):
     return haps[0].astype(float) + haps[1]
 
 
-def _coarse_k(X, pos, grid=PHI_GRID):
+def _coarse_errors(X, pos, grid=PHI_GRID):
     corr = np.abs(np.corrcoef(X, rowvar=False))
     iu = np.triu_indices(pos.size, k=1)
     d = np.abs(pos[:, None] - pos[None, :])[iu]
-    errs = [np.mean((corr[iu] - correlation_model(d, p)) ** 2) for p in grid]
-    return int(np.argmin(errs))
+    return np.array(
+        [np.mean((corr[iu] - correlation_model(d, p)) ** 2) for p in grid]
+    )
+
+
+def _coarse_k(X, pos, grid=PHI_GRID):
+    return int(np.argmin(_coarse_errors(X, pos, grid)))
+
+
+def _sorted_pairs(X, pos):
+    """Distances and |correlation| targets of the usable pairs, in fit_phi's
+    ascending-distance (stable) order."""
+    usable = np.std(X, axis=0) > 0
+    X, pos = X[:, usable], pos[usable]
+    corr = np.abs(np.corrcoef(X, rowvar=False))
+    iu = np.triu_indices(pos.size, k=1)
+    d = np.abs(pos[:, None] - pos[None, :])[iu]
+    order = np.argsort(d, kind="stable")
+    return d[order], corr[iu][order]
 
 
 def _case(name):
@@ -264,6 +305,17 @@ def _case(name):
     if name == "grid_of_3":
         X, pos = _decay_region(3000.0, 1000.0)
         return X, pos, np.array([1e3, 1e4, 1e5])
+    if name == "two_minima":  # two clusters 10 Mb apart, decaying at 300 and 1e5
+        a = np.arange(20) * 100.0
+        b = 1e7 + np.arange(40) * 1e4
+        C = np.zeros((a.size + b.size,) * 2)
+        C[:a.size, :a.size] = correlation_model(np.abs(a[:, None] - a), 300.0)
+        C[a.size:, a.size:] = correlation_model(np.abs(b[:, None] - b), 1e5)
+        np.fill_diagonal(C, 1.0)
+        X = correlated_columns(C, 150, np.random.default_rng(0))
+        return X, np.concatenate([a, b]), PHI_GRID
+    if name == "ld_200":  # 200 SNPs in LD, enough pairs for pruning to fire
+        return _ld_genotypes(250, 200, 0.9, 5), np.arange(200) * 100.0, PHI_GRID
     seed = int(name.partition("=")[2])  # random LD region
     m = 10 + 3 * seed
     pos = np.sort(np.random.default_rng(seed).integers(0, 200_000, m)).astype(float)
@@ -278,6 +330,8 @@ FIT_PHI_CASES = [
     "far_apart_plateau",
     "two_usable_columns",
     "grid_of_3",
+    "two_minima",
+    "ld_200",
     *(f"random={s}" for s in range(12)),
 ]
 
@@ -297,20 +351,87 @@ def test_fit_phi_cases_reach_grid_ends():
     assert fit_phi(X, pos) == PHI_GRID[0]
 
 
-@pytest.mark.parametrize("name", ["phi_star=2000", "coarse_k0", "coarse_k49",
-                                  "grid_of_3", "random=4"])
-def test_fit_phi_evaluation_count(monkeypatch, name):
-    X, pos, grid = _case(name)
-    calls = []
+def test_fit_phi_two_minima_case():
+    # the coarse curve has two separate strict local minima, the global one
+    # at the larger phi
+    errs = _coarse_errors(*_case("two_minima")[:2])
+    inner = np.flatnonzero((errs[1:-1] < errs[:-2]) & (errs[1:-1] < errs[2:])) + 1
+    assert inner.size == 2 and inner[1] - inner[0] > 2
+    assert np.argmin(errs) == inner[1]
+
+
+def _evaluated_pairs(monkeypatch, X, pos, grid):
+    """Model values fit_phi computes, over all its correlation_model calls."""
+    pairs = []
     model = genome.correlation_model
 
     def counting(distances, phi):
-        calls.append(phi)
-        return model(distances, phi)
+        out = model(distances, phi)
+        pairs.append(out.size)
+        return out
 
     monkeypatch.setattr(genome, "correlation_model", counting)
     fit_phi(X, pos, grid=grid)
-    assert len(calls) <= grid.size + 16
+    return sum(pairs)
+
+
+@pytest.mark.parametrize("name", ["phi_star=2000", "coarse_k0", "coarse_k49",
+                                  "grid_of_3", "two_minima", "ld_200",
+                                  "random=4"])
+def test_fit_phi_evaluation_count(monkeypatch, name):
+    X, pos, grid = _case(name)
+    n_pairs = _sorted_pairs(X, pos)[0].size
+    assert _evaluated_pairs(monkeypatch, X, pos, grid) <= (grid.size + 16) * n_pairs
+
+
+def test_fit_phi_prunes_coarse_scan(monkeypatch):
+    # with every coarse point evaluated this region takes about 52 model
+    # values per pair; the prefix bounds cut that to about 15
+    X, pos, grid = _case("ld_200")
+    n_pairs = _sorted_pairs(X, pos)[0].size
+    assert _evaluated_pairs(monkeypatch, X, pos, grid) < (grid.size + 16) * n_pairs / 2
+
+
+@pytest.mark.parametrize("name", ["phi_star=150", "coarse_k0", "coarse_k49",
+                                  "duplicate_positions", "far_apart_plateau",
+                                  "two_minima", "ld_200", "random=7"])
+def test_fit_phi_errors_are_full_evaluations(monkeypatch, name):
+    # every error fit_phi completes, coarse or fine, has the bits of one
+    # np.mean over every pair in ascending distance
+    X, pos, grid = _case(name)
+    seen = []
+    mse, coarse = genome._PairErrors.mse, genome._PairErrors.coarse
+
+    def recording_mse(self, phi):
+        seen.append((phi, mse(self, phi)))
+        return seen[-1][1]
+
+    def recording_coarse(self, grid):
+        errs = coarse(self, grid)
+        seen.extend((grid[g], errs[g]) for g in np.flatnonzero(np.isfinite(errs)))
+        return errs
+
+    monkeypatch.setattr(genome._PairErrors, "mse", recording_mse)
+    monkeypatch.setattr(genome._PairErrors, "coarse", recording_coarse)
+    fit_phi(X, pos, grid=grid)
+    d, t = _sorted_pairs(X, pos)
+    assert seen
+    for phi, got in seen:
+        assert got == float(np.mean((t - correlation_model(d, phi)) ** 2))
+
+
+def test_pair_errors_tail_is_bitwise():
+    # past x = 8 the model is skipped; a target too small to absorb it
+    # (t < 2^-40) still gets the model subtracted
+    d = np.linspace(0.0, 20.0, 4001)
+    t = np.random.default_rng(3).uniform(0.0, 1.0, d.size)
+    t[::7] *= 1e-17
+    t[::11] = 0.0
+    pairs = genome._PairErrors(d, t)
+    for phi in (0.5, 1.0, 1.41, 2.0, 30.0):
+        pairs.fill(0, d.size, phi)
+        want = (t - correlation_model(d, phi)) ** 2
+        assert pairs.err.tobytes() == want.tobytes()
 
 
 def test_global_phi_requires_fits():
