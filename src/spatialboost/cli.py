@@ -12,7 +12,6 @@ from spatialboost.errors import (
     ParseError,
     PipelineError,
 )
-from spatialboost.genome import DEFAULT_PHI
 from spatialboost.pipeline import (
     RunConfig,
     parse_config,
@@ -37,10 +36,27 @@ def _float_list(text: str) -> list[float]:
     return [float(k) for k in text.split(",")]
 
 
+def _command(args) -> str:
+    """The subcommand and its own flags with their values, as the manifest
+    records them; the global options are in its [config] section."""
+    words = [args.command]
+    for name, value in vars(args).items():
+        if name in ("config", "seed", "out_dir", "command", "func"):
+            continue
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):  # a store_true flag
+            words += [flag] if value else []
+        elif isinstance(value, list):
+            words += [flag, ",".join(map(str, value))]
+        else:
+            words += [flag, str(value)]
+    return " ".join(words)
+
+
 def cmd_stages(args, until: str, extra=None) -> int:
     """Run the pipeline's stages up to ``until`` (then ``extra``) and print
     the path of the last stage's artifact."""
-    result = run_pipeline(_load_config(args), until, extra)
+    result = run_pipeline(_load_config(args), until, extra, _command(args))
     if result.artifact is not None:
         print(result.artifact)
     return 0
@@ -48,7 +64,7 @@ def cmd_stages(args, until: str, extra=None) -> int:
 
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
-    result = run_pipeline(cfg, "filter")
+    result = run_pipeline(cfg, "filter", command=_command(args))
     read, after_maf, after_hwe = result.qc_counts
     print(
         f"markers: {read} -> {after_maf} after MAF > {cfg.min_maf}"
@@ -66,14 +82,16 @@ def cmd_kappa_scan(args) -> int:
 def cmd_simulate(args) -> int:
     # imported here, not at the top: no other command uses the simulator,
     # and its import would add to every command's start-up
-    from spatialboost.sim import simulate, synthetic_genome, synthetic_genotypes
+    from spatialboost.sim import LD_RHO, SIGMA2, draw_dataset
+
+    args.sigma2 = SIGMA2 if args.sigma2 is None else args.sigma2
+    args.ld_rho = LD_RHO if args.ld_rho is None else args.ld_rho
 
     def write_simulation(run) -> str:
-        cfg = run.config
-        rng = substream(cfg.seed, "sim")
-        snps, genes, boosts = synthetic_genome(args.p, rng, cfg.phi or DEFAULT_PHI)
-        X = synthetic_genotypes(args.n, args.p, rng, ld_rho=args.ld_rho)
-        data = simulate(X, boosts, cfg.em, args.sigma2, rng, cfg.seed)
+        rng = substream(run.config.seed, "sim")
+        snps, genes, _, data = draw_dataset(
+            run.config, args.n, args.p, rng, args.sigma2, args.ld_rho
+        )
         header = "#pheno\t" + "\t".join(
             f"{s.id}:{s.chromosome}:{s.position}" for s in snps
         )
@@ -82,7 +100,7 @@ def cmd_simulate(args) -> int:
             rows.append(
                 str(int(data.y[i]))
                 + "\t"
-                + "\t".join(str(int(g)) for g in X[i])
+                + "\t".join(str(int(g)) for g in data.genotypes[i])
             )
         genes_txt = "\n".join(
             f"{g.chromosome}\t{g.start}\t{g.end}\t{g.id}" for g in genes
@@ -96,23 +114,25 @@ def cmd_simulate(args) -> int:
         run.emit("simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n")
         return path
 
-    print(run_stages(_load_config(args), [("simulate", write_simulation)]).artifact)
+    stages = [("simulate", write_simulation)]
+    print(run_stages(_load_config(args), stages, _command(args)).artifact)
     return 0
 
 
 def cmd_study(args) -> int:
-    from spatialboost.sim import StudyConfig, study_harness
+    from spatialboost.sim import study_harness
 
     cfg = _load_config(args)
-    study = StudyConfig(n=args.n, p=args.p, use_gibbs_ranking=args.gibbs_ranking)
     seeds = [cfg.seed + k for k in range(args.datasets)]
     outcome = []
 
     def write_study(run) -> str:
-        outcome.append(study_harness(args.datasets, study, seeds))
+        outcome.append(
+            study_harness(cfg, args.n, args.p, seeds, args.gibbs_ranking)
+        )
         return run.emit("study.tsv", outcome[0].to_tsv())
 
-    print(run_stages(cfg, [("study", write_study)]).artifact)
+    print(run_stages(cfg, [("study", write_study)], _command(args)).artifact)
     print(
         f"median AUC: spatial-boost {outcome[0].median_auc_sb:.3f}"
         f" vs single-SNP {outcome[0].median_auc_ss:.3f}"
@@ -149,8 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("--n", type=int, default=100)
     p_sim.add_argument("--p", type=int, default=200)
-    p_sim.add_argument("--sigma2", type=float, default=0.01)
-    p_sim.add_argument("--ld-rho", type=float, default=0.3)
+    # None: sim.SIGMA2 and sim.LD_RHO, resolved once the simulator is loaded
+    p_sim.add_argument("--sigma2", type=float)
+    p_sim.add_argument("--ld-rho", type=float)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_study = sub.add_parser("study", help="run the simulation study harness")

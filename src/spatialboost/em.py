@@ -357,8 +357,6 @@ def em_filter_pipeline(
     boosts,
     hyper: Hyperparameters,
     config: FilterConfig = FilterConfig(),
-    max_iter: int = EM_MAX_ITER,
-    tol: float = EM_TOL,
 ) -> FilterTrace:
     """Iterate em_fit -> record PPL -> filter lowest-<theta> markers.
 
@@ -381,10 +379,7 @@ def em_filter_pipeline(
 
     for _ in range(config.max_rounds):
         design = trace.design = config.factor(X_markers, current)
-        state = em_fit(
-            design, y, b_all[current], hyper, max_iter=max_iter, tol=tol,
-            beta0=beta_warm,
-        )
+        state = em_fit(design, y, b_all[current], hyper, beta0=beta_warm)
         record = FilterRound(
             retained=current.copy(),
             state=state,

@@ -19,7 +19,8 @@ from spatialboost._special import SQRT1_2, erfc_nonneg
 from spatialboost.errors import ConfigurationError
 
 DEFAULT_REGION_GAP = 30_000  # average human gene length, base pairs
-DEFAULT_PHI = 30_000.0  # fallback when a region is too small to fit; simulate's phi
+DEFAULT_PHI = 30_000.0  # fallback when a region is too small to fit; the phi
+# of simulate and study when the config leaves phi unset
 
 # coarse search grid for the range parameter: 50 log-spaced points
 PHI_GRID = np.logspace(2.0, 6.0, 50)

@@ -83,9 +83,6 @@ class TruncatedDesign:
         """X' r through the factors."""
         return self.V @ (self.d * (self.U.T @ r))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.d) @ self.V.T
-
 
 def _signed_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD with a deterministic sign convention: the first entry of each

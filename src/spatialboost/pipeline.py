@@ -452,6 +452,7 @@ class PipelineResult:
     adds its own results. ``run_pipeline`` returns it."""
 
     config: RunConfig
+    command: str = ""  # the CLI subcommand and its own flags, if any
     outputs: list[str] = field(default_factory=list)  # paths, in write order
     artifact: str | None = None  # main artifact of the last stage run
     dataset: Dataset | None = None
@@ -469,10 +470,6 @@ class PipelineResult:
     @property
     def survivors(self) -> np.ndarray:
         return self.trace.final_survivors
-
-    @property
-    def pi_hat(self) -> np.ndarray | None:
-        return None if self.chain is None else self.chain.pi_hat
 
     def emit(self, name: str, data: str | bytes) -> str:
         path = os.path.join(self.out_dir, name)
@@ -616,6 +613,7 @@ def _write_manifest(run: PipelineResult) -> None:
     man = [
         f"spatialboost_version = {__version__}",
         f"numpy_version = {np.__version__}",
+        *([f"command = {run.command}"] if run.command else []),
         "",
         "[config]",
         run.config.resolved_text(),
@@ -652,8 +650,11 @@ def _recorded_outputs(out_dir: str) -> list[str]:
     return names
 
 
-def run_stages(config: RunConfig, stages: Sequence[Stage]) -> PipelineResult:
-    """Run ``stages`` in order over one run context, then write the manifest.
+def run_stages(
+    config: RunConfig, stages: Sequence[Stage], command: str = ""
+) -> PipelineResult:
+    """Run ``stages`` in order over one run context, then write the manifest,
+    which records ``command`` (the CLI subcommand and its flags) if given.
 
     First the files the previous run into ``config.out_dir`` recorded are
     removed, with its manifest and FAILED marker; a run that would remove
@@ -678,7 +679,7 @@ def run_stages(config: RunConfig, stages: Sequence[Stage]) -> PipelineResult:
     for path in stale:
         if os.path.isfile(path):
             os.remove(path)
-    run = PipelineResult(config)
+    run = PipelineResult(config, command)
     try:
         for stage, fn in stages:
             run.artifact = fn(run)
@@ -695,7 +696,10 @@ def run_stages(config: RunConfig, stages: Sequence[Stage]) -> PipelineResult:
 
 
 def run_pipeline(
-    config: RunConfig, until: str = "report", extra: Stage | None = None
+    config: RunConfig,
+    until: str = "report",
+    extra: Stage | None = None,
+    command: str = "",
 ) -> PipelineResult:
     """Run the stages of ``STAGES`` up to and including ``until``, then the
     ``extra`` stage if given, through ``run_stages``."""
@@ -703,4 +707,4 @@ def run_pipeline(
     if until not in names:
         raise ConfigurationError(f"unknown stage '{until}'")
     stages = STAGES[: names.index(until) + 1] + ((extra,) if extra else ())
-    return run_stages(config, stages)
+    return run_stages(config, stages, command)

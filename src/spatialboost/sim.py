@@ -8,19 +8,15 @@ logistic regression per marker and reports Wald p-values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from spatialboost._special import expit, ndtr
-from spatialboost.em import (
-    FilterConfig,
-    Hyperparameters,
-    em_filter_pipeline,
-    em_ranking_scores,
-)
+from spatialboost.em import Hyperparameters, em_filter_pipeline, em_ranking_scores
 from spatialboost.errors import ConfigurationError
 from spatialboost.genome import (
+    DEFAULT_PHI,
     BoostVector,
     Gene,
     SnpLocus,
@@ -28,6 +24,10 @@ from spatialboost.genome import (
     compute_boosts,
 )
 from spatialboost.mcmc import gibbs_run
+from spatialboost.pipeline import RunConfig
+
+SIGMA2 = 0.01  # true sigma^2 of simulated effects
+LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
 
 
 @dataclass
@@ -36,9 +36,6 @@ class SimulatedDataset:
     theta: np.ndarray  # true inclusion indicators, length p
     beta: np.ndarray  # true effects incl. intercept, length p+1
     y: np.ndarray
-    seed: int | None
-    hyper: Hyperparameters
-    sigma2_true: float
 
 
 def simulate(
@@ -47,7 +44,6 @@ def simulate(
     hyper: Hyperparameters,
     sigma2_true: float,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> SimulatedDataset:
     """Draw (theta, beta, y) from the model hierarchy over fixed genotypes."""
     X = np.asarray(genotypes, dtype=float)
@@ -55,6 +51,8 @@ def simulate(
     b = np.asarray(getattr(boosts, "values", boosts), dtype=float)
     if b.shape != (p,):
         raise ConfigurationError(f"boosts ({b.shape}) misaligned with p={p}")
+    if not sigma2_true > 0:
+        raise ConfigurationError(f"sigma2 must be positive, got {sigma2_true}")
 
     theta = (rng.random(p) < expit(hyper.xi0 + hyper.xi1 * b)).astype(np.int8)
     beta = np.empty(p + 1)
@@ -62,7 +60,7 @@ def simulate(
     sd = np.sqrt(sigma2_true * (theta * hyper.kappa + 1.0 - theta))
     beta[1:] = rng.normal(0.0, 1.0, size=p) * sd
     y = (rng.random(n) < expit(beta[0] + X @ beta[1:])).astype(np.int8)
-    return SimulatedDataset(X, theta, beta, y, seed, hyper, sigma2_true)
+    return SimulatedDataset(X, theta, beta, y)
 
 
 def synthetic_genotypes(
@@ -96,10 +94,6 @@ class SingleSnpResult:
     beta: np.ndarray
     converged: np.ndarray
     reasons: dict[int, str] = field(default_factory=dict)
-
-    def bonferroni_threshold(self, alpha: float = 0.05) -> float:
-        tested = int(np.sum(~np.isnan(self.pvalues)))
-        return alpha / max(tested, 1)
 
     def scores(self) -> np.ndarray:
         """-log10 p ranking statistic; untestable markers rank lowest."""
@@ -210,28 +204,6 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     return RocCurve(points=points, auc=float(auc))
 
 
-@dataclass
-class StudyConfig:
-    """Desk-scale study settings mirroring the simulation-study recipe."""
-
-    n: int = 100
-    p: int = 200
-    sigma2_true: float = 0.01
-    ld_rho: float = 0.3
-    phi: float = 1.5e4
-    sim_hyper: Hyperparameters = Hyperparameters(
-        kappa=1000.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0
-    )
-    filter_rounds: int = 4
-    filter_fraction: float = 0.25
-    gibbs_iters: int = 400
-    gibbs_burnin: int = 100
-    gibbs_kappa: float = 100.0
-    gibbs_xi0: float = -3.0
-    use_gibbs_ranking: bool = False
-    em_max_iter: int = 120
-
-
 def synthetic_genome(
     p: int, rng: np.random.Generator, phi: float, spacing: float = 1500.0
 ) -> tuple[list[SnpLocus], list[Gene], BoostVector]:
@@ -250,6 +222,25 @@ def synthetic_genome(
     blocks = build_blocks(genes, np.ones(len(genes)))
     boosts = compute_boosts(snps, blocks, phi)
     return snps, genes, boosts
+
+
+def draw_dataset(
+    config: RunConfig,
+    n: int,
+    p: int,
+    rng: np.random.Generator,
+    sigma2: float = SIGMA2,
+    ld_rho: float = LD_RHO,
+) -> tuple[list[SnpLocus], list[Gene], BoostVector, SimulatedDataset]:
+    """One synthetic dataset: a genome with boosts at ``config.phi``
+    (DEFAULT_PHI when unset), genotypes with LD, and (theta, beta, y) drawn
+    from the ``config.em`` prior at the given true sigma^2."""
+    for name, size in (("n", n), ("p", p)):
+        if size < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {size}")
+    snps, genes, boosts = synthetic_genome(p, rng, config.phi or DEFAULT_PHI)
+    X = synthetic_genotypes(n, p, rng, ld_rho=ld_rho)
+    return snps, genes, boosts, simulate(X, boosts, config.em, sigma2, rng)
 
 
 @dataclass
@@ -288,60 +279,44 @@ class StudyResult:
 
 
 def study_harness(
-    n_datasets: int,
-    config: StudyConfig,
+    config: RunConfig,
+    n: int,
+    p: int,
     seeds: list[int],
+    gibbs_ranking: bool = False,
 ) -> StudyResult:
-    """Simulate, fit the boosted model (EM filter + Gibbs on survivors) and
-    the single-SNP baseline, and score both by AUC against the true
-    indicators. Failed datasets are recorded, never silently dropped."""
-    if len(seeds) < n_datasets:
-        raise ConfigurationError(
-            f"{n_datasets} datasets requested but only {len(seeds)} seeds given"
-        )
+    """One dataset per seed, drawn as ``draw_dataset`` draws it; fit the
+    boosted model with the settings the em-filter and gibbs stages read from
+    ``config`` (the Gibbs chain on the EM survivors runs only for
+    ``gibbs_ranking``) and the single-SNP baseline, and score both by AUC
+    against the true indicators. Failed datasets are recorded, never
+    silently dropped."""
     rows: list[StudyRow] = []
-    for d in range(n_datasets):
-        seed = seeds[d]
-        rng = np.random.default_rng(seed)
-        _, _, boosts = synthetic_genome(config.p, rng, config.phi)
-        X = synthetic_genotypes(config.n, config.p, rng, ld_rho=config.ld_rho)
-        data = simulate(X, boosts, config.sim_hyper, config.sigma2_true, rng, seed)
+    for d, seed in enumerate(seeds):
+        _, _, boosts, data = draw_dataset(config, n, p, np.random.default_rng(seed))
+        X = data.genotypes
         n_assoc = int(data.theta.sum())
-        if n_assoc == 0 or n_assoc == config.p:
+        if n_assoc == 0 or n_assoc == p:
             rows.append(
                 StudyRow(d, seed, np.nan, np.nan, np.nan, np.nan, n_assoc,
                          failed="degenerate truth")
             )
             continue
 
-        filtering = FilterConfig(
-            max_rounds=config.filter_rounds,
-            fraction=config.filter_fraction,
-            rank=min(config.n, config.p + 1),
-        )
-        trace = em_filter_pipeline(
-            X, data.y, boosts, config.sim_hyper, filtering,
-            max_iter=config.em_max_iter,
-        )
-        sb_scores = em_ranking_scores(trace, config.p)
-
-        survivors = trace.final_survivors
-        gibbs_hyper = replace(
-            config.sim_hyper, kappa=config.gibbs_kappa, xi0=config.gibbs_xi0
-        )
-        chain = gibbs_run(
-            trace.survivor_design(X, filtering),
-            data.y,
-            boosts.values[survivors],
-            gibbs_hyper,
-            iters=config.gibbs_iters,
-            burnin=config.gibbs_burnin,
-            seed=seed,
-        )
-        if config.use_gibbs_ranking:
-            top = sb_scores.max() + 1.0
-            sb_scores = sb_scores.copy()
-            sb_scores[survivors] = top + chain.pi_hat[1:]
+        trace = em_filter_pipeline(X, data.y, boosts, config.em, config.filtering)
+        sb_scores = em_ranking_scores(trace, p)
+        if gibbs_ranking:  # survivors rank above the rest, by pi_hat
+            survivors = trace.final_survivors
+            chain = gibbs_run(
+                trace.survivor_design(X, config.filtering),
+                data.y,
+                boosts.values[survivors],
+                config.gibbs,
+                iters=config.gibbs_iters,
+                burnin=config.gibbs_burnin,
+                seed=seed,
+            )
+            sb_scores[survivors] = sb_scores.max() + 1.0 + chain.pi_hat[1:]
 
         ss = single_snp_tests(X, data.y)
         roc_sb = roc_auc(sb_scores, data.theta)

@@ -221,12 +221,17 @@ class _SFormWoodbury:
         return SigR - self._SSig.T @ self.solve_core(self.S @ SigR)
 
 
+def reconstruct(design) -> np.ndarray:
+    """X_l = U diag(d) V', the truncated design multiplied out."""
+    return (design.U * design.d) @ design.V.T
+
+
 def s_form(design, W: np.ndarray) -> np.ndarray:
     """The left factor S with S'S = X_l' diag(W) X_l, multiplied out:
     diag(sqrt W) X_l (n x (p+1)) on sample-space designs, C_w V'
     (l x (p+1)) on rank-space ones."""
     if design.sample_space:
-        return np.sqrt(W)[:, None] * design.reconstruct()
+        return np.sqrt(W)[:, None] * reconstruct(design)
     return weighted_cholesky(design, W) @ design.V.T
 
 

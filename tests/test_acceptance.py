@@ -26,7 +26,7 @@ from spatialboost.inference import centroid, xi0_constraint_satisfied, xi1_bound
 from spatialboost.linalg import WoodburySolver, truncate_design
 from spatialboost.mcmc import GibbsState, gibbs_cycle, sample_pg_vector
 from spatialboost.pipeline import RunConfig, run_pipeline
-from spatialboost.sim import StudyConfig, study_harness
+from spatialboost.sim import study_harness
 from tests.conftest import orthonormal, pg_mean, pg_var
 
 
@@ -225,8 +225,15 @@ def test_criterion_8_scaled_simulation_study():
     with criterion(8, "scaled simulation study"):
         t0 = time.perf_counter()
         seeds = list(range(10))
-        em_run = study_harness(10, StudyConfig(), seeds)
-        full_run = study_harness(10, StudyConfig(use_gibbs_ranking=True), seeds)
+        # the desk-scale study: phi and rank fixed, 4 rounds, 400 sweeps
+        config = RunConfig(
+            phi=1.5e4,
+            filtering=FilterConfig(max_rounds=4, rank=100),
+            gibbs_iters=400,
+            gibbs_burnin=100,
+        )
+        em_run = study_harness(config, 100, 200, seeds)
+        full_run = study_harness(config, 100, 200, seeds, gibbs_ranking=True)
         assert em_run.median_auc_sb > 0.5
         assert em_run.median_auc_sb >= em_run.median_auc_ss - 0.02
         assert full_run.median_tpr_sb >= full_run.median_tpr_ss

@@ -196,23 +196,33 @@ def test_stage_commands_agree_with_report(tmp_path, monkeypatch, capsys, command
             assert (cmd_dir / name).read_bytes() == (report_dir / name).read_bytes()
 
 
+CLI_ERRORS = [  # (config line, command, message)
+    ("em.kappa = abc", "report", "run.cfg:8: bad value 'abc' for 'em.kappa'"),
+    ("genotypes = missing.tsv", "report", "No such file"),
+    ("em.bogus = 1", "report", "run.cfg:8: unknown config key 'em.bogus'"),
+    ("em.kappa = 0.5", "report", "run.cfg:8: kappa must be > 1, got 0.5"),
+    ("filter.fraction = 1.5", "report",
+     "run.cfg:8: fraction must be in (0,1), got 1.5"),
+    ("phi = -1", "report", "run.cfg:8: phi must be positive, got -1.0"),
+    ("em.phi = 1", "report", "run.cfg:8: unknown config key 'em.phi'"),
+    ("", "simulate --sigma2 -1", "sigma2 must be positive, got -1.0"),
+    ("", "simulate --sigma2 0", "sigma2 must be positive, got 0.0"),
+    ("", "simulate --n 0", "n must be >= 1, got 0"),
+    ("", "simulate --p 0", "p must be >= 1, got 0"),
+    ("", "study --datasets 1 --p 0", "p must be >= 1, got 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "config_line, message",
-    [
-        ("em.kappa = abc", "run.cfg:8: bad value 'abc' for 'em.kappa'"),
-        ("genotypes = missing.tsv", "No such file"),
-        ("em.bogus = 1", "run.cfg:8: unknown config key 'em.bogus'"),
-        ("em.kappa = 0.5", "run.cfg:8: kappa must be > 1, got 0.5"),
-        ("filter.fraction = 1.5", "run.cfg:8: fraction must be in (0,1), got 1.5"),
-        ("phi = -1", "run.cfg:8: phi must be positive, got -1.0"),
-        ("em.phi = 1", "run.cfg:8: unknown config key 'em.phi'"),
-    ],
+    "config_line, command, message",
+    CLI_ERRORS,
+    ids=[f"{line or command}-{message}" for line, command, message in CLI_ERRORS],
 )
-def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, message):
+def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message):
     cfg = _sim_config(tmp_path, config_line + "\n")
     src = os.path.dirname(os.path.dirname(spatialboost.__file__))
     out = subprocess.run(
-        [sys.executable, "-m", "spatialboost", "--config", cfg, "report"],
+        [sys.executable, "-m", "spatialboost", "--config", cfg, *command.split()],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -272,3 +282,40 @@ def test_run_refuses_to_remove_its_own_inputs(tmp_path, capsys):
     assert main(["--config", cfg, "report"]) == 2
     assert "choose another output directory" in capsys.readouterr().err
     assert set(os.listdir(sim_dir)) == before
+
+
+def _study_run(tmp_path, name, config_text):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(config_text)
+    out_dir = tmp_path / name
+    argv = ["study", "--datasets", "2", "--n", "50", "--p", "40", "--gibbs-ranking"]
+    assert main(["--config", str(cfg), "--out-dir", str(out_dir), *argv]) == 0
+    return out_dir
+
+
+def test_study_honours_its_config(tmp_path):
+    # two studies whose configs differ in gibbs.iters and em.kappa write
+    # different tables, and each table is what study_harness gives for the
+    # manifest's [config] and command flags; --gibbs-ranking runs the chain
+    base = "seed = 4\nphi = 20000\ngibbs.burnin = 10\n"
+    runs = [
+        _study_run(tmp_path, "a", base + "gibbs.iters = 40\nem.kappa = 1000\n"),
+        _study_run(tmp_path, "b", base + "gibbs.iters = 60\nem.kappa = 20\n"),
+    ]
+    tables = [(out / "study.tsv").read_text() for out in runs]
+    assert tables[0] != tables[1]
+
+    from spatialboost.sim import study_harness
+
+    for out, table in zip(runs, tables):
+        manifest = (out / "manifest.txt").read_text()
+        command = manifest.partition("\ncommand = ")[2].partition("\n")[0]
+        words = command.split()
+        assert words[0] == "study" and words[-1] == "--gibbs-ranking"
+        flags = dict(zip(words[1:-1:2], map(int, words[2:-1:2])))
+        section = manifest.partition("[config]\n")[2].partition("[checksums]\n")[0]
+        (out / "manifest.cfg").write_text(section)
+        config = parse_config(str(out / "manifest.cfg"))
+        seeds = [config.seed + k for k in range(flags["--datasets"])]
+        result = study_harness(config, flags["--n"], flags["--p"], seeds, True)
+        assert result.to_tsv() == table

@@ -23,6 +23,7 @@ from spatialboost.em import (
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
 from spatialboost.sim import synthetic_genotypes
+from tests.conftest import reconstruct
 
 HYPER = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0)
 
@@ -352,7 +353,7 @@ def test_em_filter_pipeline_keeps_survivor_design():
     assert surv.size < trace.rounds[-1].retained.size
     design = trace.survivor_design(X, config)
     expected = truncate_design(np.column_stack([np.ones(X.shape[0]), X[:, surv]]), 40)
-    assert np.array_equal(design.reconstruct(), expected.reconstruct())
+    assert np.array_equal(reconstruct(design), reconstruct(expected))
 
 
 def test_em_filter_pipeline_nesting_and_round_trip():

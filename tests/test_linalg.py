@@ -10,7 +10,7 @@ from spatialboost.linalg import (
     weighted_cholesky,
     weighted_woodbury,
 )
-from tests.conftest import dense_woodbury, orthonormal
+from tests.conftest import dense_woodbury, orthonormal, reconstruct
 
 
 def test_select_rank_exact_low_rank(rng):
@@ -66,14 +66,14 @@ def test_truncate_design_rank_one(rng):
     design = truncate_design(X, 1)
     assert design.d[0] == pytest.approx(3.0)
     assert np.allclose(np.abs(design.V[:, 0]), np.abs(v))
-    assert np.allclose(design.reconstruct(), X, atol=1e-12)
+    assert np.allclose(reconstruct(design), X, atol=1e-12)
 
 
 def test_truncate_design_full_rank_zero_residual(rng):
     X = rng.standard_normal((7, 5))
     design = truncate_design(X, 5)
     assert design.relative_residual_energy == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(design.reconstruct(), X, atol=1e-10)
+    assert np.allclose(reconstruct(design), X, atol=1e-10)
 
 
 def test_truncate_design_residual_matches_svd_oracle(rng):

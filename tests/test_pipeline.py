@@ -362,7 +362,7 @@ def test_run_pipeline_artifacts(tmp_path):
     ):
         assert os.path.exists(os.path.join(out, name)), name
     assert not os.path.exists(os.path.join(out, "FAILED"))
-    assert result.pi_hat is not None
+    assert result.chain.pi_hat is not None
     man = open(os.path.join(out, "manifest.txt")).read()
     assert "report.tsv = " in man
     assert "seed = 11" in man
