@@ -268,8 +268,7 @@ def filter_round(
         raise ConfigurationError(f"fraction must be in (0,1), got {fraction}")
     k = int(np.floor(fraction * p_current))
     order = np.argsort(state.etheta[1 : p_current + 1], kind="stable")
-    removed = set(order[:k].tolist())
-    return np.array([j for j in range(p_current) if j not in removed], dtype=int)
+    return np.sort(order[k:])
 
 
 @dataclass
@@ -345,7 +344,9 @@ class FilterConfig:
 
     def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
         """Truncated factors of the intercept plus the given marker columns,
-        at the explicit rank (capped by the design's size) or by rank_tol."""
+        at the explicit rank (capped by the design's size) or by rank_tol.
+        This is the one place the float64 design, intercept first, is built;
+        the markers may be any numeric dtype, such as the loader's int8."""
         X = np.column_stack([np.ones(X_markers.shape[0]), X_markers[:, columns]])
         l = None if self.rank is None else min(self.rank, min(X.shape))
         return truncate_design(X, l, self.rank_tol)
@@ -367,7 +368,6 @@ def em_filter_pipeline(
     round since filtering changes columns; the last round's factors are kept
     on the trace.
     """
-    X_markers = np.asarray(X_markers, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X_markers.shape
     b_all = _marker_boosts(boosts, p)

@@ -61,42 +61,41 @@ MISSING_CODE = "."
 
 @dataclass
 class Dataset:
-    """Phenotype, intercept-extended design, and aligned marker metadata."""
+    """Phenotypes, genotype matrix and aligned marker metadata. The design's
+    intercept column is added only where a design is factored
+    (``FilterConfig.factor``)."""
 
     y: np.ndarray  # {0,1}^n
-    X: np.ndarray  # n x (p+1); column 0 all ones; markers in {0,1,2}
+    G: np.ndarray  # n x p int8 markers in {0,1,2}
     snps: list[SnpLocus]
     imputed: int = 0  # count of imputed genotype cells
 
     def __post_init__(self):
-        n, p1 = self.X.shape
-        if len(self.snps) != p1 - 1:
-            raise ConfigurationError("marker metadata misaligned with design")
-        if not np.all(self.X[:, 0] == 1.0):
-            raise ConfigurationError("design column 0 must be the intercept")
-        if not np.isin(self.X[:, 1:], (0.0, 1.0, 2.0)).all():
+        if self.G.ndim != 2 or self.G.dtype != np.int8:
+            raise ConfigurationError("genotypes must be an int8 matrix")
+        if len(self.snps) != self.p:
+            raise ConfigurationError("marker metadata misaligned with genotypes")
+        if len(self.y) != self.n:
+            raise ConfigurationError(
+                f"{len(self.y)} phenotypes for {self.n} genotype rows"
+            )
+        if not np.isin(self.G, (0, 1, 2)).all():
             raise ConfigurationError("marker entries must be in {0,1,2}")
         if not np.isin(self.y, (0, 1)).all():
             raise ConfigurationError("phenotypes must be in {0,1}")
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.G.shape[0]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1] - 1
-
-    @property
-    def markers(self) -> np.ndarray:
-        return self.X[:, 1:]
+        return self.G.shape[1]
 
     def subset_markers(self, keep: np.ndarray) -> "Dataset":
-        keep = np.asarray(keep, dtype=int)
-        cols = np.concatenate([[0], keep + 1])
         return Dataset(
             y=self.y,
-            X=self.X[:, cols],
+            G=self.G[:, keep],
             snps=[self.snps[j] for j in keep],
             imputed=self.imputed,
         )
@@ -108,7 +107,7 @@ def load_genotypes(path: str) -> Dataset:
 
     A valid row is one character per field with single tabs between
     (2p + 1 characters), so the cells are decoded and checked in numpy.
-    When that check fails, a per-line parse names the first bad
+    When that check fails, a per-line scan names the first bad
     ``file:line``, counting blank lines.
     """
     with open(path) as fh:
@@ -120,21 +119,19 @@ def load_genotypes(path: str) -> Dataset:
     if not numbered:
         raise ParseError(f"{path}: empty genotype file")
     snps = _parse_genotype_header(path, *numbered[0])
-    rows = [ln for _, ln in numbered[1:]]
-    parsed = _fixed_width_cells(rows, len(snps))
+    if len(numbered) == 1:
+        raise ParseError(f"{path}: no genotype rows below the header")
+    parsed = _fixed_width_cells([ln for _, ln in numbered[1:]], len(snps))
     if parsed is None:
-        parsed = _parse_rows(path, numbered[1:], len(snps))
-    y, G = parsed
-    miss = np.isnan(G)
+        _raise_first_bad_row(path, numbered[1:], len(snps))
+    y, G, miss = parsed
     imputed = int(miss.sum())
     if imputed:
-        # integer dosages sum exactly, so this is each column's nanmean
-        observed = (~miss).sum(axis=0)
-        total = np.where(miss, 0.0, G).sum(axis=0)
-        fill = np.round(total / np.maximum(observed, 1))  # 0 if none observed
-        G = np.where(miss, np.clip(fill, 0, 2), G)
-    X = np.column_stack([np.ones(G.shape[0]), G])
-    return Dataset(y=y, X=X, snps=snps, imputed=imputed)
+        # missing cells hold 0, so the integer column sums are exact totals
+        observed = G.shape[0] - miss.sum(axis=0)
+        fill = np.round(G.sum(axis=0) / np.maximum(observed, 1))  # 0 if none
+        np.copyto(G, fill.astype(np.int8), where=miss)
+    return Dataset(y=y, G=G, snps=snps, imputed=imputed)
 
 
 def _parse_genotype_header(path: str, lineno: int, line: str) -> list[SnpLocus]:
@@ -164,11 +161,12 @@ _ZERO, _TWO = ord("0"), ord("2")
 
 def _fixed_width_cells(
     rows: list[str], p: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Phenotypes and genotype matrix (NaN where missing) of rows that are
-    all 2p + 1 ASCII characters long with valid codes, or None."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Phenotypes, int8 genotype matrix (0 where missing) and missing-cell
+    mask of rows that are all 2p + 1 ASCII characters long with valid codes,
+    or None."""
     width = 2 * p + 1
-    if not rows or any(len(ln) != width for ln in rows):
+    if any(len(ln) != width for ln in rows):
         return None
     buf = "".join(rows).encode()
     if len(buf) != len(rows) * width:  # a multi-byte character
@@ -182,17 +180,16 @@ def _fixed_width_cells(
         and np.all(((cells >= _ZERO) & (cells <= _TWO)) | missing)
     ):
         return None
-    G = cells.astype(float) - _ZERO
-    G[missing] = np.nan
-    return (pheno - _ZERO).astype(np.int64), G
+    G = cells.astype(np.int8)  # codes are ASCII, below 128
+    G -= _ZERO
+    G[missing] = 0
+    return (pheno - _ZERO).astype(np.int64), G, missing
 
 
-def _parse_rows(
-    path: str, rows: list[tuple[int, str]], p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-line parse of the (line number, text) data rows; raises on the
-    first bad line."""
-    y_rows, g_rows = [], []
+def _raise_first_bad_row(path: str, rows: list[tuple[int, str]], p: int) -> None:
+    """Raise ParseError naming the first of the (line number, text) data rows
+    that is not a phenotype and p genotype codes between single tabs; every
+    input ``_fixed_width_cells`` rejects has one."""
     for lineno, ln in rows:
         cells = ln.split("\t")
         if len(cells) != p + 1:
@@ -203,20 +200,12 @@ def _parse_rows(
             raise ParseError(
                 f"{path}:{lineno}: phenotype '{cells[0]}' not in {{0,1}}"
             )
-        y_rows.append(int(cells[0]))
-        row = []
         for k, cell in enumerate(cells[1:], start=1):
-            if cell == MISSING_CODE:
-                row.append(np.nan)
-            elif cell in ("0", "1", "2"):
-                row.append(float(cell))
-            else:
+            if cell not in ("0", "1", "2", MISSING_CODE):
                 raise ParseError(
                     f"{path}:{lineno}: genotype '{cell}' not in "
                     f"{{0,1,2,{MISSING_CODE}}} (column {k})"
                 )
-        g_rows.append(row)
-    return np.array(y_rows), np.array(g_rows, dtype=float)
 
 
 def load_genes(path: str) -> list[Gene]:
@@ -271,7 +260,7 @@ def load_relevances(path: str | None, genes: list[Gene]) -> np.ndarray:
 
 
 def minor_allele_frequencies(dataset: Dataset) -> np.ndarray:
-    f = dataset.markers.sum(axis=0) / (2.0 * dataset.n)
+    f = dataset.G.sum(axis=0) / (2.0 * dataset.n)
     return np.minimum(f, 1.0 - f)
 
 
@@ -285,9 +274,9 @@ def maf_filter(dataset: Dataset, min_maf: float = 0.05) -> tuple[Dataset, np.nda
 def hwe_pvalues(dataset: Dataset) -> np.ndarray:
     """One-df chi-square goodness of fit of genotype counts against the
     random-mating proportions (q^2, 2pq, p^2)."""
-    G = dataset.markers
+    G = dataset.G
     n = dataset.n
-    counts = np.stack([(G == g).sum(axis=0) for g in (0.0, 1.0, 2.0)])
+    counts = np.stack([(G == g).sum(axis=0) for g in (0, 1, 2)])
     f = G.sum(axis=0) / (2.0 * n)
     expected = np.stack([(1 - f) ** 2, 2 * f * (1 - f), f**2]) * n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -506,7 +495,7 @@ def fit_region_phis(run: PipelineResult) -> RegionPartition:
     between the post-QC markers; their mean is the boosts' fitted phi."""
     snps = run.dataset.snps
     partition = partition_regions(snps, run.genes)
-    return fit_phi_by_region(run.dataset.markers, snps, partition)
+    return fit_phi_by_region(run.dataset.G, snps, partition)
 
 
 def _boosts(run: PipelineResult) -> str:
@@ -525,7 +514,7 @@ def _boosts(run: PipelineResult) -> str:
 def _em_filter(run: PipelineResult) -> str | None:
     cfg, ds = run.config, run.dataset
     run.trace = em_filter_pipeline(
-        ds.markers, ds.y, run.boosts, cfg.em, cfg.filtering
+        ds.G, ds.y, run.boosts, cfg.em, cfg.filtering
     )
     if not run.trace.rounds:  # filter.max_rounds = 0: every marker survives
         return None
@@ -535,7 +524,7 @@ def _em_filter(run: PipelineResult) -> str | None:
 def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
     run.chain = chain = gibbs_run(
-        run.trace.survivor_design(ds.markers, cfg.filtering),
+        run.trace.survivor_design(ds.G, cfg.filtering),
         ds.y,
         run.boosts.values[run.survivors],
         cfg.gibbs,
@@ -604,7 +593,7 @@ def scan_kappas(run: PipelineResult, kappas) -> str:
     post-QC design, factored by the EM filter's rank rule, written to
     kappa_scan.tsv."""
     cfg, ds = run.config, run.dataset
-    design = cfg.filtering.factor(ds.markers, np.arange(ds.p))
+    design = cfg.filtering.factor(ds.G, np.arange(ds.p))
     rows = kappa_scan(design, ds.y, run.boosts, cfg.em, kappas, DEFAULT_GAMMA_GRID)
     return run.emit("kappa_scan.tsv", kappa_scan_tsv(rows))
 

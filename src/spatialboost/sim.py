@@ -32,7 +32,7 @@ LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
 
 @dataclass
 class SimulatedDataset:
-    genotypes: np.ndarray  # n x p marker matrix, no intercept
+    genotypes: np.ndarray  # n x p markers in {0,1,2}, no intercept
     theta: np.ndarray  # true inclusion indicators, length p
     beta: np.ndarray  # true effects incl. intercept, length p+1
     y: np.ndarray
@@ -46,8 +46,8 @@ def simulate(
     rng: np.random.Generator,
 ) -> SimulatedDataset:
     """Draw (theta, beta, y) from the model hierarchy over fixed genotypes."""
-    X = np.asarray(genotypes, dtype=float)
-    n, p = X.shape
+    G = np.asarray(genotypes)
+    n, p = G.shape
     b = np.asarray(getattr(boosts, "values", boosts), dtype=float)
     if b.shape != (p,):
         raise ConfigurationError(f"boosts ({b.shape}) misaligned with p={p}")
@@ -59,8 +59,9 @@ def simulate(
     beta[0] = rng.normal(0.0, np.sqrt(sigma2_true * hyper.kappa))
     sd = np.sqrt(sigma2_true * (theta * hyper.kappa + 1.0 - theta))
     beta[1:] = rng.normal(0.0, 1.0, size=p) * sd
-    y = (rng.random(n) < expit(beta[0] + X @ beta[1:])).astype(np.int8)
-    return SimulatedDataset(X, theta, beta, y)
+    eta = beta[0] + G.astype(float) @ beta[1:]
+    y = (rng.random(n) < expit(eta)).astype(np.int8)
+    return SimulatedDataset(G, theta, beta, y)
 
 
 def synthetic_genotypes(
@@ -70,7 +71,7 @@ def synthetic_genotypes(
     maf_range: tuple[float, float] = (0.05, 0.5),
     ld_rho: float = 0.0,
 ) -> np.ndarray:
-    """Binomial(2, maf) genotypes with maf ~ Uniform(maf_range).
+    """int8 Binomial(2, maf) genotypes with maf ~ Uniform(maf_range).
 
     ``ld_rho`` > 0 correlates adjacent markers through a latent AR(1)
     Gaussian copula per allele, mimicking linkage disequilibrium.
@@ -85,7 +86,7 @@ def synthetic_genotypes(
             for j in range(1, p):
                 z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
         alleles += (ndtr(z) < mafs).astype(np.int8)
-    return alleles.astype(float)
+    return alleles
 
 
 @dataclass

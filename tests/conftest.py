@@ -361,8 +361,9 @@ def per_cell_load_genotypes(path: str) -> Dataset:
             if miss.any():
                 fill = np.round(np.nanmean(col)) if (~miss).any() else 0.0
                 col[miss] = np.clip(fill, 0, 2)
-    X = np.column_stack([np.ones(G.shape[0]), G])
-    return Dataset(y=np.array(y_rows), X=X, snps=snps, imputed=imputed)
+    return Dataset(
+        y=np.array(y_rows), G=G.astype(np.int8), snps=snps, imputed=imputed
+    )
 
 
 @pytest.fixture

@@ -210,6 +210,8 @@ CLI_ERRORS = [  # (config line, command, message)
     ("", "simulate --n 0", "n must be >= 1, got 0"),
     ("", "simulate --p 0", "p must be >= 1, got 0"),
     ("", "study --datasets 1 --p 0", "p must be >= 1, got 0"),
+    ("genotypes = header_only.tsv", "report",
+     "header_only.tsv: no genotype rows below the header"),
 ]
 
 
@@ -220,6 +222,7 @@ CLI_ERRORS = [  # (config line, command, message)
 )
 def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message):
     cfg = _sim_config(tmp_path, config_line + "\n")
+    (tmp_path / "header_only.tsv").write_text("#pheno\trs1:1:100\trs2:1:200\n")
     src = os.path.dirname(os.path.dirname(spatialboost.__file__))
     out = subprocess.run(
         [sys.executable, "-m", "spatialboost", "--config", cfg, *command.split()],

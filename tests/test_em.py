@@ -356,6 +356,19 @@ def test_em_filter_pipeline_keeps_survivor_design():
     assert np.array_equal(reconstruct(design), reconstruct(expected))
 
 
+def test_factor_int8_markers_match_float64():
+    G = synthetic_genotypes(40, 100, np.random.default_rng(5))
+    assert G.dtype == np.int8
+    columns = np.array([0, 3, 4, 17, 60, 99])
+    for config in (FilterConfig(), FilterConfig(rank=4), FilterConfig(rank=200)):
+        for cols in (columns, np.arange(100)):
+            got = config.factor(G, cols)
+            want = config.factor(G.astype(float), cols)
+            for name in ("U", "d", "V"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.relative_residual_energy == want.relative_residual_energy
+
+
 def test_em_filter_pipeline_nesting_and_round_trip():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(

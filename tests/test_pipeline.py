@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spatialboost._special import chi2_sf_1df
 from spatialboost.em import FilterConfig
 from spatialboost.errors import (
     ConfigurationError,
@@ -45,8 +46,8 @@ def _write(tmp_path, name, text):
 def test_load_genotypes_small(tmp_path):
     ds = load_genotypes(_write(tmp_path, "g.tsv", GENO_SMALL))
     assert ds.n == 2 and ds.p == 2
-    assert ds.X.shape == (2, 3)
-    assert np.all(ds.X[:, 0] == 1.0)
+    assert ds.G.dtype == np.int8
+    assert ds.G.tolist() == [[0, 2], [1, 1]]
     assert ds.y.tolist() == [1, 0]
     assert [s.id for s in ds.snps] == ["rs1", "rs2"]
     assert ds.snps[0].position == 100
@@ -58,7 +59,7 @@ def test_load_genotypes_imputes_missing(tmp_path):
     ds = load_genotypes(_write(tmp_path, "g.tsv", text))
     assert ds.imputed == 1
     # observed mean 1.5 rounds to 2
-    assert ds.X[1, 1] == 2.0
+    assert ds.G[:, 0].tolist() == [2, 2, 1]
 
 
 def test_load_genotypes_errors_name_lines(tmp_path):
@@ -79,6 +80,15 @@ def test_load_genotypes_errors_name_lines(tmp_path):
         load_genotypes(_write(tmp_path, "e.tsv", bad_snp))
 
 
+@pytest.mark.parametrize(
+    "header", ["#pheno\trs1:1:100", "#pheno\trs1:1:100\trs2:1:200"]
+)
+def test_load_genotypes_header_without_rows(tmp_path, header):
+    path = _write(tmp_path, "head_only.tsv", header + "\n\n")
+    with pytest.raises(ParseError, match=r"^\S*head_only\.tsv: no genotype rows"):
+        load_genotypes(path)
+
+
 def test_load_genotypes_errors_count_blank_lines(tmp_path):
     # line 2 is blank and line 4 holds genotype 7
     text = "#pheno\trs1:1:100\n\n1\t0\n1\t7\n"
@@ -94,8 +104,9 @@ def test_load_genotypes_errors_count_blank_lines(tmp_path):
 def _genotype_text(rng, n, p, missing, sep="\n"):
     header = "\t".join(["#pheno"] + [f"rs{j}:{1 + j % 3}:{100 * j}" for j in range(p)])
     codes = np.array(["0", "1", "2"])[rng.integers(0, 3, (n, p))]
-    codes[rng.random((n, p)) < missing] = "."
-    codes[:, 0] = "."  # a column with no observed cell imputes to 0
+    if missing:
+        codes[rng.random((n, p)) < missing] = "."
+        codes[:, 0] = "."  # a column with no observed cell imputes to 0
     rows = [
         "\t".join([str(rng.integers(0, 2))] + list(r)) for r in codes
     ]
@@ -103,13 +114,16 @@ def _genotype_text(rng, n, p, missing, sep="\n"):
 
 
 def _assert_same_dataset(got, want):
-    assert np.array_equal(got.X, want.X) and got.X.dtype == want.X.dtype
+    assert got.G.dtype == want.G.dtype == np.int8
+    assert np.array_equal(got.G, want.G)
     assert np.array_equal(got.y, want.y) and got.y.dtype == want.y.dtype
     assert got.snps == want.snps
     assert got.imputed == want.imputed
 
 
-@pytest.mark.parametrize("n, p, missing", [(1, 1, 0.0), (7, 5, 0.3), (40, 90, 0.05)])
+@pytest.mark.parametrize(
+    "n, p, missing", [(1, 1, 0.0), (9, 6, 0.0), (7, 5, 0.3), (40, 90, 0.05)]
+)
 def test_load_genotypes_matches_per_cell_oracle(tmp_path, n, p, missing):
     rng = np.random.default_rng(n * 1000 + p)
     text = _genotype_text(rng, n, p, missing)
@@ -171,26 +185,28 @@ def test_load_relevances(tmp_path):
 
 
 def _dataset(markers, y=None):
-    markers = np.asarray(markers, dtype=float)
-    n, p = markers.shape
+    G = np.asarray(markers, dtype=np.int8)
+    n, p = G.shape
     if y is None:
         y = np.zeros(n, dtype=int)
     snps = [SnpLocus(f"rs{j}", 100 * (j + 1)) for j in range(p)]
-    X = np.column_stack([np.ones(n), markers])
-    return Dataset(y=np.asarray(y), X=X, snps=snps)
+    return Dataset(y=np.asarray(y), G=G, snps=snps)
 
 
 def test_dataset_invariants():
+    G = np.array([[0, 1], [1, 1]], dtype=np.int8)
+    y, snps = np.zeros(2, dtype=int), [SnpLocus("a", 1), SnpLocus("b", 2)]
+    Dataset(y=y, G=G, snps=snps)
+    with pytest.raises(ConfigurationError, match="int8"):
+        Dataset(y=y, G=G.astype(float), snps=snps)
+    with pytest.raises(ConfigurationError, match="metadata"):
+        Dataset(y=y, G=G, snps=snps[:1])
+    with pytest.raises(ConfigurationError, match="3 phenotypes for 2"):
+        Dataset(y=np.zeros(3, dtype=int), G=G, snps=snps)
     with pytest.raises(ConfigurationError):
-        Dataset(
-            y=np.zeros(2, dtype=int),
-            X=np.array([[0.0, 1.0], [1.0, 1.0]]),
-            snps=[SnpLocus("a", 1)],
-        )
+        _dataset([[3], [0]])
     with pytest.raises(ConfigurationError):
-        _dataset([[3.0], [0.0]])
-    with pytest.raises(ConfigurationError):
-        _dataset([[1.0], [0.0]], y=[2, 0])
+        _dataset([[1], [0]], y=[2, 0])
 
 
 def test_maf_hand_example():
@@ -245,7 +261,50 @@ def test_column_alignment_round_trip(rng):
     kept_ds, kept = maf_filter(ds, 0.05)
     for k, j in enumerate(kept):
         assert kept_ds.snps[k].id == ds.snps[j].id
-        assert np.array_equal(kept_ds.markers[:, k], ds.markers[:, j])
+        assert np.array_equal(kept_ds.G[:, k], ds.G[:, j])
+
+
+def _float_qc_keep(G, min_maf, alpha):
+    """MAF then HWE keep indices from the filters' formulas evaluated on
+    float64 markers: the oracle for the int8 path."""
+    X = np.asarray(G, dtype=float)
+    n = X.shape[0]
+    f = X.sum(axis=0) / (2.0 * n)
+    maf_keep = np.flatnonzero(np.minimum(f, 1.0 - f) > min_maf)
+    X = X[:, maf_keep]
+    counts = np.stack([(X == g).sum(axis=0) for g in (0.0, 1.0, 2.0)])
+    f = X.sum(axis=0) / (2.0 * n)
+    expected = np.stack([(1 - f) ** 2, 2 * f * (1 - f), f**2]) * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
+    pv = chi2_sf_1df(terms.sum(axis=0))
+    return maf_keep, pv, np.flatnonzero(~(pv < alpha))
+
+
+def test_int8_qc_keeps_the_float_path_markers(rng):
+    G = rng.integers(0, 3, size=(120, 60)).astype(np.int8)
+    G[:, 3] = 1  # HWE violation
+    G[:, 7] = 0  # monomorphic
+    G[:, 11] = 0
+    G[:12, 11] = 1  # maf exactly 0.05: dropped at min_maf 0.05
+    G[:, 12] = 0
+    G[:13, 12] = 1  # just above
+    for j in range(20, 30):  # excess homozygotes, graded
+        hom = rng.random(120) < 0.1 * (j - 19)
+        G[hom, j] = 2 * (G[hom, j] > 0)
+    ds = _dataset(G)
+    for min_maf, alpha in ((0.05, 1e-6), (0.2, 1e-3), (0.0, 0.05)):
+        maf_keep, pv, hwe_keep = _float_qc_keep(G, min_maf, alpha)
+        maf_ds, got_maf = maf_filter(ds, min_maf)
+        assert maf_ds.G.dtype == np.int8
+        assert np.array_equal(got_maf, maf_keep)
+        assert np.array_equal(hwe_pvalues(maf_ds), pv)
+        hwe_ds, got_hwe = hwe_filter(maf_ds, alpha)
+        assert hwe_ds.G.dtype == np.int8
+        assert np.array_equal(got_hwe, hwe_keep)
+        assert 0 < hwe_keep.size < maf_keep.size < G.shape[1]
+    kept = maf_filter(ds, 0.05)[1]
+    assert 11 not in kept and 12 in kept
 
 
 def test_parse_config_round_trip(tmp_path):
