@@ -6,6 +6,8 @@ import argparse
 import sys
 from functools import partial
 
+import numpy as np
+
 from spatialboost.errors import (
     ConfigurationError,
     NumericalError,
@@ -79,6 +81,20 @@ def cmd_kappa_scan(args) -> int:
     return cmd_stages(args, "boosts", ("kappa-scan", scan))
 
 
+def genotype_rows(y: np.ndarray, G: np.ndarray) -> str:
+    """The data lines of a genotype file: each individual's phenotype and
+    int8 genotypes as tab-separated digits, one newline-ended line each,
+    mapped through a byte table."""
+    n, p = G.shape
+    digits = np.frombuffer(b"012", dtype=np.uint8)
+    cells = np.empty((n, 2 * (p + 1)), dtype=np.uint8)
+    cells[:, 0] = digits[np.asarray(y, dtype=np.intp)]
+    cells[:, 2::2] = digits[G]
+    cells[:, 1::2] = ord("\t")
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().decode("ascii")
+
+
 def cmd_simulate(args) -> int:
     # imported here, not at the top: no other command uses the simulator,
     # and its import would add to every command's start-up
@@ -95,13 +111,6 @@ def cmd_simulate(args) -> int:
         header = "#pheno\t" + "\t".join(
             f"{s.id}:{s.chromosome}:{s.position}" for s in snps
         )
-        rows = [header]
-        for i in range(args.n):
-            rows.append(
-                str(int(data.y[i]))
-                + "\t"
-                + "\t".join(str(int(g)) for g in data.genotypes[i])
-            )
         genes_txt = "\n".join(
             f"{g.chromosome}\t{g.start}\t{g.end}\t{g.id}" for g in genes
         )
@@ -109,7 +118,10 @@ def cmd_simulate(args) -> int:
             f"{s.id}\t{int(t)}\t{b:.10g}"
             for s, t, b in zip(snps, data.theta, data.beta[1:])
         )
-        path = run.emit("simulated_genotypes.tsv", "\n".join(rows) + "\n")
+        path = run.emit(
+            "simulated_genotypes.tsv",
+            header + "\n" + genotype_rows(data.y, data.genotypes),
+        )
         run.emit("simulated_genes.bed", genes_txt + "\n")
         run.emit("simulated_truth.tsv", "snp\ttheta\tbeta\n" + truth + "\n")
         return path

@@ -278,6 +278,8 @@ class FilterRound:
     ppl: float
     max_residual: float
     survivors: np.ndarray  # original marker indices retained after filtering
+    rank: int  # of the round's truncated design
+    residual_energy: float  # relative energy the truncation dropped
 
 
 @dataclass
@@ -304,11 +306,13 @@ class FilterTrace:
 
     def to_tsv(self, snp_ids: list[str], top_k: int = 10) -> str:
         """Per-round summary: round, retained count, ppl, max residual, the
-        top-k markers by <theta_j>, the EM fit's iterations and flags, and
-        on the last round why filtering stopped (NA before)."""
+        top-k markers by <theta_j>, the EM fit's iterations and flags, on
+        the last round why filtering stopped (NA before), and the rank and
+        relative residual energy of the round's truncated design."""
         lines = [
             "round\tretained\tppl\tmax_residual\ttop_markers"
             "\titerations\tconverged\tdiverged\tstop_reason"
+            "\trank\tresidual_energy"
         ]
         for r, rec in enumerate(self.rounds):
             st, et = rec.state, rec.state.etheta[1:]
@@ -319,7 +323,7 @@ class FilterTrace:
                 f"{r}\t{rec.retained.size}\t{rec.ppl:.10g}"
                 f"\t{rec.max_residual:.10g}\t{','.join(tops)}"
                 f"\t{st.iterations}\t{int(st.converged)}\t{int(st.diverged)}"
-                f"\t{stop}"
+                f"\t{stop}\t{rec.rank}\t{rec.residual_energy:.10g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -344,12 +348,16 @@ class FilterConfig:
 
     def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
         """Truncated factors of the intercept plus the given marker columns,
-        at the explicit rank (capped by the design's size) or by rank_tol.
-        This is the one place the float64 design, intercept first, is built;
-        the markers may be any numeric dtype, such as the loader's int8."""
-        X = np.column_stack([np.ones(X_markers.shape[0]), X_markers[:, columns]])
-        l = None if self.rank is None else min(self.rank, min(X.shape))
-        return truncate_design(X, l, self.rank_tol)
+        at the explicit rank (capped by the design's size and its numerical
+        rank) or by rank_tol. This is the one place the float64 design,
+        intercept first, is built; the markers may be any numeric dtype,
+        such as the loader's int8. It is built as X' ((p+1) x n), which a
+        full-rank sample-space design keeps as its X_l'."""
+        Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
+        Xt[0] = 1.0
+        Xt[1:] = X_markers[:, columns].T
+        l = None if self.rank is None else min(self.rank, min(Xt.shape))
+        return truncate_design(Xt.T, l, self.rank_tol)
 
 
 def em_filter_pipeline(
@@ -386,6 +394,8 @@ def em_filter_pipeline(
             ppl=ppl(state, design, y),
             max_residual=max_residual(state, design, y),
             survivors=current.copy(),
+            rank=design.rank,
+            residual_energy=design.relative_residual_energy,
         )
         trace.rounds.append(record)
 

@@ -259,7 +259,7 @@ _TINY_T = 2.0**-40
 # tail exceeds the best complete sum by the relative margin _PRUNE_MARGIN.
 _HEAD_MIN = 1024
 _HEAD_DIV = 16
-_BATCH_CELLS = 1 << 18
+_BATCH_CELLS = 1 << 15
 _PRUNE_MARGIN = 1e-9
 
 

@@ -1,16 +1,25 @@
 """Rank-truncated design factors and Woodbury-identity solves.
 
-The design matrix X (n x (p+1)) is replaced by its top-l SVD factors
-U diag(d) V' = X_l. Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved
-through a Woodbury core (``WoodburySolver``) in one of two spaces, chosen
-once per design from (n, l) (``TruncatedDesign.sample_space``):
+The design matrix X (n x (p+1)) is replaced by its top-l singular triplets,
+X_l = U diag(d) V'. They come from the eigendecomposition of the Gram
+matrix of X's short side (X X' when n <= p+1, else X'X): one BLAS product
+and an ``eigh`` of a min(n, p+1)-sided matrix, so the long-side vectors are
+one more product (V = X'U / d or U = X V / d). A Gram squares the
+condition number, so eigenvalues at or below max(n, p+1) eps lambda_1 are
+rounding noise; the rank is capped at the count above that floor, whether
+it comes from ``rank_tol`` or is given explicitly.
 
-- rank space (3 l < 2 n): X_l'WX_l = S'S with S = C_w V' and C_w the l x l
-  weighted-Gram Cholesky factor (``weighted_cholesky``, O(n l^2 + l^3)); the
-  core is l x l.
-- sample space (3 l >= 2 n): S = diag(sqrt W) X_l, and the n x n core is
-  built from K = X_l X_l', which is fixed for the design, so no weighted Gram
-  is formed.
+Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved through a Woodbury
+core (``WoodburySolver``) in one of two spaces, chosen once per design from
+(n, l) (``TruncatedDesign.sample_space``), and each design stores only what
+its space reads:
+
+- rank space (3 l < 2 n): U, d and V. X_l'WX_l = S'S with S = C_w V' and
+  C_w the l x l weighted-Gram Cholesky factor (``weighted_cholesky``,
+  O(n l^2 + l^3)); the core is l x l.
+- sample space (3 l >= 2 n): X_l' and K = X_l X_l'. S = diag(sqrt W) X_l,
+  and the n x n core is built from K, which is fixed for the design, so no
+  weighted Gram is formed.
 
 S itself is never formed in either space. The core I + S Sigma S' has every
 eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
@@ -20,7 +29,6 @@ eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,26 +41,32 @@ JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
 @dataclass(frozen=True)
 class TruncatedDesign:
-    """Top-l SVD factors of the design matrix.
+    """Top-l factors of the design matrix X, in the form its Woodbury space
+    reads.
 
-    U: n x l orthonormal, d: l non-increasing positive singular values,
-    V: (p+1) x l orthonormal. ``relative_residual_energy`` is the share of
-    the design's energy the truncation drops, ||X - U diag(d) V'||_F^2 /
-    ||X||_F^2, the quantity ``rank_tol`` bounds.
+    d: l non-increasing positive singular values, on both forms. A rank-space
+    design holds U (n x l) and V ((p+1) x l), both orthonormal. A
+    sample-space design holds instead Xt = X_l' as a C-contiguous (p+1) x n
+    array (X' itself when l = min(n, p+1)) and K = X_l X_l' (n x n); its U
+    and V are None. ``relative_residual_energy`` is the share of the
+    design's energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2, the
+    quantity ``rank_tol`` bounds.
     """
 
-    U: np.ndarray
     d: np.ndarray
-    V: np.ndarray
     relative_residual_energy: float
+    U: np.ndarray | None = None
+    V: np.ndarray | None = None
+    Xt: np.ndarray | None = None
+    K: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.U.shape[0]
+        return self.U.shape[0] if self.U is not None else self.K.shape[0]
 
     @property
     def p1(self) -> int:
-        return self.V.shape[0]
+        return self.V.shape[0] if self.V is not None else self.Xt.shape[0]
 
     @property
     def rank(self) -> int:
@@ -64,38 +78,43 @@ class TruncatedDesign:
         (3 l >= 2 n) instead of the l x l rank-space one."""
         return 3 * self.rank >= 2 * self.n
 
-    @cached_property
-    def Xt(self) -> np.ndarray:
-        """X_l' as a C-contiguous (p+1) x n array, computed once."""
-        return (self.V * self.d) @ self.U.T
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        """K = X_l X_l' = U diag(d^2) U' (n x n), computed once."""
-        Ud = self.U * self.d
-        return Ud @ Ud.T
-
     def matvec(self, beta: np.ndarray) -> np.ndarray:
-        """X beta through the factors."""
+        """X_l beta through the stored factors."""
+        if self.sample_space:
+            return self.Xt.T @ beta
         return self.U @ (self.d * (self.V.T @ beta))
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X' r through the factors."""
+        """X_l' r through the stored factors."""
+        if self.sample_space:
+            return self.Xt @ r
         return self.V @ (self.d * (self.U.T @ r))
 
 
-def _signed_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD with a deterministic sign convention: the first entry of each
-    right singular vector with magnitude above 1e-12 is made positive."""
-    U, s, Vt = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
-    V = Vt.T
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
-            U[:, k] = -U[:, k]
-    return U, s, V
+def _checked_design(X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.size == 0:
+        raise ConfigurationError("empty design matrix")
+    return X
+
+
+def _short_side_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram matrix G of X's short side (X X' when n <= p+1, else X'X),
+    its eigenvalues in descending order and their eigenvectors, the left
+    (wide X) or right (tall X) singular vectors."""
+    n, p1 = X.shape
+    G = X @ X.T if n <= p1 else X.T @ X
+    lam, Q = np.linalg.eigh(G)
+    return G, lam[::-1], Q[:, ::-1]
+
+
+def _numerical_rank(lam: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of eigenvalues above max(n, p+1) eps lambda_1, the rounding
+    level of a Gram matrix's eigenvalues."""
+    k = int(np.count_nonzero(lam > max(shape) * np.finfo(float).eps * lam[0]))
+    if k == 0:
+        raise ConfigurationError("design matrix has no non-zero singular value")
+    return k
 
 
 def _residuals(s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -113,40 +132,81 @@ def _rank_for(s: np.ndarray, tol: float) -> int:
     return int(np.argmax(resid <= tol * total)) + 1
 
 
-def _checked_design(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        raise ConfigurationError("empty design matrix")
-    return X
-
-
 def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
-    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1)."""
-    return _rank_for(np.linalg.svd(_checked_design(X), compute_uv=False), tol)
+    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1),
+    capped at the numerical rank; ``truncate_design``'s rank for ``tol``."""
+    X = _checked_design(X)
+    _, lam, _ = _short_side_eigh(X)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    return min(_rank_for(s, tol), _numerical_rank(lam, X.shape))
+
+
+def _signs(V: np.ndarray) -> np.ndarray:
+    """+-1 per column of V, making its first entry with magnitude above
+    1e-12 positive."""
+    first = np.argmax(np.abs(V) > 1e-12, axis=0)
+    return np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
 
 
 def truncate_design(
     X: np.ndarray, l: int | None = None, tol: float = 0.01
 ) -> TruncatedDesign:
-    """Optimal rank-l factorization of X with deterministic signs.
+    """Optimal rank-l factors of X from the short-side Gram's
+    eigendecomposition, stored in the form the design's Woodbury space
+    reads.
 
     With ``l`` None the rank is the smallest whose relative residual energy
-    is at most ``tol`` (the ``select_rank`` rule), read off the singular
-    values of the one SVD that also gives the factors.
+    is at most ``tol`` (the ``select_rank`` rule). Either way it is capped
+    at the numerical rank (see the module docstring), so an explicit ``l``
+    may come back lower. Rank-space factors carry deterministic signs: the
+    first entry of each column of V with magnitude above 1e-12 is positive.
+    Pass X as the transpose of a C-contiguous (p+1) x n array, as
+    ``FilterConfig.factor`` does, and a full-rank sample-space design keeps
+    that array as its X_l' without a copy.
     """
     X = _checked_design(X)
-    U, s, V = _signed_svd(X)
+    n, p1 = X.shape
+    G, lam, Q = _short_side_eigh(X)
+    s = np.sqrt(np.maximum(lam, 0.0))
     if l is None:
         l = _rank_for(s, tol)
-    if not 1 <= l <= s.size:
+    elif not 1 <= l <= s.size:
         raise ConfigurationError(f"rank l={l} outside [1, {s.size}]")
+    l = min(l, _numerical_rank(lam, X.shape))
     resid, total = _residuals(s)
-    return TruncatedDesign(
-        U=np.ascontiguousarray(U[:, :l]),
-        d=s[:l].copy(),
-        V=np.ascontiguousarray(V[:, :l]),
-        relative_residual_energy=float(resid[l - 1] / total) if total > 0 else 0.0,
-    )
+    d = s[:l].copy()
+    rre = float(resid[l - 1] / total) if total > 0 else 0.0
+    if 3 * l < 2 * n:  # rank space
+        Q = Q[:, :l]
+        if n <= p1:
+            V = X.T @ Q
+            V /= d
+            sign = _signs(V)
+            V *= sign
+            U = Q * sign
+        else:
+            U = X @ Q
+            U /= d
+            sign = _signs(Q)
+            U *= sign
+            V = Q * sign
+        return TruncatedDesign(d=d, relative_residual_energy=rre, U=U, V=V)
+    if l == s.size:  # X_l = X
+        Xt = np.ascontiguousarray(X.T)
+    else:
+        # X_l' is X' less its part on the dropped singular vectors Q_r, at
+        # most a third of the short side here, so the one transient is narrow
+        Qr = Q[:, l:]
+        Xt = (X.T @ Qr) @ Qr.T if n <= p1 else Qr @ (Qr.T @ X.T)
+        np.subtract(X.T, Xt, out=Xt)
+    if n > p1:
+        K = Xt.T @ Xt
+    elif l == s.size:
+        K = G
+    else:
+        Qd = Q[:, :l] * d
+        K = Qd @ Qd.T
+    return TruncatedDesign(d=d, relative_residual_energy=rre, Xt=Xt, K=K)
 
 
 def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
@@ -220,8 +280,13 @@ class WoodburySolver:
         c = sigma.min()
         B = np.flatnonzero(sigma > c)
         if self._diag:
-            Tt = V[B] * np.sqrt(sigma[B] - c)[:, None] * C
+            # one |B| x n buffer, scaled in place: the same products, in the
+            # same order, as V[B] * sqrt(sigma_B - c)[:, None] * C
+            Tt = V[B]
+            Tt *= np.sqrt(sigma[B] - c)[:, None]
+            Tt *= C
             core = Tt.T @ Tt
+            del Tt
             cCC = np.outer(c * C, C)
             cCC *= gram
             core += cCC
@@ -281,6 +346,8 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if np.any(W < 0):
         raise ConfigurationError("weights must be non-negative")
+    if design.sample_space:
+        raise ConfigurationError("weighted_cholesky needs a rank-space design")
     B = design.U * np.sqrt(W)[:, None]
     G = (B.T @ B) * np.outer(design.d, design.d)
     if not np.any(np.diag(G) > 0):

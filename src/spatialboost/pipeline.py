@@ -542,18 +542,19 @@ def _gibbs(run: PipelineResult) -> str:
 
 def _report(run: PipelineResult) -> str:
     ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.survivors
-    final_state = run.trace.rounds[-1].state if run.trace.rounds else None
     surv_set = {int(j): k for k, j in enumerate(survivors)}
+    etheta_em = None
+    if run.trace.rounds:
+        # the last round's <theta> is indexed by the columns it fitted, of
+        # which the survivors are a subset
+        last = run.trace.rounds[-1]
+        etheta_em = last.state.etheta[1 + np.searchsorted(last.retained, survivors)]
     lines = ["snp\tchrom\tpos\tboost\tetheta_em\tpi_hat\tselected_gamma1"]
     sel1 = centroid(pi_hat[1:], 1.0)
     for j, snp in enumerate(ds.snps):
         if j in surv_set:
             k = surv_set[j]
-            et = (
-                f"{final_state.etheta[1 + k]:.10g}"
-                if final_state is not None
-                else "NA"
-            )
+            et = "NA" if etheta_em is None else f"{etheta_em[k]:.10g}"
             ph = f"{pi_hat[1 + k]:.10g}"
             sel = int(sel1[k])
         else:

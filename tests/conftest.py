@@ -222,7 +222,10 @@ class _SFormWoodbury:
 
 
 def reconstruct(design) -> np.ndarray:
-    """X_l = U diag(d) V', the truncated design multiplied out."""
+    """X_l: the stored X_l' transposed on sample-space designs, U diag(d) V'
+    multiplied out on rank-space ones."""
+    if design.sample_space:
+        return design.Xt.T
     return (design.U * design.d) @ design.V.T
 
 

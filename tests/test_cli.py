@@ -322,3 +322,18 @@ def test_study_honours_its_config(tmp_path):
         seeds = [config.seed + k for k in range(flags["--datasets"])]
         result = study_harness(config, flags["--n"], flags["--p"], seeds, True)
         assert result.to_tsv() == table
+
+
+def test_genotype_rows_match_per_cell_formatter():
+    from spatialboost.cli import genotype_rows
+    from spatialboost.sim import synthetic_genotypes
+
+    rng = np.random.default_rng(11)
+    for n, p in ((1, 1), (3, 1), (1, 7), (40, 150)):
+        G = synthetic_genotypes(n, p, rng)
+        y = rng.integers(0, 2, n).astype(np.int8)
+        want = "".join(
+            str(int(y[i])) + "\t" + "\t".join(str(int(g)) for g in G[i]) + "\n"
+            for i in range(n)
+        )
+        assert genotype_rows(y, G) == want

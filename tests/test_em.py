@@ -364,7 +364,7 @@ def test_factor_int8_markers_match_float64():
         for cols in (columns, np.arange(100)):
             got = config.factor(G, cols)
             want = config.factor(G.astype(float), cols)
-            for name in ("U", "d", "V"):
+            for name in ("U", "d", "V", "Xt", "K"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.relative_residual_energy == want.relative_residual_energy
 
@@ -410,13 +410,19 @@ def test_em_filter_pipeline_stop_reason_and_trace_flags():
             ln.split("\t")
             for ln in trace.to_tsv([f"rs{j}" for j in range(100)]).splitlines()
         ]
-        assert rows[0][5:] == ["iterations", "converged", "diverged", "stop_reason"]
+        assert rows[0][5:] == ["iterations", "converged", "diverged", "stop_reason",
+                               "rank", "residual_energy"]
         for row, rec in zip(rows[1:], trace.rounds):
             assert row[5:8] == [
                 str(rec.state.iterations),
                 str(int(rec.state.converged)),
                 str(int(rec.state.diverged)),
             ]
+            # each round's design, refactored from its columns
+            design = config.factor(X, rec.retained)
+            assert row[9:] == [str(design.rank),
+                               f"{design.relative_residual_energy:.10g}"]
+            assert int(row[9]) == min(40, rec.retained.size + 1)
         assert [row[8] for row in rows[1:]] == ["NA"] * (len(trace.rounds) - 1) + [
             reason
         ]

@@ -244,9 +244,16 @@ def test_woodbury_non_finite_core_or_solution_raises(rng):
 
 
 def test_weighted_cholesky_non_finite_gram_raises(rng):
-    design = truncate_design(rng.standard_normal((4, 3)), 3)
+    design = truncate_design(rng.standard_normal((6, 3)), 3)
     with pytest.raises(NumericalError, match="weighted Gram"):
-        weighted_cholesky(design, np.array([1.0, np.inf, 1.0, 1.0]))
+        weighted_cholesky(design, np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_weighted_cholesky_rejects_sample_space_design(rng):
+    design = truncate_design(rng.standard_normal((4, 3)), 3)
+    assert design.sample_space and design.U is None
+    with pytest.raises(ConfigurationError, match="rank-space"):
+        weighted_cholesky(design, np.ones(4))
 
 
 def test_weighted_cholesky_identity_weights(rng):
@@ -259,9 +266,9 @@ def test_weighted_cholesky_identity_weights(rng):
 
 
 def test_weighted_cholesky_zero_weights(rng):
-    X = rng.standard_normal((5, 4))
+    X = rng.standard_normal((7, 4))
     design = truncate_design(X, 4)
-    Cw = weighted_cholesky(design, np.zeros(5))
+    Cw = weighted_cholesky(design, np.zeros(7))
     assert np.all(Cw == 0.0)
     assert Cw.shape == (4, 4)
 
@@ -285,3 +292,94 @@ def test_truncated_design_shape_properties(rng):
     design = truncate_design(rng.standard_normal((7, 4)), 2)
     assert isinstance(design, TruncatedDesign)
     assert design.n == 7 and design.p1 == 4 and design.rank == 2
+
+
+def _genotype_matrix(rng, n, p1):
+    return np.column_stack([np.ones(n), rng.integers(0, 3, (n, p1 - 1))]).astype(float)
+
+
+@pytest.mark.parametrize("shape", [(30, 51), (51, 30), (12, 12), None])
+def test_gram_factors_match_svd_oracle(rng, shape):
+    # None: the known singular values 4, 2, 1 of the select_rank tests
+    X = np.diag([4.0, 2.0, 1.0]) if shape is None else _genotype_matrix(rng, *shape)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    tols = (6.0 / 21.0, 3.0 / 21.0, 0.5 / 21.0, 0.5, 0.1, 0.01, 1e-6, 1e-9, 1e-12)
+    for tol in tols:
+        design = truncate_design(X, tol=tol)
+        l = design.rank
+        assert np.allclose(design.d, s[:l], rtol=1e-10, atol=0.0)
+        want = (U[:, :l] * s[:l]) @ Vt[:l]
+        assert np.allclose(reconstruct(design), want, rtol=0.0, atol=1e-10 * s[0])
+        if design.sample_space:
+            assert np.allclose(design.K, want @ want.T, rtol=0.0, atol=1e-10 * s[0] ** 2)
+        resid = np.sum(s[l:] ** 2) / np.sum(s**2)
+        assert design.relative_residual_energy == pytest.approx(resid, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape, l", [((40, 15), 10), ((15, 40), 8), ((60, 21), 21)])
+def test_gram_long_side_vectors_orthonormal(rng, shape, l):
+    design = truncate_design(_genotype_matrix(rng, *shape), l)
+    assert not design.sample_space
+    for M in (design.U, design.V):
+        assert np.abs(M.T @ M - np.eye(l)).max() < 1e-10
+
+
+def _duplicated(rng, n, p, dup_rows=(), dup_cols=()):
+    G = rng.integers(0, 3, (n, p)).astype(np.int8)
+    for a, b in dup_rows:
+        G[b] = G[a]
+    for a, b in dup_cols:
+        G[:, b] = G[:, a]
+    return G
+
+
+@pytest.mark.parametrize("G, rank, sample", [
+    # tall, one SNP column duplicated
+    (_duplicated(np.random.default_rng(1), 60, 20, dup_cols=[(3, 7)]), 20, False),
+    # wide, one individual duplicated
+    (_duplicated(np.random.default_rng(2), 20, 50, dup_rows=[(4, 11)]), 19, True),
+    # wide, half the individuals duplicated: rank space
+    (_duplicated(np.random.default_rng(3), 30, 50,
+                 dup_rows=[(i, i + 15) for i in range(15)]), 15, False),
+])
+def test_rank_cap_on_duplicated_markers_and_individuals(rng, G, rank, sample):
+    from spatialboost.em import FilterConfig
+
+    n, p = G.shape
+    X = np.column_stack([np.ones(n), G]).astype(float)
+    design = FilterConfig(rank=min(n, p + 1)).factor(G, np.arange(p))
+    assert design.rank == rank < min(n, p + 1)
+    assert design.sample_space is sample
+    assert select_rank(X, 1e-15) == truncate_design(X, tol=1e-15).rank == rank
+    for name in ("d", "U", "V", "Xt", "K"):
+        M = getattr(design, name)
+        assert M is None or np.all(np.isfinite(M)), name
+    assert np.allclose(reconstruct(design), X, atol=1e-9)
+    if not sample:
+        for M in (design.U, design.V):
+            assert np.abs(M.T @ M - np.eye(rank)).max() < 1e-10
+    W = rng.uniform(0.05, 0.25, n)
+    sigma = rng.uniform(0.1, 2.0, p + 1)
+    rhs = rng.standard_normal(p + 1)
+    want = dense_woodbury(np.sqrt(W)[:, None] * X, sigma, rhs)
+    got = weighted_woodbury(design, W, sigma).solve(rhs)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
+
+
+def test_full_rank_wide_design_keeps_the_design_as_its_xt(rng):
+    from spatialboost.em import FilterConfig
+
+    G = rng.integers(0, 3, (25, 60)).astype(np.int8)
+    X = np.column_stack([np.ones(25), G]).astype(float)
+    for design in (
+        FilterConfig(rank=25).factor(G, np.arange(60)),
+        FilterConfig(rank_tol=1e-12).factor(G, np.arange(60)),
+        truncate_design(X, 25),
+    ):
+        assert design.sample_space and design.rank == 25
+        assert design.U is None and design.V is None
+        assert design.Xt.flags.c_contiguous
+        assert np.array_equal(design.Xt, X.T)
+        assert np.array_equal(design.K, design.K.T)
+        assert np.allclose(design.K, X @ X.T, rtol=1e-14)
+        assert design.n == 25 and design.p1 == 61

@@ -525,3 +525,36 @@ def test_run_pipeline_failed_rerun_replaces_report(tmp_path):
     # the next run removes the failed run's files too
     run_pipeline(cfg, "filter")
     assert sorted(os.listdir(out)) == ["filters.tsv", "manifest.txt", "notes.txt"]
+
+
+def test_report_etheta_em_follows_the_last_rounds_columns(tmp_path):
+    # one round that removes markers: the survivors are a subset of the
+    # columns whose <theta> the last round's state holds
+    from types import SimpleNamespace
+
+    from spatialboost.em import em_filter_pipeline
+    from spatialboost.genome import BoostVector
+    from spatialboost.pipeline import PipelineResult, _report
+    from tests.test_em import _separable_instance
+
+    X, y, boosts, hyper = _separable_instance()
+    config = FilterConfig(max_rounds=1, rank=40)
+    trace = em_filter_pipeline(X, y, boosts, hyper, config)
+    last = trace.rounds[-1]
+    assert trace.stop_reason == "rounds"
+    assert trace.final_survivors.size < last.retained.size
+    run = PipelineResult(
+        config=RunConfig(out_dir=str(tmp_path), filtering=config),
+        dataset=Dataset(y=y, G=X, snps=[SnpLocus(f"rs{j}", 100 * j)
+                                        for j in range(X.shape[1])]),
+        boosts=BoostVector(values=boosts, phi=1.0),
+        trace=trace,
+        chain=SimpleNamespace(pi_hat=np.linspace(0.0, 1.0, trace.final_survivors.size + 1)),
+    )
+    _report(run)
+    rows = (tmp_path / "report.tsv").read_text().splitlines()[1:]
+    etheta = dict(zip(last.retained.tolist(), last.state.etheta[1:]))
+    survivors = set(trace.final_survivors.tolist())
+    for j, row in enumerate(rows):
+        cell = row.split("\t")[4]
+        assert cell == (f"{etheta[j]:.10g}" if j in survivors else "NA"), j
