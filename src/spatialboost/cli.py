@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -26,12 +27,11 @@ from spatialboost.pipeline import (
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's settings (defaults without one), with the --seed
+    and --out-dir overrides; ``replace`` validates the result."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    return cfg
+    overrides = {"seed": args.seed, "out_dir": args.out_dir}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _float_list(text: str) -> list[float]:

@@ -14,7 +14,12 @@ import numpy as np
 
 from spatialboost._special import expit
 from spatialboost.errors import ConfigurationError
-from spatialboost.linalg import TruncatedDesign, truncate_design, weighted_woodbury
+from spatialboost.linalg import (
+    TruncatedDesign,
+    check_rank_tol,
+    truncate_design,
+    weighted_woodbury,
+)
 
 EM_TOL = 1e-6  # convergence threshold on max|delta beta|
 EM_MAX_ITER = 200
@@ -61,15 +66,15 @@ class EmState:
     diverged: bool = False
 
 
-def _marker_boosts(boosts, p: int) -> np.ndarray:
-    values = np.asarray(getattr(boosts, "values", boosts), dtype=float)
+def _marker_boosts(boosts: np.ndarray, p: int) -> np.ndarray:
+    values = np.asarray(boosts, dtype=float)
     if values.shape != (p,):
         raise ConfigurationError(f"expected {p} marker boosts, got {values.shape}")
     return values
 
 
 def e_step(
-    beta: np.ndarray, sigma2: float, boosts, hyper: Hyperparameters
+    beta: np.ndarray, sigma2: float, boosts: np.ndarray, hyper: Hyperparameters
 ) -> np.ndarray:
     """Conditional inclusion probabilities <theta_j>; the intercept is pinned
     at 1. On the logit scale, for markers j >= 1:
@@ -97,12 +102,22 @@ def prior_scale(etheta: np.ndarray, kappa: float) -> np.ndarray:
     return etheta / kappa + 1.0 - etheta
 
 
-def cm_sigma(beta: np.ndarray, etheta: np.ndarray, hyper: Hyperparameters) -> float:
-    """Conditional mode of sigma^2 given beta and <theta>."""
+def sigma2_posterior_params(
+    theta: np.ndarray, beta: np.ndarray, hyper: Hyperparameters
+) -> tuple[float, float]:
+    """Shape and scale of the conjugate inverse-gamma conditional of sigma^2."""
     beta = np.asarray(beta, dtype=float)
-    p1 = beta.size
-    num = 0.5 * np.sum(beta**2 * prior_scale(etheta, hyper.kappa)) + hyper.lam
-    return float(num / (p1 / 2.0 + hyper.nu + 1.0))
+    shape = hyper.nu + beta.size / 2.0
+    scale = hyper.lam + 0.5 * float(
+        np.sum(beta**2 * prior_scale(np.asarray(theta, float), hyper.kappa))
+    )
+    return shape, scale
+
+
+def cm_sigma(beta: np.ndarray, etheta: np.ndarray, hyper: Hyperparameters) -> float:
+    """Conditional mode scale/(shape+1) of sigma^2 given beta and <theta>."""
+    shape, scale = sigma2_posterior_params(etheta, beta, hyper)
+    return scale / (shape + 1.0)
 
 
 def em_prior_covariance(
@@ -164,7 +179,7 @@ def marginal_log_posterior(
     y: np.ndarray,
     beta: np.ndarray,
     sigma2: float,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
 ) -> float:
     """Log posterior of (beta, sigma^2) with the inclusion indicators summed
@@ -195,7 +210,7 @@ def marginal_log_posterior(
 def em_fit(
     design: TruncatedDesign,
     y: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     max_iter: int = EM_MAX_ITER,
     tol: float = EM_TOL,
@@ -345,6 +360,7 @@ class FilterConfig:
             raise ConfigurationError(f"fraction must be in (0,1), got {self.fraction}")
         if self.rank is not None and self.rank < 1:
             raise ConfigurationError(f"rank must be >= 1, got {self.rank}")
+        check_rank_tol(self.rank_tol)
 
     def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
         """Truncated factors of the intercept plus the given marker columns,
@@ -363,7 +379,7 @@ class FilterConfig:
 def em_filter_pipeline(
     X_markers: np.ndarray,
     y: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     config: FilterConfig = FilterConfig(),
 ) -> FilterTrace:

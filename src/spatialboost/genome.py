@@ -60,23 +60,6 @@ class GenomicBlock:
 
 
 @dataclass
-class BoostVector:
-    """Per-SNP weighted relevance, rescaled to max 1 when any boost is positive.
-
-    ``normalized`` is False only in the degenerate all-zero case, where the
-    raw (zero) boosts are returned as-is and the inclusion prior falls back to
-    a uniform logit.
-    """
-
-    values: np.ndarray
-    phi: float
-    normalized: bool = True
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass
 class RegionPartition:
     """Contiguous, non-overlapping SNP index ranges covering all SNPs."""
 
@@ -150,8 +133,10 @@ _libm_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def compute_boosts(
     snps: list[SnpLocus], blocks: list[GenomicBlock], phi: float
-) -> BoostVector:
+) -> np.ndarray:
     """Sum block weight times block relevance per SNP, then rescale to max 1.
+    When every sum is zero (no gene near any SNP) the zeros are returned
+    with a warning, and the inclusion prior falls back to a uniform logit.
 
     Per chromosome, each block's weights for all its SNPs are evaluated at
     once with ``gene_weight``'s arithmetic and libm's erfc, and the weighted
@@ -190,8 +175,8 @@ def compute_boosts(
             "unnormalized boosts",
             stacklevel=2,
         )
-        return BoostVector(raw, phi, normalized=False)
-    return BoostVector(raw / top, phi, normalized=True)
+        return raw
+    return raw / top
 
 
 def partition_regions(

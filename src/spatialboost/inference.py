@@ -23,29 +23,22 @@ DEFAULT_GAMMA_GRID = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GainConfig:
-    """Sensitivity-specificity trade-off for the generalized Hamming gain."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
-
-    @property
-    def threshold(self) -> float:
-        return 1.0 / (1.0 + self.gamma)
+def threshold(gamma: float) -> float:
+    """Selection threshold 1/(1+gamma) of the sensitivity-specificity
+    trade-off gamma > 0 of the generalized Hamming gain."""
+    if not gamma > 0:
+        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+    return 1.0 / (1.0 + gamma)
 
 
 def centroid(pi: np.ndarray, gamma: float) -> np.ndarray:
     """Position-wise expected-gain maximizer: select j iff
     pi_j >= 1/(1+gamma) (boundary included)."""
-    threshold = GainConfig(gamma).threshold
+    cut = threshold(gamma)
     pi = np.asarray(pi, dtype=float)
     if np.any(pi < 0) or np.any(pi > 1):
         raise ConfigurationError("probabilities must lie in [0, 1]")
-    return (pi >= threshold).astype(np.int8)
+    return (pi >= cut).astype(np.int8)
 
 
 def bfdr(pi: np.ndarray, selection: np.ndarray) -> float | None:
@@ -66,17 +59,23 @@ class EmbfdrPoint:
     embfdr: float | None  # None marks an empty selection
     retained: int
 
+    def tsv(self) -> str:
+        """gamma, threshold, BFDR (NA when empty) and count, tab-separated."""
+        metric = "NA" if self.embfdr is None else f"{self.embfdr:.10g}"
+        return f"{self.gamma:.10g}\t{self.threshold:.10g}\t{metric}\t{self.retained}"
 
-def embfdr_curve(etheta: np.ndarray, gammas) -> list[EmbfdrPoint]:
-    """Centroid-then-BFDR on the EM conditional probabilities, per gamma."""
+
+def embfdr_curve(probabilities: np.ndarray, gammas) -> list[EmbfdrPoint]:
+    """Centroid-then-BFDR per gamma, on the EM conditional probabilities
+    (the EMBFDR) or on the Gibbs estimates pi_hat (the BFDR)."""
     points = []
     for g in gammas:
-        sel = centroid(etheta, g)
+        sel = centroid(probabilities, g)
         points.append(
             EmbfdrPoint(
                 gamma=float(g),
-                threshold=GainConfig(g).threshold,
-                embfdr=bfdr(etheta, sel),
+                threshold=threshold(g),
+                embfdr=bfdr(probabilities, sel),
                 retained=int(sel.sum()),
             )
         )
@@ -126,25 +125,18 @@ def xi0_constraint_satisfied(
     return xi1_bound(kappa, gamma, s, xi0, check=False) >= 0
 
 
-@dataclass
-class BetaThreshold:
-    index: int
-    lower: float
-    upper: float
-    always_selected: bool  # s_j^2 < 0: the threshold collapses
-
-
 def beta_thresholds(
-    sigma2: float, hyper: Hyperparameters, boosts, gamma: float
-) -> list[BetaThreshold]:
-    """Per-marker selection bands +/- sigma s_j on beta_j, with
+    sigma2: float, hyper: Hyperparameters, boosts: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Per-marker half-widths sigma s_j of the selection bands +/- sigma s_j
+    on beta_j, with
 
         s_j^2 = 2 kappa/(kappa-1) (log(kappa)/2 - xi0 - xi1 b_j - log(gamma)).
 
-    Markers where the square root argument turns negative are flagged as
-    always selected."""
-    GainConfig(gamma)
-    b = np.asarray(getattr(boosts, "values", boosts), dtype=float)
+    NaN where s_j^2 < 0: the band collapses and the marker is always
+    selected."""
+    threshold(gamma)
+    b = np.asarray(boosts, dtype=float)
     s2 = (
         2.0
         * hyper.kappa
@@ -156,54 +148,33 @@ def beta_thresholds(
             - math.log(gamma)
         )
     )
-    sigma = math.sqrt(sigma2)
-    out = []
-    for j, v in enumerate(s2):
-        if v < 0:
-            out.append(BetaThreshold(j, 0.0, 0.0, True))
-        else:
-            half = sigma * math.sqrt(v)
-            out.append(BetaThreshold(j, -half, half, False))
-    return out
-
-
-@dataclass
-class KappaScanRow:
-    kappa: float
-    point: EmbfdrPoint
+    with np.errstate(invalid="ignore"):
+        return math.sqrt(sigma2) * np.sqrt(s2)
 
 
 def kappa_scan(
     design: TruncatedDesign,
     y: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper_base: Hyperparameters,
     kappas,
     gammas=DEFAULT_GAMMA_GRID,
-) -> list[KappaScanRow]:
+) -> list[tuple[float, EmbfdrPoint]]:
     """EMBFDR curves across a kappa grid, one em_fit per kappa on the same
-    design."""
+    design, as (kappa, point) pairs."""
     kappas = list(kappas)
     if not kappas:
         raise ConfigurationError("kappa grid must be non-empty")
-    rows: list[KappaScanRow] = []
-    for kappa in kappas:
-        hyper = replace(hyper_base, kappa=float(kappa))
-        state = em_fit(design, y, boosts, hyper)
-        for point in embfdr_curve(state.etheta[1:], gammas):
-            rows.append(KappaScanRow(kappa=float(kappa), point=point))
+    rows = []
+    for kappa in map(float, kappas):
+        state = em_fit(design, y, boosts, replace(hyper_base, kappa=kappa))
+        rows += [(kappa, pt) for pt in embfdr_curve(state.etheta[1:], gammas)]
     return rows
 
 
-def kappa_scan_tsv(rows: list[KappaScanRow]) -> str:
+def kappa_scan_tsv(rows: list[tuple[float, EmbfdrPoint]]) -> str:
     lines = ["kappa\tgamma\tthreshold\tembfdr\tretained"]
-    for row in rows:
-        pt = row.point
-        metric = "NA" if pt.embfdr is None else f"{pt.embfdr:.10g}"
-        lines.append(
-            f"{row.kappa:.10g}\t{pt.gamma:.10g}\t{pt.threshold:.10g}"
-            f"\t{metric}\t{pt.retained}"
-        )
+    lines += [f"{kappa:.10g}\t{pt.tsv()}" for kappa, pt in rows]
     return "\n".join(lines) + "\n"
 
 

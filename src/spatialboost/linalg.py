@@ -91,32 +91,6 @@ class TruncatedDesign:
         return self.V @ (self.d * (self.U.T @ r))
 
 
-def _checked_design(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        raise ConfigurationError("empty design matrix")
-    return X
-
-
-def _short_side_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gram matrix G of X's short side (X X' when n <= p+1, else X'X),
-    its eigenvalues in descending order and their eigenvectors, the left
-    (wide X) or right (tall X) singular vectors."""
-    n, p1 = X.shape
-    G = X @ X.T if n <= p1 else X.T @ X
-    lam, Q = np.linalg.eigh(G)
-    return G, lam[::-1], Q[:, ::-1]
-
-
-def _numerical_rank(lam: np.ndarray, shape: tuple[int, int]) -> int:
-    """Count of eigenvalues above max(n, p+1) eps lambda_1, the rounding
-    level of a Gram matrix's eigenvalues."""
-    k = int(np.count_nonzero(lam > max(shape) * np.finfo(float).eps * lam[0]))
-    if k == 0:
-        raise ConfigurationError("design matrix has no non-zero singular value")
-    return k
-
-
 def _residuals(s: np.ndarray) -> tuple[np.ndarray, float]:
     """From the singular values ``s`` of X: resid[l - 1] = ||X - X_l||_F^2
     for l = 1 .. s.size, and ||X||_F^2."""
@@ -124,21 +98,16 @@ def _residuals(s: np.ndarray) -> tuple[np.ndarray, float]:
     return np.append(tail[1:], 0.0), float(tail[0])
 
 
-def _rank_for(s: np.ndarray, tol: float) -> int:
-    """Smallest l with ||X - X_l||_F^2 <= tol ||X||_F^2."""
+def check_rank_tol(tol: float) -> None:
+    """Reject a ``rank_tol`` that is not positive and finite."""
     if tol <= 0 or not np.isfinite(tol):
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    resid, total = _residuals(s)
-    return int(np.argmax(resid <= tol * total)) + 1
+        raise ConfigurationError(f"rank_tol must be positive and finite, got {tol}")
 
 
 def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
     """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1),
-    capped at the numerical rank; ``truncate_design``'s rank for ``tol``."""
-    X = _checked_design(X)
-    _, lam, _ = _short_side_eigh(X)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    return min(_rank_for(s, tol), _numerical_rank(lam, X.shape))
+    capped at the numerical rank: ``truncate_design``'s rank for ``tol``."""
+    return truncate_design(X, tol=tol).rank
 
 
 def _signs(V: np.ndarray) -> np.ndarray:
@@ -164,16 +133,28 @@ def truncate_design(
     ``FilterConfig.factor`` does, and a full-rank sample-space design keeps
     that array as its X_l' without a copy.
     """
-    X = _checked_design(X)
+    X = np.asarray(X, dtype=float)
+    if X.size == 0:
+        raise ConfigurationError("empty design matrix")
     n, p1 = X.shape
-    G, lam, Q = _short_side_eigh(X)
+    # the Gram G of X's short side (X X' when n <= p+1, else X'X): its
+    # eigenvectors, in descending order of the eigenvalues, are the left
+    # (wide X) or right (tall X) singular vectors
+    G = X @ X.T if n <= p1 else X.T @ X
+    lam, Q = np.linalg.eigh(G)
+    lam, Q = lam[::-1], Q[:, ::-1]
     s = np.sqrt(np.maximum(lam, 0.0))
-    if l is None:
-        l = _rank_for(s, tol)
+    resid, total = _residuals(s)
+    if l is None:  # the smallest l with ||X - X_l||_F^2 <= tol ||X||_F^2
+        check_rank_tol(tol)
+        l = int(np.argmax(resid <= tol * total)) + 1
     elif not 1 <= l <= s.size:
         raise ConfigurationError(f"rank l={l} outside [1, {s.size}]")
-    l = min(l, _numerical_rank(lam, X.shape))
-    resid, total = _residuals(s)
+    # the numerical rank: the eigenvalues above max(n, p+1) eps lambda_1
+    k = int(np.count_nonzero(lam > max(n, p1) * np.finfo(float).eps * lam[0]))
+    if k == 0:
+        raise ConfigurationError("design matrix has no non-zero singular value")
+    l = min(l, k)
     d = s[:l].copy()
     rre = float(resid[l - 1] / total) if total > 0 else 0.0
     if 3 * l < 2 * n:  # rank space

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spatialboost._special import erfcx
-from spatialboost.em import Hyperparameters, e_step, prior_scale
+from spatialboost.em import Hyperparameters, e_step, sigma2_posterior_params
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import TruncatedDesign, weighted_woodbury
 
@@ -156,18 +156,6 @@ def sample_pg_vector(zs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sigma2_posterior_params(
-    theta: np.ndarray, beta: np.ndarray, hyper: Hyperparameters
-) -> tuple[float, float]:
-    """Shape and scale of the conjugate inverse-gamma conditional."""
-    beta = np.asarray(beta, dtype=float)
-    shape = hyper.nu + beta.size / 2.0
-    scale = hyper.lam + 0.5 * float(
-        np.sum(beta**2 * prior_scale(np.asarray(theta, float), hyper.kappa))
-    )
-    return shape, scale
-
-
 def sample_sigma2(
     theta: np.ndarray,
     beta: np.ndarray,
@@ -181,7 +169,7 @@ def sample_sigma2(
 def sample_theta(
     beta: np.ndarray,
     sigma2: float,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -267,7 +255,7 @@ def gibbs_cycle(
     state: GibbsState,
     design: TruncatedDesign,
     xty: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     rng: np.random.Generator,
 ) -> GibbsState:
@@ -280,10 +268,18 @@ def gibbs_cycle(
     return GibbsState(beta=beta, theta=theta, sigma2=sigma2, omega=omega)
 
 
+def resolve_burnin(iters: int, burnin: int | None) -> int:
+    """``burnin``, or 20% of ``iters`` when None; iters > burnin >= 0."""
+    burnin = iters // 5 if burnin is None else burnin
+    if not iters > burnin >= 0:
+        raise ConfigurationError(f"need iters > burnin >= 0, got {iters}, {burnin}")
+    return burnin
+
+
 def gibbs_run(
     design: TruncatedDesign,
     y: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     iters: int,
     burnin: int | None = None,
@@ -295,10 +291,7 @@ def gibbs_run(
     bit-identical across runs. The draws after burn-in are kept in the
     summary's theta, beta and sigma^2 arrays; burn-in draws are not kept.
     """
-    if burnin is None:
-        burnin = iters // 5
-    if not iters > burnin >= 0:
-        raise ConfigurationError(f"need iters > burnin >= 0, got {iters}, {burnin}")
+    burnin = resolve_burnin(iters, burnin)
     rng = np.random.default_rng(seed)
     xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5)
 

@@ -38,7 +38,6 @@ from spatialboost.errors import (
     PipelineError,
 )
 from spatialboost.genome import (
-    BoostVector,
     Gene,
     RegionPartition,
     SnpLocus,
@@ -51,10 +50,12 @@ from spatialboost.inference import (
     DEFAULT_GAMMA_GRID,
     SelectionReport,
     centroid,
+    embfdr_curve,
     kappa_scan,
     kappa_scan_tsv,
+    threshold,
 )
-from spatialboost.mcmc import ChainSummary, gibbs_run
+from spatialboost.mcmc import ChainSummary, gibbs_run, resolve_burnin
 
 MISSING_CODE = "."
 
@@ -316,6 +317,17 @@ class RunConfig:
     def __post_init__(self):
         if self.phi is not None and not self.phi > 0:
             raise ConfigurationError(f"phi must be positive, got {self.phi}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.min_maf < 0.5:
+            raise ConfigurationError(f"min_maf must be in [0, 0.5), got {self.min_maf}")
+        if not 0 <= self.hwe_alpha < 1:
+            raise ConfigurationError(
+                f"hwe_alpha must be in [0, 1), got {self.hwe_alpha}"
+            )
+        for gamma in self.gammas:
+            threshold(gamma)
+        resolve_burnin(self.gibbs_iters, self.gibbs_burnin)
 
     def resolved_text(self) -> str:
         """Every config key with its resolved value, in config-file
@@ -370,9 +382,11 @@ def parse_config(path: str) -> RunConfig:
     """Flat ``key = value`` config with stage prefixes em./gibbs./filter.
 
     An unknown key, a value that does not convert, or a value its dataclass
-    rejects raises ConfigurationError naming ``path:line``.
+    rejects raises ConfigurationError naming ``path:line``. Values are set
+    in ``_KEYS`` order, so gibbs.burnin is checked against the file's
+    gibbs.iters wherever either line is.
     """
-    cfg = RunConfig()
+    settings = []  # (key order, file:line, field path, value)
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.split("#", 1)[0].strip()
@@ -386,13 +400,18 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigurationError(f"{where}: unknown config key '{key}'")
             field_path, convert = _KEYS[key]
             try:
-                cfg = _replaced(cfg, field_path, convert(val))
-            except ConfigurationError as exc:  # out of range for its dataclass
-                raise ConfigurationError(f"{where}: {exc}") from exc
-            except ValueError as exc:  # does not convert
+                value = convert(val)
+            except ValueError as exc:
                 raise ConfigurationError(
                     f"{where}: bad value '{val}' for '{key}'"
                 ) from exc
+            settings.append((list(_KEYS).index(key), where, field_path, value))
+    cfg = RunConfig()
+    for _, where, field_path, value in sorted(settings, key=lambda s: s[0]):
+        try:
+            cfg = _replaced(cfg, field_path, value)
+        except ConfigurationError as exc:  # out of range for its dataclass
+            raise ConfigurationError(f"{where}: {exc}") from exc
     return cfg
 
 
@@ -448,7 +467,7 @@ class PipelineResult:
     genes: list[Gene] = field(default_factory=list)
     relevances: np.ndarray | None = None
     qc_counts: tuple[int, int, int] = (0, 0, 0)  # read, after MAF, after HWE
-    boosts: BoostVector | None = None
+    boosts: np.ndarray | None = None
     trace: FilterTrace | None = None
     chain: ChainSummary | None = None
 
@@ -506,7 +525,7 @@ def _boosts(run: PipelineResult) -> str:
         phi, source = fit_region_phis(run).global_phi(), "fit (mean of region fits)"
     run.boosts = compute_boosts(snps, build_blocks(run.genes, run.relevances), phi)
     lines = [f"# phi={phi:.10g}\tsource={source}", "snp\tboost"]
-    for snp, b in zip(snps, run.boosts.values):
+    for snp, b in zip(snps, run.boosts):
         lines.append(f"{snp.id}\t{b:.10g}")
     return run.emit("boosts.tsv", "\n".join(lines) + "\n")
 
@@ -526,7 +545,7 @@ def _gibbs(run: PipelineResult) -> str:
     run.chain = chain = gibbs_run(
         run.trace.survivor_design(ds.G, cfg.filtering),
         ds.y,
-        run.boosts.values[run.survivors],
+        run.boosts[run.survivors],
         cfg.gibbs,
         iters=cfg.gibbs_iters,
         burnin=cfg.gibbs_burnin,
@@ -561,19 +580,16 @@ def _report(run: PipelineResult) -> str:
             et, ph, sel = "NA", "NA", 0
         lines.append(
             f"{snp.id}\t{snp.chromosome}\t{snp.position}"
-            f"\t{run.boosts.values[j]:.10g}\t{et}\t{ph}\t{sel}"
+            f"\t{run.boosts[j]:.10g}\t{et}\t{ph}\t{sel}"
         )
     path = run.emit("report.tsv", "\n".join(lines) + "\n")
 
-    bf_lines = ["gamma\tthreshold\tbfdr\tselected"]
     ids = [ds.snps[int(j)].id for j in survivors]
     for g in run.config.gammas:
         rep = SelectionReport.build(ids, pi_hat[1:], g)
-        metric = "NA" if rep.metric is None else f"{rep.metric:.10g}"
-        bf_lines.append(
-            f"{g:.10g}\t{1 / (1 + g):.10g}\t{metric}\t{int(rep.selected.sum())}"
-        )
         run.emit(f"selection_gamma{g:g}.tsv", rep.to_tsv())
+    curve = embfdr_curve(pi_hat[1:], run.config.gammas)
+    bf_lines = ["gamma\tthreshold\tbfdr\tselected", *(pt.tsv() for pt in curve)]
     run.emit("bfdr.tsv", "\n".join(bf_lines) + "\n")
     return path
 

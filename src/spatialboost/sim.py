@@ -17,7 +17,6 @@ from spatialboost.em import Hyperparameters, em_filter_pipeline, em_ranking_scor
 from spatialboost.errors import ConfigurationError
 from spatialboost.genome import (
     DEFAULT_PHI,
-    BoostVector,
     Gene,
     SnpLocus,
     build_blocks,
@@ -40,7 +39,7 @@ class SimulatedDataset:
 
 def simulate(
     genotypes: np.ndarray,
-    boosts,
+    boosts: np.ndarray,
     hyper: Hyperparameters,
     sigma2_true: float,
     rng: np.random.Generator,
@@ -48,7 +47,7 @@ def simulate(
     """Draw (theta, beta, y) from the model hierarchy over fixed genotypes."""
     G = np.asarray(genotypes)
     n, p = G.shape
-    b = np.asarray(getattr(boosts, "values", boosts), dtype=float)
+    b = np.asarray(boosts, dtype=float)
     if b.shape != (p,):
         raise ConfigurationError(f"boosts ({b.shape}) misaligned with p={p}")
     if not sigma2_true > 0:
@@ -120,19 +119,20 @@ def single_snp_tests(
     b = np.zeros(p)
     converged = np.zeros(p, dtype=bool)
     active = usable.copy()
-    for _ in range(max_iter):
-        if not active.any():
-            break
+    # each pass takes the Fisher information; the last keeps it for the SEs
+    for it in range(max_iter + 1):
         eta = a[None, :] + X * b[None, :]
         mu = expit(eta)
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
-        r = y[:, None] - mu
-        ga = r.sum(axis=0)
-        gb = (X * r).sum(axis=0)
         faa = w.sum(axis=0)
         fab = (w * X).sum(axis=0)
         fbb = (w * X * X).sum(axis=0)
         det = np.clip(faa * fbb - fab * fab, 1e-30, None)
+        if it == max_iter or not active.any():
+            break
+        r = y[:, None] - mu
+        ga = r.sum(axis=0)
+        gb = (X * r).sum(axis=0)
         da = (fbb * ga - fab * gb) / det
         db = (faa * gb - fab * ga) / det
         a = np.where(active, a + np.clip(da, -5, 5), a)
@@ -141,13 +141,6 @@ def single_snp_tests(
         converged |= done
         active &= ~done
 
-    eta = a[None, :] + X * b[None, :]
-    mu = expit(eta)
-    w = np.clip(mu * (1.0 - mu), 1e-12, None)
-    faa = w.sum(axis=0)
-    fab = (w * X).sum(axis=0)
-    fbb = (w * X * X).sum(axis=0)
-    det = np.clip(faa * fbb - fab * fab, 1e-30, None)
     se = np.sqrt(faa / det)
     pvalues = 2.0 * ndtr(-np.abs(b) / se)
     pvalues[~usable] = np.nan
@@ -166,22 +159,12 @@ class RocCurve:
         return float(self.points[ok, 1].max()) if ok.any() else 0.0
 
 
-def average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``scores``, each tie group given its mean rank."""
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # group starts
-    last = np.r_[first[1:], s.size]  # one past each group's end
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat((first + last + 1) / 2.0, last - first)
-    return ranks
-
-
 def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     """ROC via threshold sweep; AUC via pairwise concordance with ties 1/2.
 
     Grouping tied scores makes the trapezoidal integral equal the
-    Mann-Whitney statistic exactly.
+    Mann-Whitney statistic U / (n1 n0), summed in the curve's integer counts
+    as 2U, so the AUC is one division 2U / (2 n1 n0).
     """
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(bool)
@@ -190,24 +173,21 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     if n1 == 0 or n0 == 0:
         raise ConfigurationError("truth must contain both classes")
 
-    ranks = average_ranks(scores)
-    auc = (ranks[truth].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0)
-
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
     t_sorted = truth[order]
-    boundaries = np.flatnonzero(np.diff(s_sorted) != 0)
-    cut = np.concatenate([boundaries, [truth.size - 1]])
-    tp = np.cumsum(t_sorted)[cut]
-    fp = np.cumsum(~t_sorted)[cut]
+    # the last index of each tie group; != also ties equal infinite scores
+    cut = np.r_[np.flatnonzero(s_sorted[1:] != s_sorted[:-1]), truth.size - 1]
+    tp = np.r_[0, np.cumsum(t_sorted)[cut]]
+    fp = np.r_[0, np.cumsum(~t_sorted)[cut]]
+    two_u = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))
     points = np.column_stack([fp / n0, tp / n1])
-    points = np.vstack([[0.0, 0.0], points])
-    return RocCurve(points=points, auc=float(auc))
+    return RocCurve(points=points, auc=two_u / (2 * n1 * n0))
 
 
 def synthetic_genome(
     p: int, rng: np.random.Generator, phi: float, spacing: float = 1500.0
-) -> tuple[list[SnpLocus], list[Gene], BoostVector]:
+) -> tuple[list[SnpLocus], list[Gene], np.ndarray]:
     """Random marker positions plus genes covering part of the span, with
     non-informative relevances; boosts computed at the given phi."""
     gaps = rng.uniform(0.5 * spacing, 1.5 * spacing, size=p)
@@ -232,7 +212,7 @@ def draw_dataset(
     rng: np.random.Generator,
     sigma2: float = SIGMA2,
     ld_rho: float = LD_RHO,
-) -> tuple[list[SnpLocus], list[Gene], BoostVector, SimulatedDataset]:
+) -> tuple[list[SnpLocus], list[Gene], np.ndarray, SimulatedDataset]:
     """One synthetic dataset: a genome with boosts at ``config.phi``
     (DEFAULT_PHI when unset), genotypes with LD, and (theta, beta, y) drawn
     from the ``config.em`` prior at the given true sigma^2."""
@@ -311,7 +291,7 @@ def study_harness(
             chain = gibbs_run(
                 trace.survivor_design(X, config.filtering),
                 data.y,
-                boosts.values[survivors],
+                boosts[survivors],
                 config.gibbs,
                 iters=config.gibbs_iters,
                 burnin=config.gibbs_burnin,

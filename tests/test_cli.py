@@ -212,6 +212,19 @@ CLI_ERRORS = [  # (config line, command, message)
     ("", "study --datasets 1 --p 0", "p must be >= 1, got 0"),
     ("genotypes = header_only.tsv", "report",
      "header_only.tsv: no genotype rows below the header"),
+    ("gammas = 0", "report", "run.cfg:8: gamma must be positive, got 0.0"),
+    ("gibbs.iters = 0", "report",
+     "run.cfg:8: need iters > burnin >= 0, got 0, 0"),
+    ("gibbs.burnin = 120", "report",
+     "run.cfg:8: need iters > burnin >= 0, got 120, 120"),
+    ("rank_tol = 0", "report",
+     "run.cfg:8: rank_tol must be positive and finite, got 0.0"),
+    ("rank_tol = nan", "report",
+     "run.cfg:8: rank_tol must be positive and finite, got nan"),
+    ("min_maf = 0.5", "report", "run.cfg:8: min_maf must be in [0, 0.5), got 0.5"),
+    ("hwe_alpha = -1", "report",
+     "run.cfg:8: hwe_alpha must be in [0, 1), got -1.0"),
+    ("", "--seed -1 report", "seed must be >= 0, got -1"),
 ]
 
 
@@ -236,6 +249,10 @@ def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message)
     assert len(lines) == 1, lines
     assert message in lines[0]
     assert "Traceback" not in out.stderr
+    # a bad setting or flag is rejected before the run makes its output
+    # directory (the default out/ under the working directory)
+    if message.startswith("run.cfg:") or command.startswith("--"):
+        assert not (tmp_path / "out").exists()
 
 
 def test_manifest_config_reads_back(tmp_path, monkeypatch):

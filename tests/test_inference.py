@@ -7,7 +7,6 @@ from spatialboost.em import Hyperparameters
 from spatialboost.errors import ConfigurationError
 from spatialboost.inference import (
     DEFAULT_GAMMA_GRID,
-    GainConfig,
     SelectionReport,
     beta_thresholds,
     bfdr,
@@ -16,6 +15,7 @@ from spatialboost.inference import (
     kappa_scan,
     kappa_scan_tsv,
     stringent_xi1_bound,
+    threshold,
     xi0_constraint_satisfied,
     xi1_bound,
 )
@@ -23,10 +23,10 @@ from spatialboost.linalg import truncate_design
 
 
 def test_gain_config_threshold():
-    assert GainConfig(1.0).threshold == 0.5
-    assert GainConfig(3.0).threshold == pytest.approx(0.25)
+    assert threshold(1.0) == 0.5
+    assert threshold(3.0) == pytest.approx(0.25)
     with pytest.raises(ConfigurationError):
-        GainConfig(0.0)
+        threshold(0.0)
 
 
 def test_centroid_median_rule():
@@ -105,27 +105,26 @@ def test_stringent_variant_uses_kappa_s_squared():
 
 def test_beta_thresholds_reference_value():
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=0.0)
-    rows = beta_thresholds(0.01, hyper, np.array([0.0]), 1.0)
+    half = beta_thresholds(0.01, hyper, np.array([0.0]), 1.0)
     # s_j^2 = (2k/(k-1)) (log(k)/2 - xi0 - log(gamma))
     s2 = (200.0 / 99.0) * (math.log(100.0) / 2.0 + 4.0)
     assert s2 == pytest.approx(12.73, abs=0.01)
-    assert rows[0].upper == pytest.approx(0.1 * math.sqrt(s2), abs=1e-9)
-    assert rows[0].lower == pytest.approx(-rows[0].upper)
-    assert not rows[0].always_selected
+    assert half[0] == pytest.approx(0.1 * math.sqrt(s2), abs=1e-9)
+    assert not np.isnan(half[0])
 
 
 def test_beta_thresholds_monotone_in_boost():
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0)
-    rows = beta_thresholds(0.01, hyper, np.array([0.0, 1.0]), 1.0)
-    assert rows[1].upper < rows[0].upper
+    half = beta_thresholds(0.01, hyper, np.array([0.0, 1.0]), 1.0)
+    assert half[1] < half[0]
 
 
 def test_beta_thresholds_collapse_flag():
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=0.0)
     # gamma = exp(log(kappa)/2 - xi0) makes the bracket hit zero; go beyond it
     gamma = math.exp(0.5 * math.log(100.0) + 4.0) * 2.0
-    rows = beta_thresholds(0.01, hyper, np.array([0.0]), gamma)
-    assert rows[0].always_selected
+    half = beta_thresholds(0.01, hyper, np.array([0.0]), gamma)
+    assert np.isnan(half[0])
 
 
 def _scan_fixture(seed=13):
@@ -142,7 +141,8 @@ def test_kappa_scan_single_point_composes():
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
     rows = kappa_scan(design, y, boosts, hyper, [50.0], [1.0])
     assert len(rows) == 1
-    assert rows[0].kappa == 50.0
+    kappa, point = rows[0]
+    assert kappa == 50.0
 
     from dataclasses import replace
 
@@ -150,8 +150,8 @@ def test_kappa_scan_single_point_composes():
 
     state = em_fit(design, y, boosts, replace(hyper, kappa=50.0))
     direct = embfdr_curve(state.etheta[1:], [1.0])[0]
-    assert rows[0].point.retained == direct.retained
-    assert rows[0].point.embfdr == direct.embfdr
+    assert point.retained == direct.retained
+    assert point.embfdr == direct.embfdr
 
 
 def test_kappa_scan_curves_finite_and_monotone():
@@ -159,7 +159,7 @@ def test_kappa_scan_curves_finite_and_monotone():
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
     rows = kappa_scan(design, y, boosts, hyper, [10.0, 100.0, 1000.0])
     for kappa in (10.0, 100.0, 1000.0):
-        pts = [r.point for r in rows if r.kappa == kappa]
+        pts = [pt for k, pt in rows if k == kappa]
         retained = [p.retained for p in pts]
         assert np.all(np.diff(retained) >= 0)
         for p in pts:

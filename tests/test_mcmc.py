@@ -6,7 +6,12 @@ import pytest
 from scipy.special import expit
 from scipy.stats import ks_2samp
 
-from spatialboost.em import Hyperparameters, cm_beta, e_step
+from spatialboost.em import (
+    Hyperparameters,
+    cm_beta,
+    e_step,
+    sigma2_posterior_params,
+)
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import truncate_design
 from spatialboost.mcmc import (
@@ -20,7 +25,6 @@ from spatialboost.mcmc import (
     sample_pg_vector,
     sample_sigma2,
     sample_theta,
-    sigma2_posterior_params,
 )
 from tests.conftest import (
     _mass_texpon,

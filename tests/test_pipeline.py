@@ -1,5 +1,4 @@
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ from spatialboost._special import chi2_sf_1df
 from spatialboost.em import FilterConfig
 from spatialboost.errors import (
     ConfigurationError,
+    NumericalError,
     ParseError,
     PipelineError,
 )
@@ -334,6 +334,17 @@ gammas = 0.5,1,2
     assert cfg.gammas == (0.5, 1.0, 2.0)
 
 
+def test_parse_config_checks_burnin_against_the_files_iters(tmp_path):
+    # gibbs.burnin is checked against the file's gibbs.iters, whichever
+    # line comes first, and a bad pair names the burn-in's line
+    text = "gibbs.burnin = 1500\ngibbs.iters = 2000\n"
+    cfg = parse_config(_write(tmp_path, "a.cfg", text))
+    assert (cfg.gibbs_iters, cfg.gibbs_burnin) == (2000, 1500)
+    path = _write(tmp_path, "b.cfg", "gibbs.burnin = 500\ngibbs.iters = 500\n")
+    with pytest.raises(ConfigurationError, match=r"b\.cfg:1: need iters > burnin"):
+        parse_config(path)
+
+
 def test_readme_config_block_parses(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.partition("```ini\n")[2].partition("```")[0]
@@ -407,6 +418,7 @@ def test_run_pipeline_artifacts(tmp_path):
         filtering=FilterConfig(max_rounds=2),
         gibbs_iters=120,
         gibbs_burnin=30,
+        gammas=(0.5, 1.0, 4.0),
     )
     result = run_pipeline(cfg)
     for name in (
@@ -428,6 +440,15 @@ def test_run_pipeline_artifacts(tmp_path):
     assert "\ngibbs_draws.npz = " in man
     assert "gibbs_draws.tsv" not in man
     assert not os.path.exists(os.path.join(out, "gibbs_draws.tsv"))
+    # bfdr.tsv's curve and the per-gamma selection files agree
+    with open(os.path.join(out, "bfdr.tsv")) as fh:
+        curve = [ln.split("\t") for ln in fh.read().splitlines()[1:]]
+    assert [row[0] for row in curve] == ["0.5", "1", "4"]
+    for gamma, _, metric, count in curve:
+        with open(os.path.join(out, f"selection_gamma{gamma}.tsv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == f"# gamma={gamma}\tbfdr={metric}"
+        assert sum(ln.endswith("\t1") for ln in lines[2:]) == int(count)
 
 
 def test_gibbs_draws_npz_holds_the_chain(tmp_path):
@@ -509,13 +530,20 @@ def test_run_pipeline_prefix_rerun_replaces_report(tmp_path):
     ]
 
 
-def test_run_pipeline_failed_rerun_replaces_report(tmp_path):
+def test_run_pipeline_failed_rerun_replaces_report(tmp_path, monkeypatch):
     cfg = _rerun_config(tmp_path)
     run_pipeline(cfg)
     out = tmp_path / "out"
     (out / "notes.txt").write_text("not written by a run\n")
-    with pytest.raises(PipelineError) as exc:  # burnin >= iters
-        run_pipeline(replace(cfg, gibbs_burnin=60))
+
+    def failing_chain(*args, **kwargs):
+        raise NumericalError("woodbury core: non-finite solution")
+
+    # RunConfig rejects a bad burn-in itself, so the chain fails instead
+    monkeypatch.setattr("spatialboost.pipeline.gibbs_run", failing_chain)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg)
+    monkeypatch.undo()
     assert exc.value.stage == "gibbs"
     written = ["filters.tsv", "boosts.tsv", "em_trace.tsv"]
     assert sorted(os.listdir(out)) == sorted(written + ["FAILED", "notes.txt"])
@@ -533,7 +561,6 @@ def test_report_etheta_em_follows_the_last_rounds_columns(tmp_path):
     from types import SimpleNamespace
 
     from spatialboost.em import em_filter_pipeline
-    from spatialboost.genome import BoostVector
     from spatialboost.pipeline import PipelineResult, _report
     from tests.test_em import _separable_instance
 
@@ -547,7 +574,7 @@ def test_report_etheta_em_follows_the_last_rounds_columns(tmp_path):
         config=RunConfig(out_dir=str(tmp_path), filtering=config),
         dataset=Dataset(y=y, G=X, snps=[SnpLocus(f"rs{j}", 100 * j)
                                         for j in range(X.shape[1])]),
-        boosts=BoostVector(values=boosts, phi=1.0),
+        boosts=boosts,
         trace=trace,
         chain=SimpleNamespace(pi_hat=np.linspace(0.0, 1.0, trace.final_survivors.size + 1)),
     )
