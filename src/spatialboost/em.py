@@ -2,8 +2,10 @@
 
 The E-step computes conditional inclusion probabilities <theta_j>, the
 CM-steps update sigma^2 (inverse-gamma mode) and beta (one ridge IRLS step
-through the truncated design). The filter loop repeatedly removes the
-markers with the lowest <theta_j> and refits until predictions degrade.
+through the truncated design). Each iteration is traced on the marginal log
+posterior of (beta, sigma^2), the objective the ECM ascends. The filter loop
+repeatedly removes the markers with the lowest <theta_j> and refits until
+predictions degrade.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from spatialboost.linalg import (
 
 EM_TOL = 1e-6  # convergence threshold on max|delta beta|
 EM_MAX_ITER = 200
-ASCENT_SLACK = 1e-6  # log-joint drop beyond this flags divergence
+ASCENT_SLACK = 1e-6  # marginal log posterior drop beyond this flags divergence
 STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
 
 
@@ -55,13 +57,14 @@ class Hyperparameters:
 @dataclass
 class EmState:
     """ECM iterate: beta (index 0 = intercept), sigma^2, <theta> (with
-    <theta_0> = 1), iteration count, log-joint trace and status flags."""
+    <theta_0> = 1), iteration count, the marginal log posterior after each
+    iteration and status flags."""
 
     beta: np.ndarray
     sigma2: float
     etheta: np.ndarray
     iterations: int = 0
-    log_joint_trace: list[float] = field(default_factory=list)
+    objective_trace: list[float] = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
 
@@ -151,29 +154,6 @@ def cm_beta(
     return solver.solve(rhs)
 
 
-def log_joint(
-    design: TruncatedDesign,
-    y: np.ndarray,
-    beta: np.ndarray,
-    theta: np.ndarray,
-    sigma2: float,
-    hyper: Hyperparameters,
-) -> float:
-    """Log joint density of (y, theta, beta, sigma^2) up to a constant; theta
-    may be binary (Gibbs) or the conditional expectation (ECM trace)."""
-    eta = design.matvec(beta)
-    p1 = beta.size
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    pen = float(np.sum(beta**2 * prior_scale(theta, hyper.kappa))) / (2.0 * sigma2)
-    return (
-        ll
-        - p1 / 2.0 * np.log(sigma2)
-        - pen
-        - (hyper.nu + 1.0) * np.log(sigma2)
-        - hyper.lam / sigma2
-    )
-
-
 def marginal_log_posterior(
     design: TruncatedDesign,
     y: np.ndarray,
@@ -183,8 +163,8 @@ def marginal_log_posterior(
     hyper: Hyperparameters,
 ) -> float:
     """Log posterior of (beta, sigma^2) with the inclusion indicators summed
-    out, up to a constant. This is the objective the ECM iteration ascends
-    (the plug-in log joint can dip slightly across E-steps)."""
+    out, up to a constant: the objective the ECM iteration ascends, which
+    em_fit traces."""
     y = np.asarray(y, dtype=float)
     beta = np.asarray(beta, dtype=float)
     b = _marker_boosts(boosts, beta.size - 1)
@@ -218,56 +198,39 @@ def em_fit(
 ) -> EmState:
     """Alternate E-step / CM-sigma / CM-beta until max|delta beta| < tol.
 
-    A log-joint decrease beyond the ascent slack once the iteration has
-    stabilized (max|delta beta| < 1e-3) flags the state as diverged; the
-    state is still returned.
+    Each iteration evaluates the marginal log posterior at the new
+    (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
+    iteration's value flags the state as diverged. The state is still
+    returned.
     """
     if max_iter < 1:
         raise ConfigurationError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float)
-    p1 = design.p1
-    beta = np.zeros(p1) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
     sigma2 = hyper.lam / (hyper.nu + 1.0)  # prior mode
-    etheta = e_step(beta, sigma2, boosts, hyper)
-
-    state = EmState(beta=beta, sigma2=sigma2, etheta=etheta)
-    stabilized = False
+    trace: list[float] = []
+    converged = diverged = False
     for it in range(1, max_iter + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
         beta_new = cm_beta(design, y, beta, etheta, sigma2, hyper)
-        lj = log_joint(design, y, beta_new, etheta, sigma2, hyper)
-        if (
-            stabilized
-            and state.log_joint_trace
-            and lj < state.log_joint_trace[-1] - ASCENT_SLACK
-        ):
-            state.diverged = True
-        state.log_joint_trace.append(lj)
-        delta = float(np.max(np.abs(beta_new - beta)))
-        stabilized = stabilized or delta < 1e-3
+        trace.append(marginal_log_posterior(design, y, beta_new, sigma2, boosts, hyper))
+        diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)
+        converged = float(np.max(np.abs(beta_new - beta))) < tol
         beta = beta_new
-        state.beta, state.sigma2, state.etheta = beta, sigma2, etheta
-        state.iterations = it
-        if delta < tol:
-            state.converged = True
+        if converged:
             break
-    return state
+    return EmState(beta, sigma2, etheta, it, trace, converged, diverged)
 
 
-def fitted_probabilities(design: TruncatedDesign, beta: np.ndarray) -> np.ndarray:
-    return expit(design.matvec(beta))
+def max_residual(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Largest |y_i - yhat_i| over the fitted probabilities yhat."""
+    return float(np.max(np.abs(y - yhat)))
 
 
-def max_residual(state: EmState, design: TruncatedDesign, y: np.ndarray) -> float:
-    resid = np.abs(np.asarray(y, float) - fitted_probabilities(design, state.beta))
-    return float(np.max(resid))
-
-
-def ppl(state: EmState, design: TruncatedDesign, y: np.ndarray) -> float:
-    """Posterior predictive loss: squared error plus predictive variance."""
-    yhat = fitted_probabilities(design, state.beta)
-    y = np.asarray(y, dtype=float)
+def ppl(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Posterior predictive loss of the fitted probabilities yhat: squared
+    error plus predictive variance."""
     return float(np.sum((y - yhat) ** 2 + yhat * (1.0 - yhat)))
 
 
@@ -404,11 +367,12 @@ def em_filter_pipeline(
     for _ in range(config.max_rounds):
         design = trace.design = config.factor(X_markers, current)
         state = em_fit(design, y, b_all[current], hyper, beta0=beta_warm)
+        yhat = expit(design.matvec(state.beta))
         record = FilterRound(
             retained=current.copy(),
             state=state,
-            ppl=ppl(state, design, y),
-            max_residual=max_residual(state, design, y),
+            ppl=ppl(y, yhat),
+            max_residual=max_residual(y, yhat),
             survivors=current.copy(),
             rank=design.rank,
             residual_energy=design.relative_residual_energy,
@@ -440,8 +404,6 @@ def em_ranking_scores(trace: FilterTrace, p: int) -> np.ndarray:
     """
     scores = np.full(p, -1.0)
     for r, rec in enumerate(trace.rounds):
-        et = rec.state.etheta[1:]
-        for loc, orig in enumerate(rec.retained):
-            scores[orig] = r + float(et[loc])
+        scores[rec.retained] = r + rec.state.etheta[1:]
     return scores
 

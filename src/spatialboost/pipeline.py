@@ -293,6 +293,11 @@ def hwe_filter(dataset: Dataset, alpha: float = 1e-6) -> tuple[Dataset, np.ndarr
     return dataset.subset_markers(keep), keep
 
 
+def selection_file(gamma: float) -> str:
+    """The report's selection artifact for one gamma."""
+    return f"selection_gamma{gamma:g}.tsv"
+
+
 @dataclass
 class RunConfig:
     genotypes: str = ""
@@ -325,8 +330,15 @@ class RunConfig:
             raise ConfigurationError(
                 f"hwe_alpha must be in [0, 1), got {self.hwe_alpha}"
             )
+        written = {}  # selection file -> the gamma that writes it
         for gamma in self.gammas:
             threshold(gamma)
+            name = selection_file(gamma)
+            if name in written:
+                raise ConfigurationError(
+                    f"gammas {written[name]} and {gamma} both write {name}"
+                )
+            written[name] = gamma
         resolve_burnin(self.gibbs_iters, self.gibbs_burnin)
 
     def resolved_text(self) -> str:
@@ -587,7 +599,7 @@ def _report(run: PipelineResult) -> str:
     ids = [ds.snps[int(j)].id for j in survivors]
     for g in run.config.gammas:
         rep = SelectionReport.build(ids, pi_hat[1:], g)
-        run.emit(f"selection_gamma{g:g}.tsv", rep.to_tsv())
+        run.emit(selection_file(g), rep.to_tsv())
     curve = embfdr_curve(pi_hat[1:], run.config.gammas)
     bf_lines = ["gamma\tthreshold\tbfdr\tselected", *(pt.tsv() for pt in curve)]
     run.emit("bfdr.tsv", "\n".join(bf_lines) + "\n")

@@ -11,15 +11,14 @@ import pytest
 from scipy.special import expit
 
 from spatialboost.em import (
-    EmState,
     FilterConfig,
     Hyperparameters,
     cm_beta,
     cm_sigma,
     e_step,
-    log_joint,
     marginal_log_posterior,
     ppl,
+    prior_scale,
 )
 from spatialboost.genome import GenomicBlock, correlation_model, fit_phi, gene_weight
 from spatialboost.inference import centroid, xi0_constraint_satisfied, xi1_bound
@@ -178,6 +177,32 @@ def test_criterion_6_centroid_brute_force():
         assert elapsed < 10.0, f"suite took {elapsed:.1f} s"
 
 
+def log_joint(design, y, beta, theta, sigma2, hyper):
+    """Log joint density of (y, theta, beta, sigma^2) up to a constant, with
+    theta plugged in (binary or the E-step's <theta>): the quantity each
+    CM-step maximizes at fixed <theta>."""
+    eta = design.matvec(beta)
+    p1 = beta.size
+    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    pen = float(np.sum(beta**2 * prior_scale(theta, hyper.kappa))) / (2.0 * sigma2)
+    return (
+        ll
+        - p1 / 2.0 * np.log(sigma2)
+        - pen
+        - (hyper.nu + 1.0) * np.log(sigma2)
+        - hyper.lam / sigma2
+    )
+
+
+def test_log_joint_finite(rng):
+    X = np.column_stack([np.ones(6), rng.integers(0, 3, (6, 2)).astype(float)])
+    design = truncate_design(X, min(X.shape))
+    y = rng.integers(0, 2, 6).astype(float)
+    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0)
+    val = log_joint(design, y, np.zeros(3), np.array([1.0, 0.5, 0.5]), 0.01, hyper)
+    assert np.isfinite(val)
+
+
 def test_criterion_7_ecm_ascent():
     with criterion(7, "ECM log-joint ascent"):
         # The conditional-maximization steps may never decrease the log joint
@@ -319,13 +344,8 @@ def test_criterion_11_ppl_arithmetic():
         n = 12
         design = truncate_design(np.ones((n, 1)), 1)
         y = np.array([1.0] * 6 + [0.0] * 6)
-        flat = EmState(beta=np.zeros(1), sigma2=0.01, etheta=np.ones(1))
-        assert ppl(flat, design, y) == n / 2.0
+        assert ppl(y, expit(design.matvec(np.zeros(1)))) == n / 2.0
         Xs = np.diag([1.0] * 4)
         ys = np.array([1.0, 0.0, 1.0, 0.0])
-        exact = EmState(
-            beta=np.array([800.0, -800.0, 800.0, -800.0]),
-            sigma2=0.01,
-            etheta=np.ones(4),
-        )
-        assert ppl(exact, truncate_design(Xs, 4), ys) == 0.0
+        exact = np.array([800.0, -800.0, 800.0, -800.0])
+        assert ppl(ys, expit(truncate_design(Xs, 4).matvec(exact))) == 0.0

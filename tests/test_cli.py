@@ -213,6 +213,8 @@ CLI_ERRORS = [  # (config line, command, message)
     ("genotypes = header_only.tsv", "report",
      "header_only.tsv: no genotype rows below the header"),
     ("gammas = 0", "report", "run.cfg:8: gamma must be positive, got 0.0"),
+    ("gammas = 0.5,0.5000001", "report",
+     "run.cfg:8: gammas 0.5 and 0.5000001 both write selection_gamma0.5.tsv"),
     ("gibbs.iters = 0", "report",
      "run.cfg:8: need iters > burnin >= 0, got 0, 0"),
     ("gibbs.burnin = 120", "report",
