@@ -133,20 +133,21 @@ def em_prior_covariance(
 def cm_beta(
     design: TruncatedDesign,
     y: np.ndarray,
+    eta: np.ndarray,
     beta: np.ndarray,
     etheta: np.ndarray,
     sigma2: float,
     hyper: Hyperparameters,
 ) -> np.ndarray:
-    """One ridge IRLS step:
+    """One ridge IRLS step from beta, with eta = X beta its linear predictor:
 
         beta+ = (X'WX + Sigma^-1)^-1 (X'WX beta + X'(y - mu))
 
-    with mu_i = logit^-1(x_i' beta), W = diag(mu (1 - mu)), everything
-    routed through the truncated factors and the design's Woodbury solver:
-    X'WX beta is taken as S'(S beta), so S is never formed.
+    with mu = logit^-1(eta), W = diag(mu (1 - mu)), everything routed through
+    the truncated factors and the design's Woodbury solver: X'WX beta is
+    taken as S'(S beta), so S is never formed.
     """
-    mu = expit(design.matvec(beta))
+    mu = expit(eta)
     W = mu * (1.0 - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
     solver = weighted_woodbury(design, W, sigma)
@@ -155,20 +156,19 @@ def cm_beta(
 
 
 def marginal_log_posterior(
-    design: TruncatedDesign,
     y: np.ndarray,
+    eta: np.ndarray,
     beta: np.ndarray,
     sigma2: float,
     boosts: np.ndarray,
     hyper: Hyperparameters,
 ) -> float:
     """Log posterior of (beta, sigma^2) with the inclusion indicators summed
-    out, up to a constant: the objective the ECM iteration ascends, which
-    em_fit traces."""
+    out, up to a constant, given eta = X beta: the objective the ECM
+    iteration ascends, which em_fit traces."""
     y = np.asarray(y, dtype=float)
     beta = np.asarray(beta, dtype=float)
     b = _marker_boosts(boosts, beta.size - 1)
-    eta = design.matvec(beta)
     ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     # intercept is slab-only
     out = ll - 0.5 * np.log(sigma2 * hyper.kappa) - beta[0] ** 2 / (
@@ -208,13 +208,15 @@ def em_fit(
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
     sigma2 = hyper.lam / (hyper.nu + 1.0)  # prior mode
+    eta = design.matvec(beta)
     trace: list[float] = []
     converged = diverged = False
     for it in range(1, max_iter + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
-        beta_new = cm_beta(design, y, beta, etheta, sigma2, hyper)
-        trace.append(marginal_log_posterior(design, y, beta_new, sigma2, boosts, hyper))
+        beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper)
+        eta = design.matvec(beta_new)
+        trace.append(marginal_log_posterior(y, eta, beta_new, sigma2, boosts, hyper))
         diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)
         converged = float(np.max(np.abs(beta_new - beta))) < tol
         beta = beta_new

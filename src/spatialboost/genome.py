@@ -64,17 +64,12 @@ class RegionPartition:
     """Contiguous, non-overlapping SNP index ranges covering all SNPs."""
 
     ranges: list[tuple[int, int]]  # half-open [lo, hi) into the SNP list
-    phis: list[float | None] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.phis:
-            self.phis = [None] * len(self.ranges)
+    phis: list[float] = field(default_factory=list)  # one per range, once fitted
 
     def global_phi(self) -> float:
-        fitted = [p for p in self.phis if p is not None]
-        if not fitted:
+        if not self.phis:
             raise ConfigurationError("no fitted phi values in partition")
-        return float(np.mean(fitted))
+        return float(np.mean(self.phis))
 
 
 def build_blocks(genes: list[Gene], relevances: np.ndarray) -> list[GenomicBlock]:
@@ -179,12 +174,10 @@ def compute_boosts(
     return raw / top
 
 
-def partition_regions(
-    snps: list[SnpLocus], genes: list[Gene], gap: int = DEFAULT_REGION_GAP
-) -> RegionPartition:
-    """Split SNPs at positional gaps >= ``gap``, then merge adjacent regions
-    whose spans intersect a common gene. Chromosome boundaries always split.
-    """
+def partition_regions(snps: list[SnpLocus], genes: list[Gene]) -> RegionPartition:
+    """Split SNPs at positional gaps >= DEFAULT_REGION_GAP, then merge
+    adjacent regions whose spans intersect a common gene. Chromosome
+    boundaries always split."""
     if not snps:
         return RegionPartition([])
 
@@ -192,7 +185,7 @@ def partition_regions(
     lo = 0
     for k in range(1, len(snps)):
         new_chrom = snps[k].chromosome != snps[k - 1].chromosome
-        if new_chrom or snps[k].position - snps[k - 1].position >= gap:
+        if new_chrom or snps[k].position - snps[k - 1].position >= DEFAULT_REGION_GAP:
             ranges.append((lo, k))
             lo = k
     ranges.append((lo, len(snps)))
@@ -392,13 +385,10 @@ def fit_phi_by_region(
     genotype_columns: np.ndarray,
     snps: list[SnpLocus],
     partition: RegionPartition,
-    default_phi: float = DEFAULT_PHI,
 ) -> RegionPartition:
     """Fit phi independently for every region of the partition."""
     positions = np.array([s.position for s in snps], dtype=float)
     phis = []
     for lo, hi in partition.ranges:
-        phis.append(
-            fit_phi(genotype_columns[:, lo:hi], positions[lo:hi], default_phi)
-        )
+        phis.append(fit_phi(genotype_columns[:, lo:hi], positions[lo:hi]))
     return RegionPartition(list(partition.ranges), phis)

@@ -1,14 +1,16 @@
 """Polya-Gamma augmented Gibbs sampler for the spike-and-slab logistic model.
 
-Cycle order is sigma^2 -> theta -> omega -> beta. The omega block is one
-exact PG(1, z_i) draw per individual by Devroye's alternating-series
-rejection sampler (Polson, Scott & Windle 2013), vectorised over the sweep:
-every pending entry is proposed at once (exponential tail or truncated
-inverse Gaussian), the series decides each entry on its own term count, and
-only the rejected entries are proposed again. The beta draw is the
-Woodbury-form draw of Bhattacharya, Chakraborty & Mallick (2016) on the
-truncated design X_l = U diag(d) V', run in the design's space (see
-``spatialboost.linalg``), with A the markers with theta = 1:
+Cycle order is sigma^2 -> theta -> omega -> beta. Omega is drawn from beta
+in each sweep and read only by that sweep's beta draw, so the chain's state
+is (beta, theta, sigma^2). The omega block is one exact PG(1, z_i) draw per
+individual by Devroye's alternating-series rejection sampler (Polson, Scott
+& Windle 2013), vectorised over the sweep: every pending entry is proposed
+at once (exponential tail or truncated inverse Gaussian), the series decides
+each entry on its own term count, and only the rejected entries are proposed
+again. The beta draw is the Woodbury-form draw of Bhattacharya, Chakraborty
+& Mallick (2016) on the truncated design X_l = U diag(d) V', run in the
+design's space (see ``spatialboost.linalg``), with A the markers with
+theta = 1:
 
 - rank space (3 l < 2 n): it factors the l x l weighted Gram and the l x l
   core and touches the p + 1 coefficients only through matvecs with V, for
@@ -219,21 +221,21 @@ def sample_beta(
 
 @dataclass
 class GibbsState:
+    """What one sweep reads of the last: beta, theta (intercept pinned at 1)
+    and sigma^2."""
+
     beta: np.ndarray
     theta: np.ndarray
     sigma2: float
-    omega: np.ndarray
 
 
 @dataclass
 class ChainSummary:
-    """Retained-draw summary: pi_hat_j = mean of theta_j over retained draws."""
+    """Retained-draw summary: pi_hat_j = mean of theta_j over retained draws,
+    and the retained draws themselves."""
 
     pi_hat: np.ndarray
     draws_retained: int
-    burnin: int
-    seed: int | None
-    relative_residual_energy: float  # of the design's truncation
     theta_draws: np.ndarray  # retained x (p+1), int8
     beta_draws: np.ndarray  # retained x (p+1)
     sigma2_draws: np.ndarray
@@ -247,7 +249,6 @@ def initial_state(design: TruncatedDesign, hyper: Hyperparameters) -> GibbsState
         beta=np.zeros(p1),
         theta=theta,
         sigma2=hyper.lam / (hyper.nu + 1.0),
-        omega=np.full(design.n, 0.25),
     )
 
 
@@ -265,7 +266,7 @@ def gibbs_cycle(
     theta = sample_theta(state.beta, sigma2, boosts, hyper, rng)
     omega = sample_pg_vector(design.matvec(state.beta), rng)
     beta = sample_beta(omega, theta, sigma2, design, xty, hyper, rng)
-    return GibbsState(beta=beta, theta=theta, sigma2=sigma2, omega=omega)
+    return GibbsState(beta=beta, theta=theta, sigma2=sigma2)
 
 
 def resolve_burnin(iters: int, burnin: int | None) -> int:
@@ -313,9 +314,6 @@ def gibbs_run(
     return ChainSummary(
         pi_hat=pi_hat,
         draws_retained=retained,
-        burnin=burnin,
-        seed=seed,
-        relative_residual_energy=design.relative_residual_energy,
         theta_draws=theta_draws,
         beta_draws=beta_draws,
         sigma2_draws=sigma2_draws,

@@ -18,7 +18,7 @@ import hashlib
 import io
 import os
 import zipfile
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
@@ -80,7 +80,7 @@ class Dataset:
             raise ConfigurationError(
                 f"{len(self.y)} phenotypes for {self.n} genotype rows"
             )
-        if not np.isin(self.G, (0, 1, 2)).all():
+        if not (self.G.view(np.uint8) <= 2).all():  # an int8 -1 reads as 255
             raise ConfigurationError("marker entries must be in {0,1,2}")
         if not np.isin(self.y, (0, 1)).all():
             raise ConfigurationError("phenotypes must be in {0,1}")
@@ -209,29 +209,35 @@ def _raise_first_bad_row(path: str, rows: list[tuple[int, str]], p: int) -> None
                 )
 
 
-def load_genes(path: str) -> list[Gene]:
-    genes = []
-    seen = set()
+def _records(path: str, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each line of ``path`` that is neither blank
+    nor a ``#`` comment; a line without ``width`` fields raises ParseError."""
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             if not ln.strip() or ln.startswith("#"):
                 continue
             cells = ln.split()
-            if len(cells) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields")
-            chrom, start, end, gid = cells
-            try:
-                start_i, end_i = int(start), int(end)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad coordinate") from exc
-            if start_i >= end_i:
-                raise ParseError(
-                    f"{path}:{lineno}: gene {gid} start {start_i} >= end {end_i}"
-                )
-            if gid in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate gene id {gid}")
-            seen.add(gid)
-            genes.append(Gene(gid, start_i, end_i, chrom))
+            if len(cells) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} fields")
+            yield lineno, cells
+
+
+def load_genes(path: str) -> list[Gene]:
+    genes = []
+    seen = set()
+    for lineno, (chrom, start, end, gid) in _records(path, 4):
+        try:
+            start_i, end_i = int(start), int(end)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad coordinate") from exc
+        if start_i >= end_i:
+            raise ParseError(
+                f"{path}:{lineno}: gene {gid} start {start_i} >= end {end_i}"
+            )
+        if gid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate gene id {gid}")
+        seen.add(gid)
+        genes.append(Gene(gid, start_i, end_i, chrom))
     return genes
 
 
@@ -239,24 +245,16 @@ def load_relevances(path: str | None, genes: list[Gene]) -> np.ndarray:
     """Relevance vector aligned to ``genes``; missing file or missing genes
     default to the non-informative value 1."""
     scores: dict[str, float] = {}
-    if path is not None:
-        with open(path) as fh:
-            for lineno, ln in enumerate(fh, start=1):
-                if not ln.strip() or ln.startswith("#"):
-                    continue
-                cells = ln.split()
-                if len(cells) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 2 fields")
-                gid, raw = cells
-                try:
-                    val = float(raw)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad score '{raw}'") from exc
-                if val < 0:
-                    raise ParseError(f"{path}:{lineno}: negative score for {gid}")
-                if gid in scores:
-                    raise ParseError(f"{path}:{lineno}: duplicate gene id {gid}")
-                scores[gid] = val
+    for lineno, (gid, raw) in (_records(path, 2) if path is not None else ()):
+        try:
+            val = float(raw)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad score '{raw}'") from exc
+        if val < 0:
+            raise ParseError(f"{path}:{lineno}: negative score for {gid}")
+        if gid in scores:
+            raise ParseError(f"{path}:{lineno}: duplicate gene id {gid}")
+        scores[gid] = val
     return np.array([scores.get(g.id, 1.0) for g in genes])
 
 
@@ -487,10 +485,6 @@ class PipelineResult:
     def out_dir(self) -> str:
         return self.config.out_dir
 
-    @property
-    def survivors(self) -> np.ndarray:
-        return self.trace.final_survivors
-
     def emit(self, name: str, data: str | bytes) -> str:
         path = os.path.join(self.out_dir, name)
         if isinstance(data, bytes):
@@ -552,17 +546,32 @@ def _em_filter(run: PipelineResult) -> str | None:
     return run.emit("em_trace.tsv", run.trace.to_tsv([s.id for s in ds.snps]))
 
 
+def sample_survivors(
+    config: RunConfig,
+    G: np.ndarray,
+    y: np.ndarray,
+    boosts: np.ndarray,
+    trace: FilterTrace,
+    seed: int,
+) -> ChainSummary:
+    """The chain of ``config.gibbs`` from ``seed`` on the EM filter's
+    survivors: their design (``trace.survivor_design``) and boosts. The gibbs
+    stage and the simulation study both sample through it."""
+    return gibbs_run(
+        trace.survivor_design(G, config.filtering),
+        y,
+        boosts[trace.final_survivors],
+        config.gibbs,
+        iters=config.gibbs_iters,
+        burnin=config.gibbs_burnin,
+        seed=seed,
+    )
+
+
 def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
-    run.chain = chain = gibbs_run(
-        run.trace.survivor_design(ds.G, cfg.filtering),
-        ds.y,
-        run.boosts[run.survivors],
-        cfg.gibbs,
-        iters=cfg.gibbs_iters,
-        burnin=cfg.gibbs_burnin,
-        seed=int(substream(cfg.seed, "gibbs.chain0").integers(2**31)),
-    )
+    seed = int(substream(cfg.seed, "gibbs.chain0").integers(2**31))
+    run.chain = chain = sample_survivors(cfg, ds.G, ds.y, run.boosts, run.trace, seed)
     draws = _npz_bytes({
         "theta": chain.theta_draws,
         "beta": chain.beta_draws,
@@ -572,7 +581,7 @@ def _gibbs(run: PipelineResult) -> str:
 
 
 def _report(run: PipelineResult) -> str:
-    ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.survivors
+    ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.trace.final_survivors
     surv_set = {int(j): k for k, j in enumerate(survivors)}
     etheta_em = None
     if run.trace.rounds:

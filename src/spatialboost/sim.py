@@ -22,11 +22,11 @@ from spatialboost.genome import (
     build_blocks,
     compute_boosts,
 )
-from spatialboost.mcmc import gibbs_run
-from spatialboost.pipeline import RunConfig
+from spatialboost.pipeline import RunConfig, sample_survivors
 
 SIGMA2 = 0.01  # true sigma^2 of simulated effects
 LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
+NEWTON_STEPS = 60  # most Newton steps a single-SNP fit takes
 
 
 @dataclass
@@ -67,17 +67,16 @@ def synthetic_genotypes(
     n: int,
     p: int,
     rng: np.random.Generator,
-    maf_range: tuple[float, float] = (0.05, 0.5),
     ld_rho: float = 0.0,
 ) -> np.ndarray:
-    """int8 Binomial(2, maf) genotypes with maf ~ Uniform(maf_range).
+    """int8 Binomial(2, maf) genotypes with maf ~ Uniform(0.05, 0.5).
 
     ``ld_rho`` > 0 correlates adjacent markers through a latent AR(1)
     Gaussian copula per allele, mimicking linkage disequilibrium.
     """
     if not 0 <= ld_rho < 1:
         raise ConfigurationError(f"ld_rho must be in [0, 1), got {ld_rho}")
-    mafs = rng.uniform(*maf_range, size=p)
+    mafs = rng.uniform(0.05, 0.5, size=p)
     alleles = np.zeros((n, p), dtype=np.int8)
     for _ in range(2):
         z = rng.standard_normal((n, p))
@@ -103,9 +102,7 @@ class SingleSnpResult:
         return s
 
 
-def single_snp_tests(
-    genotypes: np.ndarray, y: np.ndarray, max_iter: int = 60
-) -> SingleSnpResult:
+def single_snp_tests(genotypes: np.ndarray, y: np.ndarray) -> SingleSnpResult:
     """Per-marker univariate logistic regression (intercept + marker),
     Wald p-value on the marker coefficient. Newton steps are vectorized
     across markers; constant columns are marked missing."""
@@ -120,7 +117,7 @@ def single_snp_tests(
     converged = np.zeros(p, dtype=bool)
     active = usable.copy()
     # each pass takes the Fisher information; the last keeps it for the SEs
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_STEPS + 1):
         eta = a[None, :] + X * b[None, :]
         mu = expit(eta)
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
@@ -128,7 +125,7 @@ def single_snp_tests(
         fab = (w * X).sum(axis=0)
         fbb = (w * X * X).sum(axis=0)
         det = np.clip(faa * fbb - fab * fab, 1e-30, None)
-        if it == max_iter or not active.any():
+        if it == NEWTON_STEPS or not active.any():
             break
         r = y[:, None] - mu
         ga = r.sum(axis=0)
@@ -186,11 +183,11 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
 
 
 def synthetic_genome(
-    p: int, rng: np.random.Generator, phi: float, spacing: float = 1500.0
+    p: int, rng: np.random.Generator, phi: float
 ) -> tuple[list[SnpLocus], list[Gene], np.ndarray]:
-    """Random marker positions plus genes covering part of the span, with
-    non-informative relevances; boosts computed at the given phi."""
-    gaps = rng.uniform(0.5 * spacing, 1.5 * spacing, size=p)
+    """Random marker positions 750-2250 bp apart plus genes covering part of
+    the span, with non-informative relevances; boosts computed at phi."""
+    gaps = rng.uniform(750.0, 2250.0, size=p)
     positions = np.cumsum(gaps).astype(int)
     snps = [SnpLocus(f"snp{j}", int(positions[j])) for j in range(p)]
     span = int(positions[-1])
@@ -287,17 +284,8 @@ def study_harness(
         trace = em_filter_pipeline(X, data.y, boosts, config.em, config.filtering)
         sb_scores = em_ranking_scores(trace, p)
         if gibbs_ranking:  # survivors rank above the rest, by pi_hat
-            survivors = trace.final_survivors
-            chain = gibbs_run(
-                trace.survivor_design(X, config.filtering),
-                data.y,
-                boosts[survivors],
-                config.gibbs,
-                iters=config.gibbs_iters,
-                burnin=config.gibbs_burnin,
-                seed=seed,
-            )
-            sb_scores[survivors] = sb_scores.max() + 1.0 + chain.pi_hat[1:]
+            chain = sample_survivors(config, X, data.y, boosts, trace, seed)
+            sb_scores[trace.final_survivors] = sb_scores.max() + 1.0 + chain.pi_hat[1:]
 
         ss = single_snp_tests(X, data.y)
         roc_sb = roc_auc(sb_scores, data.theta)

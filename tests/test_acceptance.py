@@ -137,9 +137,7 @@ def test_criterion_5_geweke_joint_distribution():
 
         rng_sc = np.random.default_rng(12)
         sigma2, theta, beta = prior_draw(rng_sc)
-        state = GibbsState(
-            beta=beta, theta=theta, sigma2=sigma2, omega=np.full(n, 0.25)
-        )
+        state = GibbsState(beta=beta, theta=theta, sigma2=sigma2)
         sc = np.empty((N, 6))
         for it in range(N):
             y = (rng_sc.random(n) < expit(design.matvec(state.beta))).astype(float)
@@ -228,7 +226,7 @@ def test_criterion_7_ecm_ascent():
             beta = np.zeros(p + 1)
             sigma2 = hyper.lam / (hyper.nu + 1.0)
             prev_marginal = marginal_log_posterior(
-                design, y, beta, sigma2, boosts, hyper
+                y, design.matvec(beta), beta, sigma2, boosts, hyper
             )
             for _ in range(40):
                 etheta = e_step(beta, sigma2, boosts, hyper)
@@ -236,11 +234,13 @@ def test_criterion_7_ecm_ascent():
                 sigma2 = cm_sigma(beta, etheta, hyper)
                 after_sigma = log_joint(design, y, beta, etheta, sigma2, hyper)
                 assert after_sigma >= before - 1e-8
-                beta = cm_beta(design, y, beta, etheta, sigma2, hyper)
+                beta = cm_beta(
+                    design, y, design.matvec(beta), beta, etheta, sigma2, hyper
+                )
                 after_beta = log_joint(design, y, beta, etheta, sigma2, hyper)
                 assert after_beta >= after_sigma - 1e-8
                 marginal = marginal_log_posterior(
-                    design, y, beta, sigma2, boosts, hyper
+                    y, design.matvec(beta), beta, sigma2, boosts, hyper
                 )
                 assert marginal >= prev_marginal - 1e-8
                 prev_marginal = marginal

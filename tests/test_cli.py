@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -157,6 +158,36 @@ print(rc, "spatialboost.sim" in sys.modules)
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip().split("\n")[-1] == "0 False"
+
+
+def test_benchmark_tracer_runs_report(tmp_path):
+    # perfbench/traced.py wraps spatialboost functions by name and reads
+    # fields of what they return; a rename it misses fails here, not only
+    # in a traced benchmark run
+    sim, cfg = tmp_path / "sim", tmp_path / "run.cfg"
+    main(["--seed", "3", "--out-dir", str(sim), "simulate", "--n", "40", "--p", "30"])
+    cfg.write_text(
+        f"genotypes = {sim}/simulated_genotypes.tsv\n"
+        f"genes = {sim}/simulated_genes.bed\n"
+        "gibbs.iters = 20\n"
+    )
+    src = os.path.dirname(os.path.dirname(spatialboost.__file__))
+    traced = os.path.join(os.path.dirname(src), "perfbench", "traced.py")
+    spans = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, traced, str(spans), "--", "--config", str(cfg),
+         "--out-dir", str(tmp_path / "out"), "report"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    spec = importlib.util.spec_from_file_location("traced", traced)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    metrics = module.layer_metrics(str(spans))
+    for name in ("em.rounds", "linalg.rank", "mcmc.draws_retained"):
+        assert metrics[name] > 0, (name, metrics[name])
 
 
 STAGE_COMMANDS = {

