@@ -332,13 +332,14 @@ class FilterConfig:
         at the explicit rank (capped by the design's size and its numerical
         rank) or by rank_tol. This is the one place the float64 design,
         intercept first, is built; the markers may be any numeric dtype,
-        such as the loader's int8. It is built as X' ((p+1) x n), which a
-        full-rank sample-space design keeps as its X_l'."""
+        such as the loader's int8. It is built as X' ((p+1) x n) and handed
+        over to the factorization: a full-rank sample-space design keeps it
+        as its X_l', and a truncated one overwrites it with X_l'."""
         Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
         Xt[0] = 1.0
         Xt[1:] = X_markers[:, columns].T
         l = None if self.rank is None else min(self.rank, min(Xt.shape))
-        return truncate_design(Xt.T, l, self.rank_tol)
+        return truncate_design(Xt.T, l, self.rank_tol, _overwrite=True)
 
 
 def em_filter_pipeline(

@@ -24,6 +24,16 @@ its space reads:
 S itself is never formed in either space. The core I + S Sigma S' has every
 eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
 (``numpy.linalg.solve``) with all its right-hand sides at once.
+
+A Woodbury build allocates no design-sized temporary. In sample space it
+sums the core's rank-|B| part over blocks of at most n markers, so it
+allocates O(n^2) whatever |B| is; in rank space its temporaries are at most
+V's size, (p+1) x l. A truncated sample-space design writes X_l' into the
+float design that ``FilterConfig.factor`` hands over (any other caller's X
+is copied first). For a wide design (n <= p+1) the dropped part is
+subtracted in row blocks of at most n rows, so the design is held once; a
+tall one (p+1 < n) forms the dropped part whole, one design-sized product,
+which is still smaller than its n x n K.
 """
 
 from __future__ import annotations
@@ -117,8 +127,17 @@ def _signs(V: np.ndarray) -> np.ndarray:
     return np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
 
 
+def _blocks(m: int, size: int) -> list[slice]:
+    """range(m) cut into ceil(m / size) slices of near-equal length, none
+    longer than ``size``: lengths differ by at most one, so no block is a
+    lone row when the split is uneven."""
+    count = -(-m // size)
+    return [slice(m * i // count, m * (i + 1) // count) for i in range(count)]
+
+
 def truncate_design(
-    X: np.ndarray, l: int | None = None, tol: float = 0.01
+    X: np.ndarray, l: int | None = None, tol: float = 0.01, *,
+    _overwrite: bool = False,
 ) -> TruncatedDesign:
     """Optimal rank-l factors of X from the short-side Gram's
     eigendecomposition, stored in the form the design's Woodbury space
@@ -129,9 +148,12 @@ def truncate_design(
     at the numerical rank (see the module docstring), so an explicit ``l``
     may come back lower. Rank-space factors carry deterministic signs: the
     first entry of each column of V with magnitude above 1e-12 is positive.
-    Pass X as the transpose of a C-contiguous (p+1) x n array, as
-    ``FilterConfig.factor`` does, and a full-rank sample-space design keeps
-    that array as its X_l' without a copy.
+    Pass X as the transpose of a C-contiguous (p+1) x n array and a
+    full-rank sample-space design keeps that array as its X_l' without a
+    copy. A truncated sample-space design writes its X_l' into a copy of X',
+    and X is left as it was; ``_overwrite`` is for ``FilterConfig.factor``
+    alone, which hands over its private float design so that the
+    subtraction runs in place.
     """
     X = np.asarray(X, dtype=float)
     if X.size == 0:
@@ -174,19 +196,25 @@ def truncate_design(
         return TruncatedDesign(d=d, relative_residual_energy=rre, U=U, V=V)
     if l == s.size:  # X_l = X
         Xt = np.ascontiguousarray(X.T)
-    else:
-        # X_l' is X' less its part on the dropped singular vectors Q_r, at
-        # most a third of the short side here, so the one transient is narrow
-        Qr = Q[:, l:]
-        Xt = (X.T @ Qr) @ Qr.T if n <= p1 else Qr @ (Qr.T @ X.T)
-        np.subtract(X.T, Xt, out=Xt)
-    if n > p1:
-        K = Xt.T @ Xt
-    elif l == s.size:
-        K = G
-    else:
-        Qd = Q[:, :l] * d
+        K = G if n <= p1 else Xt.T @ Xt
+        return TruncatedDesign(d=d, relative_residual_energy=rre, Xt=Xt, K=K)
+    del G
+    # X_l' is X' less its part on the dropped singular vectors Q_r (at most
+    # a third of the short side here), subtracted in place
+    Xt = np.ascontiguousarray(X.T) if _overwrite else X.T.copy()
+    if n <= p1:
+        # Q's kept and dropped parts, then Q itself freed; blocks of at most
+        # n rows keep each temporary within n x n
+        Qd, Qr = Q[:, :l] * d, Q[:, l:].copy()
+        del Q
+        for rows in _blocks(p1, n):
+            Xb = Xt[rows]
+            Xb -= (Xb @ Qr) @ Qr.T
         K = Qd @ Qd.T
+    else:  # p+1 < n: one (p+1) x n temporary, smaller than K's n x n
+        Qr = Q[:, l:]
+        Xt -= Qr @ (Qr.T @ Xt)
+        K = Xt.T @ Xt
     return TruncatedDesign(d=d, relative_residual_energy=rre, Xt=Xt, K=K)
 
 
@@ -224,9 +252,13 @@ class WoodburySolver:
     With G = V'V (I in rank space), V' Sigma V = c G + V_B' diag(sigma_B - c)
     V_B for c = min sigma and B = {j : sigma_j > c}, so the core is
     I + c C G C' + T T' with T = C V_B' diag(sigma_B - c)^(1/2). In rank space
-    that costs O(l^3 + |B| l^2). In sample space C G C' is (C C') o K and T
-    is a scaled copy of rows of V, so it costs O(n^2 |B|) and the core's
-    2n^3/3 LU solve. Every other product with S is a matvec through C and V.
+    that costs O(l^3 + |B| l^2), and T is formed whole: its |B| x l scaled
+    rows of V are at most V's size. In sample space C G C' is (C C') o K,
+    formed in the core's own buffer, and T holds scaled rows of V, so it
+    costs O(n^2 |B|) and the core's 2n^3/3 LU solve. There T T' is summed
+    over blocks of at most n markers of B, so a build allocates O(n^2)
+    beside the core whatever |B| is, and never a copy of V_B. Every other
+    product with S is a matvec through C and V.
     The core is symmetric with every eigenvalue >= 1, so it is solved as is,
     without jitter; a caller with several right-hand sides passes them
     together to one ``solve_core`` (or ``solve``) call.
@@ -261,16 +293,18 @@ class WoodburySolver:
         c = sigma.min()
         B = np.flatnonzero(sigma > c)
         if self._diag:
-            # one |B| x n buffer, scaled in place: the same products, in the
-            # same order, as V[B] * sqrt(sigma_B - c)[:, None] * C
-            Tt = V[B]
-            Tt *= np.sqrt(sigma[B] - c)[:, None]
-            Tt *= C
-            core = Tt.T @ Tt
-            del Tt
-            cCC = np.outer(c * C, C)
-            cCC *= gram
-            core += cCC
+            # (cC C') o K in the core's own buffer, then T T' over blocks of
+            # at most n markers of B: each block's rows of T' are a copy of
+            # its rows of V, scaled in place, so no temporary outgrows the
+            # core whatever |B| is
+            core = np.outer(c * C, C)
+            core *= gram
+            for rows in _blocks(B.size, k):
+                Bb = B[rows]
+                Tt = V[Bb]
+                Tt *= np.sqrt(sigma[Bb] - c)[:, None]
+                Tt *= C
+                core += Tt.T @ Tt
         else:
             T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
             core = c * (C @ C.T) + T @ T.T

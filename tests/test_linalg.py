@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,7 +172,7 @@ def test_woodbury_sample_space_dense_oracle(rng):
     r = rng.uniform(0.1, 0.6, 8)
     S = r[:, None] * X
     for sigma in (
-        rng.uniform(0.1, 3.0, 15),  # B is every index but one
+        rng.uniform(0.1, 3.0, 15),  # B is every index but one: two blocks
         np.where(rng.random(15) < 0.3, 2.0, 0.02),  # two-valued
         np.full(15, 0.7),  # B is empty
     ):
@@ -383,3 +385,55 @@ def test_full_rank_wide_design_keeps_the_design_as_its_xt(rng):
         assert np.array_equal(design.K, design.K.T)
         assert np.allclose(design.K, X @ X.T, rtol=1e-14)
         assert design.n == 25 and design.p1 == 61
+
+
+def _traced_peak(fn):
+    """fn's return value and the peak bytes numpy and Python allocated
+    while it ran, over what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_design(rng, n, p1):
+    """A float genotype design, intercept first, as X' ((p+1) x n)."""
+    return np.ascontiguousarray(_genotype_matrix(rng, n, p1).T)
+
+
+def test_sample_space_core_build_allocates_no_copy_of_the_design(rng):
+    # every sigma_j distinct, so B is every marker but one: a copy of X_B
+    # would be 1.4 MiB, the core 28 KiB
+    n, p1 = 60, 3000
+    Xt = _wide_design(rng, n, p1)
+    K = Xt.T @ Xt
+    C, sigma = rng.uniform(0.1, 0.5, n), rng.permutation(np.linspace(0.1, 2.0, p1))
+    solver, peak = _traced_peak(lambda: WoodburySolver(C, Xt, sigma, gram=K))
+    assert solver.core_dim == n
+    assert peak < 300 * 1024
+
+
+def test_truncated_factor_overwrites_its_own_design_only(rng):
+    from spatialboost.em import FilterConfig
+
+    n, p = 60, 3000
+    G = rng.integers(0, 3, (n, p)).astype(np.int8)
+    design, peak = _traced_peak(lambda: FilterConfig(rank=50).factor(G, np.arange(p)))
+    assert design.sample_space and design.rank == 50
+    assert peak < 1.3 * design.Xt.nbytes
+    X = np.column_stack([np.ones(n), G]).astype(float)
+    assert np.allclose(reconstruct(design), reconstruct(truncate_design(X, 50)),
+                       rtol=0.0, atol=1e-10 * np.abs(X).max())
+
+
+@pytest.mark.parametrize("shape, l", [((20, 50), 15), ((40, 33), 30), ((40, 15), 8)])
+def test_truncate_design_leaves_the_callers_design_unmodified(rng, shape, l):
+    # wide and tall truncated sample space, then rank space
+    for X in (_genotype_matrix(rng, *shape), _wide_design(rng, *shape).T):
+        before = X.copy()
+        design = truncate_design(X, l)
+        assert design.rank == l and design.sample_space is (3 * l >= 2 * shape[0])
+        assert np.array_equal(X, before)
