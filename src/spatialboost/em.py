@@ -27,6 +27,7 @@ EM_TOL = 1e-6  # convergence threshold on max|delta beta|
 EM_MAX_ITER = 200
 ASCENT_SLACK = 1e-6  # marginal log posterior drop beyond this flags divergence
 STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
+TRACE_TOP_MARKERS = 10  # markers em_trace.tsv lists per round, by <theta_j>
 
 
 @dataclass(frozen=True)
@@ -192,33 +193,30 @@ def em_fit(
     y: np.ndarray,
     boosts: np.ndarray,
     hyper: Hyperparameters,
-    max_iter: int = EM_MAX_ITER,
-    tol: float = EM_TOL,
     beta0: np.ndarray | None = None,
 ) -> EmState:
-    """Alternate E-step / CM-sigma / CM-beta until max|delta beta| < tol.
+    """Alternate E-step / CM-sigma / CM-beta until max|delta beta| < EM_TOL,
+    for at most EM_MAX_ITER iterations.
 
     Each iteration evaluates the marginal log posterior at the new
     (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
     iteration's value flags the state as diverged. The state is still
     returned.
     """
-    if max_iter < 1:
-        raise ConfigurationError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
     sigma2 = hyper.lam / (hyper.nu + 1.0)  # prior mode
     eta = design.matvec(beta)
     trace: list[float] = []
     converged = diverged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, EM_MAX_ITER + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
         beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper)
         eta = design.matvec(beta_new)
         trace.append(marginal_log_posterior(y, eta, beta_new, sigma2, boosts, hyper))
         diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)
-        converged = float(np.max(np.abs(beta_new - beta))) < tol
+        converged = float(np.max(np.abs(beta_new - beta))) < EM_TOL
         beta = beta_new
         if converged:
             break
@@ -236,18 +234,11 @@ def ppl(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.sum((y - yhat) ** 2 + yhat * (1.0 - yhat)))
 
 
-def filter_round(
-    state: EmState, p_current: int, fraction: float = 0.25
-) -> np.ndarray:
-    """Local indices (0-based, markers only) retained after removing the
-    floor(fraction * p_current) markers with the lowest <theta_j>. Ties are
-    broken by removing the lower index first; the intercept never leaves."""
-    if p_current < 2:
-        raise ConfigurationError("need at least 2 markers to filter")
-    if not 0 < fraction < 1:
-        raise ConfigurationError(f"fraction must be in (0,1), got {fraction}")
-    k = int(np.floor(fraction * p_current))
-    order = np.argsort(state.etheta[1 : p_current + 1], kind="stable")
+def filter_round(state: EmState, k: int) -> np.ndarray:
+    """Local indices (0-based, markers only) retained after removing the k
+    markers with the lowest <theta_j>. Ties are broken by removing the lower
+    index first; the intercept never leaves."""
+    order = np.argsort(state.etheta[1:], kind="stable")
     return np.sort(order[k:])
 
 
@@ -284,11 +275,12 @@ class FilterTrace:
             return self.design
         return config.factor(X_markers, self.final_survivors)
 
-    def to_tsv(self, snp_ids: list[str], top_k: int = 10) -> str:
+    def to_tsv(self, snp_ids: list[str]) -> str:
         """Per-round summary: round, retained count, ppl, max residual, the
-        top-k markers by <theta_j>, the EM fit's iterations and flags, on
-        the last round why filtering stopped (NA before), and the rank and
-        relative residual energy of the round's truncated design."""
+        TRACE_TOP_MARKERS markers of highest <theta_j>, the EM fit's
+        iterations and flags, on the last round why filtering stopped (NA
+        before), and the rank and relative residual energy of the round's
+        truncated design."""
         lines = [
             "round\tretained\tppl\tmax_residual\ttop_markers"
             "\titerations\tconverged\tdiverged\tstop_reason"
@@ -296,7 +288,7 @@ class FilterTrace:
         ]
         for r, rec in enumerate(self.rounds):
             st, et = rec.state, rec.state.etheta[1:]
-            order = np.argsort(-et, kind="stable")[:top_k]
+            order = np.argsort(-et, kind="stable")[:TRACE_TOP_MARKERS]
             tops = [f"{snp_ids[rec.retained[loc]]}={et[loc]:.6g}" for loc in order]
             stop = self.stop_reason if r == len(self.rounds) - 1 else "NA"
             lines.append(
@@ -316,7 +308,6 @@ class FilterConfig:
     fraction: float = 0.25
     rank_tol: float = 0.01
     rank: int | None = None  # explicit rank overrides rank_tol
-    floor: int | None = None  # defaults to max(10, n // 10)
 
     def __post_init__(self):
         if self.max_rounds < 0:
@@ -347,12 +338,14 @@ def em_filter_pipeline(
     y: np.ndarray,
     boosts: np.ndarray,
     hyper: Hyperparameters,
-    config: FilterConfig = FilterConfig(),
+    config: FilterConfig,
 ) -> FilterTrace:
     """Iterate em_fit -> record PPL -> filter lowest-<theta> markers.
 
     Stops on the residual rule, on round exhaustion, or when another removal
-    would fall below the marker floor; ``trace.stop_reason`` says which.
+    would fall below the marker floor max(10, n // 10), a rule with no config
+    key (a new floor rule needs one, for the manifest to record it);
+    ``trace.stop_reason`` says which.
     Boosts are subset (never re-normalized) and beta is warm-started by
     restriction to the surviving coordinates. The design is re-factored per
     round since filtering changes columns; the last round's factors are kept
@@ -361,7 +354,7 @@ def em_filter_pipeline(
     y = np.asarray(y, dtype=float)
     n, p = X_markers.shape
     b_all = _marker_boosts(boosts, p)
-    floor = config.floor if config.floor is not None else max(10, n // 10)
+    floor = max(10, n // 10)
 
     current = np.arange(p)
     trace = FilterTrace(initial=current.copy())
@@ -386,10 +379,10 @@ def em_filter_pipeline(
             trace.stop_reason = "residual"
             break
         k = int(np.floor(config.fraction * current.size))
-        if k < 1 or current.size - k < max(floor, 2):
+        if k < 1 or current.size - k < floor:
             trace.stop_reason = "floor"
             break
-        keep_local = filter_round(state, current.size, config.fraction)
+        keep_local = filter_round(state, k)
         record.survivors = current[keep_local]
         beta_warm = np.concatenate(
             [state.beta[:1], state.beta[1:][keep_local]]

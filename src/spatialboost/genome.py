@@ -311,7 +311,6 @@ class _PairErrors:
 def fit_phi(
     genotype_columns: np.ndarray,
     positions: np.ndarray,
-    default_phi: float = DEFAULT_PHI,
     grid: np.ndarray = PHI_GRID,
 ) -> float:
     """Fit the range parameter to the decay of genotype correlation.
@@ -326,7 +325,7 @@ def fit_phi(
     exhaustive scan's first (smallest) minimizer, so the smallest minimizer
     still wins on ties. Each fine point is evaluated at most once, at most
     16 of them. Constant columns are excluded; regions with fewer than two
-    usable columns fall back to ``default_phi``.
+    usable columns fall back to DEFAULT_PHI.
 
     Every error is one ``np.mean`` over all pairs in ascending distance, the
     same bits as a full evaluation, but the model is evaluated only where it
@@ -347,7 +346,7 @@ def fit_phi(
 
     usable = np.std(X, axis=0) > 0
     if usable.sum() < 2:
-        return float(default_phi)
+        return DEFAULT_PHI
     X = X[:, usable]
     pos = positions[usable]
 

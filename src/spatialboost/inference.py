@@ -59,27 +59,28 @@ class EmbfdrPoint:
     embfdr: float | None  # None marks an empty selection
     retained: int
 
+    @classmethod
+    def of(cls, pi: np.ndarray, gamma: float, sel: np.ndarray) -> "EmbfdrPoint":
+        """The point of ``sel``, the centroid selection on ``pi`` at ``gamma``."""
+        return cls(float(gamma), threshold(gamma), bfdr(pi, sel), int(sel.sum()))
+
+    @property
+    def metric(self) -> str:
+        """The (EM)BFDR as the artifacts print it: NA when empty."""
+        return "NA" if self.embfdr is None else f"{self.embfdr:.10g}"
+
     def tsv(self) -> str:
         """gamma, threshold, BFDR (NA when empty) and count, tab-separated."""
-        metric = "NA" if self.embfdr is None else f"{self.embfdr:.10g}"
-        return f"{self.gamma:.10g}\t{self.threshold:.10g}\t{metric}\t{self.retained}"
+        head = f"{self.gamma:.10g}\t{self.threshold:.10g}"
+        return f"{head}\t{self.metric}\t{self.retained}"
 
 
 def embfdr_curve(probabilities: np.ndarray, gammas) -> list[EmbfdrPoint]:
     """Centroid-then-BFDR per gamma, on the EM conditional probabilities
     (the EMBFDR) or on the Gibbs estimates pi_hat (the BFDR)."""
-    points = []
-    for g in gammas:
-        sel = centroid(probabilities, g)
-        points.append(
-            EmbfdrPoint(
-                gamma=float(g),
-                threshold=threshold(g),
-                embfdr=bfdr(probabilities, sel),
-                retained=int(sel.sum()),
-            )
-        )
-    return points
+    return [
+        EmbfdrPoint.of(probabilities, g, centroid(probabilities, g)) for g in gammas
+    ]
 
 
 def xi1_bound(
@@ -158,7 +159,7 @@ def kappa_scan(
     boosts: np.ndarray,
     hyper_base: Hyperparameters,
     kappas,
-    gammas=DEFAULT_GAMMA_GRID,
+    gammas,
 ) -> list[tuple[float, EmbfdrPoint]]:
     """EMBFDR curves across a kappa grid, one em_fit per kappa on the same
     design, as (kappa, point) pairs."""
@@ -180,13 +181,13 @@ def kappa_scan_tsv(rows: list[tuple[float, EmbfdrPoint]]) -> str:
 
 @dataclass
 class SelectionReport:
-    """Final per-marker selection at a given gamma."""
+    """Final per-marker selection at one gamma, with the BFDR point that both
+    its file header and its bfdr.tsv row print."""
 
     snp_ids: list[str]
     probabilities: np.ndarray
-    gamma: float
     selected: np.ndarray
-    metric: float | None  # BFDR (or EMBFDR) of the selection
+    point: EmbfdrPoint
 
     @classmethod
     def build(
@@ -197,14 +198,12 @@ class SelectionReport:
         return cls(
             snp_ids=list(snp_ids),
             probabilities=probabilities,
-            gamma=gamma,
             selected=sel,
-            metric=bfdr(probabilities, sel),
+            point=EmbfdrPoint.of(probabilities, gamma, sel),
         )
 
     def to_tsv(self) -> str:
-        metric = "NA" if self.metric is None else f"{self.metric:.10g}"
-        lines = [f"# gamma={self.gamma:.10g}\tbfdr={metric}"]
+        lines = [f"# gamma={self.point.gamma:.10g}\tbfdr={self.point.metric}"]
         lines.append("snp\tprobability\tselected")
         for sid, prob, sel in zip(self.snp_ids, self.probabilities, self.selected):
             lines.append(f"{sid}\t{prob:.10g}\t{int(sel)}")

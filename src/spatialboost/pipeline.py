@@ -49,8 +49,6 @@ from spatialboost.genome import (
 from spatialboost.inference import (
     DEFAULT_GAMMA_GRID,
     SelectionReport,
-    centroid,
-    embfdr_curve,
     kappa_scan,
     kappa_scan_tsv,
     threshold,
@@ -263,7 +261,7 @@ def minor_allele_frequencies(dataset: Dataset) -> np.ndarray:
     return np.minimum(f, 1.0 - f)
 
 
-def maf_filter(dataset: Dataset, min_maf: float = 0.05) -> tuple[Dataset, np.ndarray]:
+def maf_filter(dataset: Dataset, min_maf: float) -> tuple[Dataset, np.ndarray]:
     """Keep markers with minor allele frequency strictly above ``min_maf``."""
     maf = minor_allele_frequencies(dataset)
     keep = np.flatnonzero(maf > min_maf)
@@ -284,7 +282,7 @@ def hwe_pvalues(dataset: Dataset) -> np.ndarray:
     return chi2_sf_1df(stat)
 
 
-def hwe_filter(dataset: Dataset, alpha: float = 1e-6) -> tuple[Dataset, np.ndarray]:
+def hwe_filter(dataset: Dataset, alpha: float) -> tuple[Dataset, np.ndarray]:
     """Drop markers whose equilibrium p-value falls below ``alpha``."""
     pv = hwe_pvalues(dataset)
     keep = np.flatnonzero(~(pv < alpha))
@@ -353,8 +351,9 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-# config key -> (RunConfig field path, converter). parse_config reads with
-# it and RunConfig.resolved_text writes with it.
+# config key -> (RunConfig field path, converter), one for every field a
+# run reads. parse_config reads with it and RunConfig.resolved_text writes
+# with it, so the manifest's [config] reruns any run.
 _KEYS = {
     "genotypes": ("genotypes", str),
     "genes": ("genes", str),
@@ -582,6 +581,7 @@ def _gibbs(run: PipelineResult) -> str:
 
 def _report(run: PipelineResult) -> str:
     ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.trace.final_survivors
+    gammas = run.config.gammas
     surv_set = {int(j): k for k, j in enumerate(survivors)}
     etheta_em = None
     if run.trace.rounds:
@@ -589,8 +589,12 @@ def _report(run: PipelineResult) -> str:
         # which the survivors are a subset
         last = run.trace.rounds[-1]
         etheta_em = last.state.etheta[1 + np.searchsorted(last.retained, survivors)]
+    # each gamma's selection and BFDR, computed once; report.tsv's
+    # selected_gamma1 column reads gamma = 1's
+    ids = [ds.snps[int(j)].id for j in survivors]
+    reports = {g: SelectionReport.build(ids, pi_hat[1:], g) for g in {1.0, *gammas}}
+    sel1 = reports[1.0].selected
     lines = ["snp\tchrom\tpos\tboost\tetheta_em\tpi_hat\tselected_gamma1"]
-    sel1 = centroid(pi_hat[1:], 1.0)
     for j, snp in enumerate(ds.snps):
         if j in surv_set:
             k = surv_set[j]
@@ -604,13 +608,10 @@ def _report(run: PipelineResult) -> str:
             f"\t{run.boosts[j]:.10g}\t{et}\t{ph}\t{sel}"
         )
     path = run.emit("report.tsv", "\n".join(lines) + "\n")
-
-    ids = [ds.snps[int(j)].id for j in survivors]
-    for g in run.config.gammas:
-        rep = SelectionReport.build(ids, pi_hat[1:], g)
-        run.emit(selection_file(g), rep.to_tsv())
-    curve = embfdr_curve(pi_hat[1:], run.config.gammas)
-    bf_lines = ["gamma\tthreshold\tbfdr\tselected", *(pt.tsv() for pt in curve)]
+    for g in gammas:
+        run.emit(selection_file(g), reports[g].to_tsv())
+    bf_lines = ["gamma\tthreshold\tbfdr\tselected"]
+    bf_lines += [reports[g].point.tsv() for g in gammas]
     run.emit("bfdr.tsv", "\n".join(bf_lines) + "\n")
     return path
 

@@ -138,7 +138,6 @@ def correlated_columns(C: np.ndarray, n: int,
 
 
 def exhaustive_fit_phi(genotype_columns: np.ndarray, positions: np.ndarray,
-                       default_phi: float = DEFAULT_PHI,
                        grid: np.ndarray = PHI_GRID) -> float:
     """Exhaustive-scan oracle for ``fit_phi``: every coarse grid point, then
     every one of 200 fine points around the coarse minimum; the first
@@ -150,7 +149,7 @@ def exhaustive_fit_phi(genotype_columns: np.ndarray, positions: np.ndarray,
 
     usable = np.std(X, axis=0) > 0
     if usable.sum() < 2:
-        return float(default_phi)
+        return DEFAULT_PHI
     X = X[:, usable]
     pos = positions[usable]
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import spatialboost.em as em
 from spatialboost.em import (
     ASCENT_SLACK,
     STOP_RESIDUAL,
+    TRACE_TOP_MARKERS,
     EmState,
     FilterConfig,
     Hyperparameters,
@@ -151,13 +153,12 @@ def test_cm_beta_infinite_shrinkage_limit(rng):
     assert np.max(np.abs(beta_new)) < 1e-6
 
 
-def test_em_fit_iteration_contract(rng):
+def test_em_fit_iteration_contract(rng, monkeypatch):
     X = np.column_stack([np.ones(8), rng.integers(0, 3, (8, 2)).astype(float)])
     y = rng.integers(0, 2, 8).astype(float)
     design = _full_design(X)
-    with pytest.raises(ConfigurationError):
-        em_fit(design, y, np.zeros(2), HYPER, max_iter=0)
-    state = em_fit(design, y, np.zeros(2), HYPER, max_iter=1)
+    monkeypatch.setattr(em, "EM_MAX_ITER", 1)
+    state = em_fit(design, y, np.zeros(2), HYPER)
     assert state.iterations == 1
     assert len(state.objective_trace) == 1
 
@@ -306,7 +307,7 @@ def test_filter_round_removes_lowest():
         sigma2=0.01,
         etheta=np.array([1.0, 0.9, 0.1, 0.5, 0.7]),
     )
-    kept = filter_round(state, 4, fraction=0.25)
+    kept = filter_round(state, 1)
     assert kept.tolist() == [0, 2, 3]
 
 
@@ -316,23 +317,8 @@ def test_filter_round_tie_break_lower_index():
         sigma2=0.01,
         etheta=np.array([1.0, 0.5, 0.2, 0.2, 0.9]),
     )
-    kept = filter_round(state, 4, fraction=0.25)
+    kept = filter_round(state, 1)
     assert kept.tolist() == [0, 2, 3]
-
-
-def test_filter_round_floor_arithmetic():
-    state = EmState(
-        beta=np.zeros(11), sigma2=0.01, etheta=np.linspace(1, 0.1, 11)
-    )
-    assert filter_round(state, 10, fraction=0.5).size == 5
-
-
-def test_filter_round_validation():
-    state = EmState(beta=np.zeros(3), sigma2=0.01, etheta=np.ones(3))
-    with pytest.raises(ConfigurationError):
-        filter_round(state, 1)
-    with pytest.raises(ConfigurationError):
-        filter_round(state, 2, fraction=1.5)
 
 
 def _separable_instance(seed=3, n=40, p=100):
@@ -347,6 +333,14 @@ def _separable_instance(seed=3, n=40, p=100):
     return X, y, boosts, hyper
 
 
+def _floor_instance():
+    """12 markers, so one removal would leave 9, below the marker floor
+    max(10, 40 // 10). At seed 9 the fit's max residual is 0.44, under
+    STOP_RESIDUAL, so the floor stops the filter (at seed 3 it is 0.57, and
+    the residual rule stops it first)."""
+    return _separable_instance(seed=9, p=12)
+
+
 def test_em_filter_pipeline_single_round():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
@@ -359,7 +353,7 @@ def test_em_filter_pipeline_single_round():
 def test_em_filter_pipeline_size_chain():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
-        X, y, boosts, hyper, FilterConfig(max_rounds=3, floor=2, rank=40)
+        X, y, boosts, hyper, FilterConfig(max_rounds=3, rank=40)
     )
     assert [r.retained.size for r in trace.rounds] == [100, 75, 57]
     assert trace.final_survivors.size == 43
@@ -367,16 +361,18 @@ def test_em_filter_pipeline_size_chain():
 
 
 def test_em_filter_pipeline_keeps_survivor_design():
-    X, y, boosts, hyper = _separable_instance()
-    # the marker floor stops the filter before any removal, so the last
-    # round's design is the survivors' design
-    config = FilterConfig(max_rounds=3, rank=40, floor=100)
+    # the marker floor max(10, 40 // 10) stops the filter before any removal
+    # (12 - 3 < 10), so the last round's design is the survivors' design
+    X, y, boosts, hyper = _floor_instance()
+    config = FilterConfig(max_rounds=3, rank=40)
     trace = em_filter_pipeline(X, y, boosts, hyper, config)
-    assert trace.final_survivors.size == 100
+    assert trace.stop_reason == "floor"
+    assert trace.final_survivors.size == 12
     assert trace.survivor_design(X, config) is trace.design
-    assert trace.design.rank == 40
+    assert trace.design.rank == 13
 
-    config = FilterConfig(max_rounds=2, floor=2, rank=40)
+    X, y, boosts, hyper = _separable_instance()
+    config = FilterConfig(max_rounds=2, rank=40)
     trace = em_filter_pipeline(X, y, boosts, hyper, config)
     surv = trace.final_survivors
     assert surv.size < trace.rounds[-1].retained.size
@@ -401,7 +397,7 @@ def test_factor_int8_markers_match_float64():
 def test_em_filter_pipeline_nesting_and_round_trip():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
-        X, y, boosts, hyper, FilterConfig(max_rounds=3, floor=2, rank=40)
+        X, y, boosts, hyper, FilterConfig(max_rounds=3, rank=40)
     )
     prev = set(trace.initial.tolist())
     for rec in trace.rounds:
@@ -415,25 +411,27 @@ def test_em_filter_pipeline_nesting_and_round_trip():
 def test_em_filter_pipeline_trace_tsv():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
-        X, y, boosts, hyper, FilterConfig(max_rounds=2, floor=2, rank=40)
+        X, y, boosts, hyper, FilterConfig(max_rounds=2, rank=40)
     )
-    text = trace.to_tsv([f"rs{j}" for j in range(100)], top_k=3)
+    text = trace.to_tsv([f"rs{j}" for j in range(100)])
     lines = text.strip().split("\n")
     assert lines[0].startswith("round\tretained")
     assert len(lines) == 1 + len(trace.rounds)
-    assert "rs" in lines[1]
+    tops = lines[1].split("\t")[4].split(",")
+    assert len(tops) == TRACE_TOP_MARKERS and all(t.startswith("rs") for t in tops)
 
 
 def test_em_filter_pipeline_stop_reason_and_trace_flags():
     X, y, boosts, hyper = _separable_instance()
     y_rare = np.zeros(X.shape[0])
     y_rare[:3] = 1.0  # three cases: their fitted probabilities stay low
-    for reason, y_run, config in (
-        ("rounds", y, FilterConfig(max_rounds=2, floor=2, rank=40)),
-        ("floor", y, FilterConfig(max_rounds=3, floor=100, rank=40)),
-        ("residual", y_rare, FilterConfig(max_rounds=3, floor=2, rank=40)),
+    X12, y12, boosts12, _ = _floor_instance()
+    for reason, (X_run, y_run, b_run), config in (
+        ("rounds", (X, y, boosts), FilterConfig(max_rounds=2, rank=40)),
+        ("floor", (X12, y12, boosts12), FilterConfig(max_rounds=3, rank=40)),
+        ("residual", (X, y_rare, boosts), FilterConfig(max_rounds=3, rank=40)),
     ):
-        trace = em_filter_pipeline(X, y_run, boosts, hyper, config)
+        trace = em_filter_pipeline(X_run, y_run, b_run, hyper, config)
         assert trace.stop_reason == reason
         rows = [
             ln.split("\t")
@@ -448,7 +446,7 @@ def test_em_filter_pipeline_stop_reason_and_trace_flags():
                 str(int(rec.state.diverged)),
             ]
             # each round's design, refactored from its columns
-            design = config.factor(X, rec.retained)
+            design = config.factor(X_run, rec.retained)
             assert row[9:] == [str(design.rank),
                                f"{design.relative_residual_energy:.10g}"]
             assert int(row[9]) == min(40, rec.retained.size + 1)
@@ -470,7 +468,7 @@ def test_filter_config_validation(kwargs):
 def test_em_ranking_scores_survivors_rank_highest():
     X, y, boosts, hyper = _separable_instance()
     trace = em_filter_pipeline(
-        X, y, boosts, hyper, FilterConfig(max_rounds=3, floor=2, rank=40)
+        X, y, boosts, hyper, FilterConfig(max_rounds=3, rank=40)
     )
     scores = em_ranking_scores(trace, 100)
     surv = trace.final_survivors

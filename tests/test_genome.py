@@ -6,6 +6,7 @@ from scipy.stats import norm
 from spatialboost.errors import ConfigurationError
 import spatialboost.genome as genome
 from spatialboost.genome import (
+    DEFAULT_PHI,
     PHI_GRID,
     Gene,
     GenomicBlock,
@@ -216,7 +217,7 @@ def test_fit_phi_inverts_single_pair(rng):
 def test_fit_phi_constant_columns_fall_back():
     X = np.ones((20, 3))
     X[:, 0] = np.arange(20)
-    assert fit_phi(X, np.array([0.0, 100.0, 200.0]), default_phi=12345.0) == 12345.0
+    assert fit_phi(X, np.array([0.0, 100.0, 200.0])) == DEFAULT_PHI
 
 
 def test_fit_phi_shape_mismatch():

@@ -157,7 +157,9 @@ def test_kappa_scan_single_point_composes():
 def test_kappa_scan_curves_finite_and_monotone():
     design, y, boosts = _scan_fixture()
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
-    rows = kappa_scan(design, y, boosts, hyper, [10.0, 100.0, 1000.0])
+    rows = kappa_scan(
+        design, y, boosts, hyper, [10.0, 100.0, 1000.0], DEFAULT_GAMMA_GRID
+    )
     for kappa in (10.0, 100.0, 1000.0):
         pts = [pt for k, pt in rows if k == kappa]
         retained = [p.retained for p in pts]
@@ -172,13 +174,14 @@ def test_kappa_scan_empty_grid_errors():
     design, y, boosts = _scan_fixture()
     hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
     with pytest.raises(ConfigurationError):
-        kappa_scan(design, y, boosts, hyper, [])
+        kappa_scan(design, y, boosts, hyper, [], DEFAULT_GAMMA_GRID)
 
 
 def test_selection_report_build_and_tsv():
     rep = SelectionReport.build(["a", "b", "c"], np.array([0.9, 0.4, 0.6]), 1.0)
     assert rep.selected.tolist() == [1, 0, 1]
-    assert rep.metric == pytest.approx((0.1 + 0.4) / 2.0)
+    assert rep.point.embfdr == pytest.approx((0.1 + 0.4) / 2.0)
+    assert rep.point.retained == 2
     text = rep.to_tsv()
     assert "a\t0.9\t1" in text
     assert text.startswith("# gamma=1")
@@ -186,5 +189,6 @@ def test_selection_report_build_and_tsv():
 
 def test_selection_report_empty_selection_sentinel():
     rep = SelectionReport.build(["a"], np.array([0.1]), 1.0)
-    assert rep.metric is None
+    assert rep.point.embfdr is None
+    assert rep.point.tsv() == "1\t0.5\tNA\t0"
     assert "bfdr=NA" in rep.to_tsv()

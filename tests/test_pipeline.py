@@ -1,11 +1,13 @@
 import os
+from dataclasses import fields, is_dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatialboost._special import chi2_sf_1df
-from spatialboost.em import FilterConfig
+from spatialboost.em import FilterConfig, Hyperparameters
 from spatialboost.errors import (
     ConfigurationError,
     NumericalError,
@@ -15,6 +17,7 @@ from spatialboost.errors import (
 from spatialboost.genome import Gene, SnpLocus
 from spatialboost.pipeline import (
     Dataset,
+    _KEYS,
     RunConfig,
     atomic_write,
     atomic_write_bytes,
@@ -336,6 +339,38 @@ gammas = 0.5,1,2
     assert cfg.gammas == (0.5, 1.0, 2.0)
 
 
+def _leaf_paths(obj, prefix=""):
+    """Dotted paths of the fields reachable from ``obj`` that are not
+    dataclasses themselves."""
+    paths = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            paths += _leaf_paths(value, f"{prefix}{f.name}.")
+        else:
+            paths.append(prefix + f.name)
+    return paths
+
+
+def test_every_run_setting_has_a_config_key(tmp_path):
+    # every setting a run reads has a config key, so the manifest's [config]
+    # section reruns any run: here one with every setting off its default
+    schema = sorted(path for path, _ in _KEYS.values())
+    assert sorted(_leaf_paths(RunConfig())) == schema
+    cfg = RunConfig(
+        genotypes="g.tsv", genes="g.bed", relevances="r.tsv", out_dir="o",
+        seed=7, phi=5000.0, min_maf=0.1, hwe_alpha=1e-4,
+        filtering=FilterConfig(max_rounds=3, fraction=0.3, rank_tol=0.05, rank=20),
+        gibbs_iters=300, gibbs_burnin=50, gammas=(0.5, 2.0),
+        em=Hyperparameters(kappa=500.0, nu=2.0, lam=0.1, xi0=-5.0, xi1=1.5),
+        gibbs=Hyperparameters(kappa=50.0, nu=4.0, lam=0.05, xi0=-2.0, xi1=0.5),
+    )
+    for path in schema:
+        get = lambda c: reduce(getattr, path.split("."), c)
+        assert get(cfg) != get(RunConfig()), path
+    assert parse_config(_write(tmp_path, "all.cfg", cfg.resolved_text())) == cfg
+
+
 def test_parse_config_checks_burnin_against_the_files_iters(tmp_path):
     # gibbs.burnin is checked against the file's gibbs.iters, whichever
     # line comes first, and a bad pair names the burn-in's line
@@ -442,7 +477,12 @@ def test_run_pipeline_artifacts(tmp_path):
     assert "\ngibbs_draws.npz = " in man
     assert "gibbs_draws.tsv" not in man
     assert not os.path.exists(os.path.join(out, "gibbs_draws.tsv"))
-    # bfdr.tsv's curve and the per-gamma selection files agree
+    _assert_selections_match_bfdr(out)
+
+
+def _assert_selections_match_bfdr(out):
+    """bfdr.tsv's curve (gammas 0.5, 1 and 4), the per-gamma selection files
+    and report.tsv's gamma = 1 column agree; return the printed BFDRs."""
     with open(os.path.join(out, "bfdr.tsv")) as fh:
         curve = [ln.split("\t") for ln in fh.read().splitlines()[1:]]
     assert [row[0] for row in curve] == ["0.5", "1", "4"]
@@ -451,6 +491,36 @@ def test_run_pipeline_artifacts(tmp_path):
             lines = fh.read().splitlines()
         assert lines[0] == f"# gamma={gamma}\tbfdr={metric}"
         assert sum(ln.endswith("\t1") for ln in lines[2:]) == int(count)
+        assert (metric == "NA") == (count == "0")
+    with open(os.path.join(out, "report.tsv")) as fh:
+        selected1 = sum(ln.endswith("\t1") for ln in fh.read().splitlines()[1:])
+    assert selected1 == int(curve[1][3])
+    return [row[2] for row in curve]
+
+
+def test_run_pipeline_empty_selection_prints_na(tmp_path):
+    # a phenotype drawn apart from the genotypes: pi_hat stays below 2/3, so
+    # gamma = 0.5 selects nothing and its BFDR prints as NA in both files
+    geno, genes, _ = _planted_files(tmp_path)
+    rows = Path(geno).read_text().splitlines()
+    rng = np.random.default_rng(0)
+    rows = rows[:1] + [f"{rng.integers(2)}{row[1:]}" for row in rows[1:]]
+    Path(geno).write_text("\n".join(rows) + "\n")
+    out = str(tmp_path / "out")
+    cfg = RunConfig(
+        genotypes=geno,
+        genes=genes,
+        out_dir=out,
+        seed=11,
+        phi=5000.0,
+        filtering=FilterConfig(max_rounds=2),
+        gibbs_iters=120,
+        gibbs_burnin=30,
+        gammas=(0.5, 1.0, 4.0),
+    )
+    run_pipeline(cfg)
+    metrics = _assert_selections_match_bfdr(out)
+    assert metrics[0] == "NA" and metrics[2] != "NA", metrics
 
 
 def test_gibbs_draws_npz_holds_the_chain(tmp_path):
