@@ -28,6 +28,7 @@ EM_MAX_ITER = 200
 ASCENT_SLACK = 1e-6  # marginal log posterior drop beyond this flags divergence
 STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
 TRACE_TOP_MARKERS = 10  # markers em_trace.tsv lists per round, by <theta_j>
+FACTOR_BLOCK = 256  # marker columns FilterConfig.factor converts per step
 
 
 @dataclass(frozen=True)
@@ -323,12 +324,15 @@ class FilterConfig:
         at the explicit rank (capped by the design's size and its numerical
         rank) or by rank_tol. This is the one place the float64 design,
         intercept first, is built; the markers may be any numeric dtype,
-        such as the loader's int8. It is built as X' ((p+1) x n) and handed
-        over to the factorization: a full-rank sample-space design keeps it
-        as its X_l', and a truncated one overwrites it with X_l'."""
+        such as the loader's int8. It is built as X' ((p+1) x n), in blocks
+        of FACTOR_BLOCK columns, and handed over to the factorization: a
+        full-rank sample-space design keeps it as its X_l', and a truncated
+        one overwrites it with X_l'."""
         Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
         Xt[0] = 1.0
-        Xt[1:] = X_markers[:, columns].T
+        for a in range(0, len(columns), FACTOR_BLOCK):  # no copy of every column
+            block = columns[a:a + FACTOR_BLOCK]
+            Xt[1 + a:1 + a + len(block)] = X_markers[:, block].T
         l = None if self.rank is None else min(self.rank, min(Xt.shape))
         return truncate_design(Xt.T, l, self.rank_tol, _overwrite=True)
 

@@ -114,7 +114,7 @@ def check_rank_tol(tol: float) -> None:
         raise ConfigurationError(f"rank_tol must be positive and finite, got {tol}")
 
 
-def select_rank(X: np.ndarray, tol: float = 0.01) -> int:
+def select_rank(X: np.ndarray, tol: float) -> int:
     """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1),
     capped at the numerical rank: ``truncate_design``'s rank for ``tol``."""
     return truncate_design(X, tol=tol).rank
@@ -136,7 +136,7 @@ def _blocks(m: int, size: int) -> list[slice]:
 
 
 def truncate_design(
-    X: np.ndarray, l: int | None = None, tol: float = 0.01, *,
+    X: np.ndarray, l: int | None = None, tol: float | None = None, *,
     _overwrite: bool = False,
 ) -> TruncatedDesign:
     """Optimal rank-l factors of X from the short-side Gram's
@@ -144,10 +144,11 @@ def truncate_design(
     reads.
 
     With ``l`` None the rank is the smallest whose relative residual energy
-    is at most ``tol`` (the ``select_rank`` rule). Either way it is capped
-    at the numerical rank (see the module docstring), so an explicit ``l``
-    may come back lower. Rank-space factors carry deterministic signs: the
-    first entry of each column of V with magnitude above 1e-12 is positive.
+    is at most ``tol``, which is then required (the ``select_rank`` rule).
+    Either way it is capped at the numerical rank (see the module
+    docstring), so an explicit ``l`` may come back lower. Rank-space
+    factors carry deterministic signs: the first entry of each column of V
+    with magnitude above 1e-12 is positive.
     Pass X as the transpose of a C-contiguous (p+1) x n array and a
     full-rank sample-space design keeps that array as its X_l' without a
     copy. A truncated sample-space design writes its X_l' into a copy of X',
@@ -155,6 +156,8 @@ def truncate_design(
     alone, which hands over its private float design so that the
     subtraction runs in place.
     """
+    if l is None and tol is None:
+        raise TypeError("truncate_design needs tol when l is None")
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise ConfigurationError("empty design matrix")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -271,16 +273,13 @@ def _coarse_k(X, pos, grid=PHI_GRID):
     return int(np.argmin(_coarse_errors(X, pos, grid)))
 
 
-def _sorted_pairs(X, pos):
-    """Distances and |correlation| targets of the usable pairs, in fit_phi's
-    ascending-distance (stable) order."""
+def _pairs(X, pos):
+    """Distances and |correlation| targets of the usable pairs."""
     usable = np.std(X, axis=0) > 0
     X, pos = X[:, usable], pos[usable]
     corr = np.abs(np.corrcoef(X, rowvar=False))
     iu = np.triu_indices(pos.size, k=1)
-    d = np.abs(pos[:, None] - pos[None, :])[iu]
-    order = np.argsort(d, kind="stable")
-    return d[order], corr[iu][order]
+    return np.abs(pos[:, None] - pos[None, :])[iu], corr[iu]
 
 
 def _case(name):
@@ -359,78 +358,128 @@ def test_fit_phi_two_minima_case():
     assert np.argmin(errs) == inner[1]
 
 
-def _evaluated_pairs(monkeypatch, X, pos, grid):
+def _model_values(monkeypatch, X, pos, grid):
     """Model values fit_phi computes, over all its correlation_model calls."""
-    pairs = []
+    values = []
     model = genome.correlation_model
 
     def counting(distances, phi):
         out = model(distances, phi)
-        pairs.append(out.size)
+        values.append(out.size)
         return out
 
     monkeypatch.setattr(genome, "correlation_model", counting)
     fit_phi(X, pos, grid=grid)
-    return sum(pairs)
+    return sum(values)
 
 
 @pytest.mark.parametrize("name", ["phi_star=2000", "coarse_k0", "coarse_k49",
                                   "grid_of_3", "two_minima", "ld_200",
                                   "random=4"])
 def test_fit_phi_evaluation_count(monkeypatch, name):
+    # each phi takes the model at two distances per occupied bin at most,
+    # however many pairs share a bin
     X, pos, grid = _case(name)
-    n_pairs = _sorted_pairs(X, pos)[0].size
-    assert _evaluated_pairs(monkeypatch, X, pos, grid) <= (grid.size + 16) * n_pairs
+    usable = np.std(X, axis=0) > 0
+    occupied = np.count_nonzero(genome._distance_bins(X[:, usable], pos[usable])[0][0])
+    assert occupied <= _pairs(X, pos)[0].size
+    assert _model_values(monkeypatch, X, pos, grid) <= (grid.size + 16) * 2 * occupied
 
 
-def test_fit_phi_prunes_coarse_scan(monkeypatch):
-    # with every coarse point evaluated this region takes about 52 model
-    # values per pair; the prefix bounds cut that to about 15
-    X, pos, grid = _case("ld_200")
-    n_pairs = _sorted_pairs(X, pos)[0].size
-    assert _evaluated_pairs(monkeypatch, X, pos, grid) < (grid.size + 16) * n_pairs / 2
+# 2.1 (rho - 1)^2 for bins spanning the distance ratio rho (fit_phi)
+BINNING_BOUND = 2.1 * (10.0 ** (1.0 / genome._BINS_PER_DECADE) - 1.0) ** 2
 
 
-@pytest.mark.parametrize("name", ["phi_star=150", "coarse_k0", "coarse_k49",
-                                  "duplicate_positions", "far_apart_plateau",
-                                  "two_minima", "ld_200", "random=7"])
+@pytest.mark.parametrize("name", FIT_PHI_CASES)
 def test_fit_phi_errors_are_full_evaluations(monkeypatch, name):
-    # every error fit_phi completes, coarse or fine, has the bits of one
-    # np.mean over every pair in ascending distance
+    # every error fit_phi scores, coarse or fine, covers every pair: it is
+    # within the binning bound of one mean over all the pairs
     X, pos, grid = _case(name)
     seen = []
-    mse, coarse = genome._PairErrors.mse, genome._PairErrors.coarse
+    binned_errors = genome._binned_errors
 
-    def recording_mse(self, phi):
-        seen.append((phi, mse(self, phi)))
-        return seen[-1][1]
+    def recording_binned_errors(sums, r2):
+        errors = binned_errors(sums, r2)
 
-    def recording_coarse(self, grid):
-        errs = coarse(self, grid)
-        seen.extend((grid[g], errs[g]) for g in np.flatnonzero(np.isfinite(errs)))
-        return errs
+        def recorded(phis):
+            out = errors(phis)
+            seen.extend(zip(phis, out))
+            return out
 
-    monkeypatch.setattr(genome._PairErrors, "mse", recording_mse)
-    monkeypatch.setattr(genome._PairErrors, "coarse", recording_coarse)
+        return recorded
+
+    monkeypatch.setattr(genome, "_binned_errors", recording_binned_errors)
     fit_phi(X, pos, grid=grid)
-    d, t = _sorted_pairs(X, pos)
-    assert seen
+    d, t = _pairs(X, pos)
+    assert len(seen) > grid.size
     for phi, got in seen:
-        assert got == float(np.mean((t - correlation_model(d, phi)) ** 2))
+        exact = float(np.mean((t - correlation_model(d, phi)) ** 2))
+        assert abs(got - exact) <= BINNING_BOUND
 
 
-def test_pair_errors_tail_is_bitwise():
-    # past x = 8 the model is skipped; a target too small to absorb it
-    # (t < 2^-40) still gets the model subtracted
-    d = np.linspace(0.0, 20.0, 4001)
-    t = np.random.default_rng(3).uniform(0.0, 1.0, d.size)
-    t[::7] *= 1e-17
-    t[::11] = 0.0
-    pairs = genome._PairErrors(d, t)
-    for phi in (0.5, 1.0, 1.41, 2.0, 30.0):
-        pairs.fill(0, d.size, phi)
-        want = (t - correlation_model(d, phi)) ** 2
-        assert pairs.err.tobytes() == want.tobytes()
+@pytest.mark.parametrize("name", ["random=3", "random=8", "random=11"])
+def test_binned_error_is_second_order_in_bin_width(monkeypatch, name):
+    # taking g_b at the |r|-weighted mean distance cancels the first-order
+    # term, so each halving of the bins' log-width cuts the largest gap to
+    # the exact errors about 4x; a model taken at the plain mean distance in
+    # the cross term leaves a first-order gap, cut about 2x or less
+    X, pos, _ = _case(name)
+    d, t = _pairs(X, pos)
+    phis = np.logspace(2.0, 6.0, 200)
+    exact = np.array([np.mean((t - correlation_model(d, p)) ** 2) for p in phis])
+    gaps = []
+    for per_decade in (32, 64, 128):
+        monkeypatch.setattr(genome, "_BINS_PER_DECADE", per_decade)
+        binned = genome._binned_errors(*genome._distance_bins(X, pos))(phis)
+        gaps.append(np.abs(binned - exact).max())
+    assert gaps[0] > 3 * gaps[1] > 9 * gaps[2]
+
+
+def test_distance_bins_match_pair_sums():
+    # 300 SNPs take two row blocks, and repeated positions put pairs at d = 0
+    m = 300
+    pos = np.sort(np.random.default_rng(4).integers(0, 60_000, m)).astype(float)
+    pos[100:104] = pos[100]
+    pos[255:258] = pos[255]  # duplicates across the block boundary
+    X = _ld_genotypes(80, m, 0.8, 4)
+    assert np.std(X, axis=0).all() and m > genome._BLOCK_ROWS
+    (count, d_sum, r_sum, rd_sum), r2 = genome._distance_bins(X, pos)
+
+    d, t = _pairs(X, pos)
+    key = np.full(d.size, -np.inf)  # d = 0 sorts first, into its own bin
+    key[d > 0] = np.floor(genome._BINS_PER_DECADE * np.log10(d[d > 0]))
+    _, at = np.unique(key, return_inverse=True)
+    on = count > 0
+    assert (d == 0).sum() >= 9 and count[0] == (d == 0).sum()
+    assert count.sum() == d.size == m * (m - 1) // 2
+    assert np.array_equal(count[on], np.bincount(at))
+    for got, w in ((d_sum, d), (r_sum, t), (rd_sum, t * d)):
+        np.testing.assert_allclose(got[on], np.bincount(at, w), rtol=1e-12)
+    assert r2 == pytest.approx(float(t @ t), rel=1e-12)
+
+
+def _peak_bytes(fn):
+    """Peak bytes numpy and Python allocated while fn ran, over what was
+    live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_phi_memory_grows_linearly_in_snps():
+    # m (m - 1) / 2 pairs, but the pass holds the region's columns and one
+    # row block of pairs: at m = 3000 one m x m float matrix alone is 72 MB
+    n, peaks = 40, {}
+    for m in (1500, 3000):
+        X = _ld_genotypes(n, m, 0.9, 6)
+        pos = np.arange(m) * 37.0
+        peaks[m] = _peak_bytes(lambda: fit_phi(X, pos))
+    assert peaks[3000] < 8 * 3000 * (4 * n + 8 * genome._BLOCK_ROWS)
+    assert peaks[3000] < 2.5 * peaks[1500]  # 4x if it grew as m^2
 
 
 def test_global_phi_requires_fits():

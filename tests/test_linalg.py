@@ -39,7 +39,7 @@ def test_select_rank_known_singular_values():
 
 def test_select_rank_validation():
     with pytest.raises(ConfigurationError):
-        select_rank(np.empty((0, 0)))
+        select_rank(np.empty((0, 0)), 0.01)
     with pytest.raises(ConfigurationError):
         select_rank(np.eye(3), tol=0.0)
     with pytest.raises(ConfigurationError):
@@ -57,6 +57,16 @@ def test_truncate_design_rank_from_tol_matches_select_rank(rng):
         assert truncate_design(X, tol=tol).rank == select_rank(X, tol)
     with pytest.raises(ConfigurationError):
         truncate_design(X, tol=0.0)
+
+
+def test_rank_rule_needs_tol_without_rank():
+    # rank_tol's default lives in FilterConfig alone
+    X = np.diag([4.0, 2.0, 1.0])
+    with pytest.raises(TypeError):
+        truncate_design(X)
+    with pytest.raises(TypeError):
+        select_rank(X)
+    assert truncate_design(X, 2).rank == 2
 
 
 def test_truncate_design_rank_one(rng):
@@ -427,6 +437,22 @@ def test_truncated_factor_overwrites_its_own_design_only(rng):
     X = np.column_stack([np.ones(n), G]).astype(float)
     assert np.allclose(reconstruct(design), reconstruct(truncate_design(X, 50)),
                        rtol=0.0, atol=1e-10 * np.abs(X).max())
+
+
+def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
+    # the float design is the build's only large allocation: the selected
+    # int8 columns are converted one block at a time, never copied whole
+    from spatialboost import em
+
+    n, p = 60, 3000
+    G = rng.integers(0, 3, (n, p)).astype(np.int8)
+    columns = np.flatnonzero(rng.random(p) < 0.9)
+    monkeypatch.setattr(em, "truncate_design", lambda X, *args, **kw: X.T)
+    Xt, peak = _traced_peak(lambda: em.FilterConfig().factor(G, columns))
+    block = n * em.FACTOR_BLOCK * G.itemsize
+    assert peak <= Xt.nbytes + block + 8192  # 8 KiB for indexing, whatever n, p
+    want = np.ascontiguousarray(np.column_stack([np.ones(n), G[:, columns]]).T)
+    assert Xt.flags.c_contiguous and Xt.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape, l", [((20, 50), 15), ((40, 33), 30), ((40, 15), 8)])
