@@ -245,6 +245,8 @@ def filter_round(state: EmState, k: int) -> np.ndarray:
 
 @dataclass
 class FilterRound:
+    """One EM filter round: the markers fit, the fit, and its diagnostics."""
+
     retained: np.ndarray  # original marker indices fit in this round
     state: EmState
     ppl: float
@@ -256,6 +258,8 @@ class FilterRound:
 
 @dataclass
 class FilterTrace:
+    """Every round of one EM filter run, why it stopped, and its last design."""
+
     initial: np.ndarray
     rounds: list[FilterRound] = field(default_factory=list)
     stop_reason: str = "rounds"  # or "residual", "floor"

@@ -33,6 +33,8 @@ PHI_GRID = np.logspace(2.0, 6.0, 50)
 
 @dataclass(frozen=True)
 class SnpLocus:
+    """A SNP's id, chromosome and base-pair position."""
+
     id: str
     position: int
     chromosome: str = "1"
@@ -44,6 +46,8 @@ class SnpLocus:
 
 @dataclass(frozen=True)
 class Gene:
+    """A gene's id, chromosome and base-pair extent, start < end."""
+
     id: str
     start: int
     end: int
@@ -58,6 +62,8 @@ class Gene:
 
 @dataclass(frozen=True)
 class GenomicBlock:
+    """A stretch of a chromosome and the mean relevance of the genes covering it."""
+
     start: int
     end: int
     relevance: float

@@ -54,6 +54,8 @@ def bfdr(pi: np.ndarray, selection: np.ndarray) -> float | None:
 
 @dataclass
 class EmbfdrPoint:
+    """The centroid selection at one gamma: its threshold, (EM)BFDR and size."""
+
     gamma: float
     threshold: float
     embfdr: float | None  # None marks an empty selection

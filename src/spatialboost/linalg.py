@@ -27,13 +27,21 @@ eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
 
 A Woodbury build allocates no design-sized temporary. In sample space it
 sums the core's rank-|B| part over blocks of at most n markers, so it
-allocates O(n^2) whatever |B| is; in rank space its temporaries are at most
-V's size, (p+1) x l. A truncated sample-space design writes X_l' into the
-float design that ``FilterConfig.factor`` hands over (any other caller's X
-is copied first). For a wide design (n <= p+1) the dropped part is
-subtracted in row blocks of at most n rows, so the design is held once; a
-tall one (p+1 < n) forms the dropped part whole, one design-sized product,
-which is still smaller than its n x n K.
+allocates O(n^2) whatever |B| is. In rank space the core's temporaries are
+at most V's size, (p+1) x l, and the weighted Gram is summed over blocks of
+at most max(l, COLUMN_BLOCK) individuals in one l x max(l, COLUMN_BLOCK)
+scratch, so a rank-space step allocates no n x l temporary.
+
+The float design that ``FilterConfig.factor`` hands over is written over
+(any other caller's X is left as it was). A rank-space design keeps U as
+U' (l x n, C-contiguous). A tall one at full rank writes U' over X'
+itself, block by block; below full rank U' is built in a new array, and
+X' is freed when the factor returns. Either way the design is never
+held twice, and afterwards only U' and V remain. A truncated sample-space
+design writes its X_l' over X'. For a wide design (n <= p+1) the dropped
+part is subtracted in row blocks of at most n rows, so the design is held
+once; a tall one (p+1 < n) forms the dropped part whole, one design-sized
+product, which is still smaller than its n x n K.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ from spatialboost.errors import ConfigurationError, NumericalError
 # diagonal jitter escalation (relative to the mean diagonal) before a Gram
 # matrix is declared indefinite
 JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+# a rank-space product with U' runs over blocks of max(l, COLUMN_BLOCK)
+# individuals, so its l x max(l, COLUMN_BLOCK) scratch does not grow with n
+COLUMN_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,9 @@ class TruncatedDesign:
     reads.
 
     d: l non-increasing positive singular values, on both forms. A rank-space
-    design holds U (n x l) and V ((p+1) x l), both orthonormal. A
+    design holds U (n x l) and V ((p+1) x l), both orthonormal; U is the
+    F-ordered view U'.T of a C-contiguous l x n U', the layout the weighted
+    Gram reads in column blocks. A
     sample-space design holds instead Xt = X_l' as a C-contiguous (p+1) x n
     array (X' itself when l = min(n, p+1)) and K = X_l X_l' (n x n); its U
     and V are None. ``relative_residual_energy`` is the share of the
@@ -135,6 +148,29 @@ def _blocks(m: int, size: int) -> list[slice]:
     return [slice(m * i // count, m * (i + 1) // count) for i in range(count)]
 
 
+def _tall_left_factor(X: np.ndarray, V: np.ndarray, d: np.ndarray,
+                      overwrite: bool) -> np.ndarray:
+    """U' = diag(1/d) V' X' (l x n, C-contiguous) for a tall X, one block of
+    at most max(l, COLUMN_BLOCK) individuals at a time. At full rank with
+    ``overwrite`` it is written over X' itself through one scratch block;
+    otherwise straight into a new array."""
+    A = V.T / d[:, None]
+    l, n = d.size, X.shape[0]
+    width = max(l, COLUMN_BLOCK)
+    in_place = overwrite and l == X.shape[1]
+    if in_place:
+        Xt = Ut = np.ascontiguousarray(X.T)
+        scratch = np.empty((l, min(n, width)))
+    else:
+        Xt, Ut = X.T, np.empty((l, n))
+    for cols in _blocks(n, width):
+        out = scratch[:, : cols.stop - cols.start] if in_place else Ut[:, cols]
+        np.matmul(A, Xt[:, cols], out=out)
+        if in_place:
+            Ut[:, cols] = out
+    return Ut
+
+
 def truncate_design(
     X: np.ndarray, l: int | None = None, tol: float | None = None, *,
     _overwrite: bool = False,
@@ -152,9 +188,10 @@ def truncate_design(
     Pass X as the transpose of a C-contiguous (p+1) x n array and a
     full-rank sample-space design keeps that array as its X_l' without a
     copy. A truncated sample-space design writes its X_l' into a copy of X',
-    and X is left as it was; ``_overwrite`` is for ``FilterConfig.factor``
-    alone, which hands over its private float design so that the
-    subtraction runs in place.
+    and a tall rank-space design its U' into a new array, so X is left as
+    it was; ``_overwrite`` is for ``FilterConfig.factor`` alone, which hands
+    over its private float design so that a truncated sample-space X_l' and
+    a full-rank tall U' are written over X' itself.
     """
     if l is None and tol is None:
         raise TypeError("truncate_design needs tol when l is None")
@@ -189,14 +226,13 @@ def truncate_design(
             V /= d
             sign = _signs(V)
             V *= sign
-            U = Q * sign
+            Ut = np.ascontiguousarray(Q.T)
+            Ut *= sign[:, None]
         else:
-            U = X @ Q
-            U /= d
-            sign = _signs(Q)
-            U *= sign
-            V = Q * sign
-        return TruncatedDesign(d=d, relative_residual_energy=rre, U=U, V=V)
+            V = Q * _signs(Q)
+            del G, Q
+            Ut = _tall_left_factor(X, V, d, _overwrite)
+        return TruncatedDesign(d=d, relative_residual_energy=rre, U=Ut.T, V=V)
     if l == s.size:  # X_l = X
         Xt = np.ascontiguousarray(X.T)
         K = G if n <= p1 else Xt.T @ Xt
@@ -355,7 +391,9 @@ class WoodburySolver:
 
 def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor C_w (l x l) of D U' diag(W) U D, the transpose
-    of its lower factor.
+    of its lower factor. The Gram is a sum of syrk products over column
+    blocks of U', scaled in one reused l x max(l, COLUMN_BLOCK) scratch, so
+    its memory does not depend on n, and it is exactly symmetric.
 
     With S = C_w V', S'S approximates X' diag(W) X within truncation error;
     S itself is never formed. W entries may be zero (IRLS weights vanish at
@@ -366,11 +404,20 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
         raise ConfigurationError("weights must be non-negative")
     if design.sample_space:
         raise ConfigurationError("weighted_cholesky needs a rank-space design")
-    B = design.U * np.sqrt(W)[:, None]
-    G = (B.T @ B) * np.outer(design.d, design.d)
+    if W.shape != (design.n,):
+        raise ConfigurationError(f"{W.size} weights for {design.n} individuals")
+    Ut, l = design.U.T, design.rank
+    width = max(l, COLUMN_BLOCK)
+    scratch = np.empty((l, min(design.n, width)))
+    G = np.zeros((l, l))
+    for cols in _blocks(design.n, width):
+        B = scratch[:, : cols.stop - cols.start]
+        np.multiply(Ut[:, cols], np.sqrt(W[cols]), out=B)
+        G += B @ B.T  # a syrk: exactly symmetric
+    G *= np.outer(design.d, design.d)
     if not np.any(np.diag(G) > 0):
-        return np.zeros((design.rank, design.rank))
-    return _chol_with_jitter(0.5 * (G + G.T), "weighted Gram").T
+        return np.zeros((l, l))
+    return _chol_with_jitter(G, "weighted Gram").T
 
 
 def weighted_woodbury(

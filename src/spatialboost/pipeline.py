@@ -296,6 +296,8 @@ def selection_file(gamma: float) -> str:
 
 @dataclass
 class RunConfig:
+    """One run's settings; README's Configuration section lists every key."""
+
     genotypes: str = ""
     genes: str = ""
     relevances: str | None = None

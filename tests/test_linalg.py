@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spatialboost import linalg
 from spatialboost.errors import ConfigurationError, NumericalError
 from spatialboost.linalg import (
     TruncatedDesign,
@@ -298,6 +299,35 @@ def test_weighted_cholesky_rejects_negative_weights(rng):
     design = truncate_design(rng.standard_normal((4, 3)), 3)
     with pytest.raises(ConfigurationError):
         weighted_cholesky(design, np.array([1.0, -0.1, 1.0, 1.0]))
+    design = truncate_design(rng.standard_normal((9, 3)), 3)
+    with pytest.raises(ConfigurationError, match="8 weights for 9"):
+        weighted_cholesky(design, np.ones(8))
+
+
+@pytest.mark.parametrize("shape, l", [((1500, 40), 30), ((600, 900), 300)])
+def test_blocked_weighted_gram_matches_dense(rng, shape, l):
+    # tall and wide rank-space designs whose n spans several column blocks
+    design = truncate_design(_genotype_matrix(rng, *shape), l)
+    assert not design.sample_space and design.n > linalg.COLUMN_BLOCK
+    W = rng.uniform(0.0, 0.25, design.n)
+    W[::7] = 0.0
+    UD = design.U * design.d
+    dense = UD.T @ (W[:, None] * UD)
+    Cw = weighted_cholesky(design, W)
+    assert np.linalg.norm(Cw.T @ Cw - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_weighted_cholesky_memory_does_not_grow_with_n(rng):
+    # the Gram is summed over column blocks of U' in one l x 512 scratch:
+    # no n x l copy of U is scaled
+    peaks = []
+    for n in (2000, 8000):
+        design = truncate_design(_genotype_matrix(rng, n, 61), 61)
+        W = rng.uniform(0.05, 0.25, n)
+        Cw, peak = _traced_peak(lambda: weighted_cholesky(design, W))
+        assert Cw.shape == (61, 61)
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 4096, peaks  # 4 KiB for the blocks' slices
 
 
 def test_truncated_design_shape_properties(rng):
@@ -332,6 +362,7 @@ def test_gram_factors_match_svd_oracle(rng, shape):
 def test_gram_long_side_vectors_orthonormal(rng, shape, l):
     design = truncate_design(_genotype_matrix(rng, *shape), l)
     assert not design.sample_space
+    assert design.U.T.flags.c_contiguous  # U is stored as U'
     for M in (design.U, design.V):
         assert np.abs(M.T @ M - np.eye(l)).max() < 1e-10
 
@@ -455,11 +486,43 @@ def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
     assert Xt.flags.c_contiguous and Xt.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("shape, l", [((20, 50), 15), ((40, 33), 30), ((40, 15), 8)])
+@pytest.mark.parametrize("shape, l", [((20, 50), 15), ((40, 33), 30), ((40, 15), 8),
+                                      ((1100, 12), 12), ((1100, 12), 5)])
 def test_truncate_design_leaves_the_callers_design_unmodified(rng, shape, l):
-    # wide and tall truncated sample space, then rank space
+    # wide and tall truncated sample space, then rank space, last over
+    # several column blocks at and below full rank
     for X in (_genotype_matrix(rng, *shape), _wide_design(rng, *shape).T):
         before = X.copy()
         design = truncate_design(X, l)
         assert design.rank == l and design.sample_space is (3 * l >= 2 * shape[0])
         assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("rank", [61, 40])
+def test_tall_factor_writes_u_transposed_over_its_own_design(rng, rank):
+    # at full rank U' is written over the float design block by block, so
+    # the factor holds no second n x (p+1) array; at either rank the design
+    # keeps only U'-sized memory alive
+    from spatialboost.em import FilterConfig
+
+    n, p = 3000, 60
+    G = rng.integers(0, 3, (n, p)).astype(np.int8)
+    design, peak = _traced_peak(lambda: FilterConfig(rank=rank).factor(G, np.arange(p)))
+    assert not design.sample_space and design.rank == rank
+    Ut = design.U.T
+    assert Ut.flags.c_contiguous and Ut.shape == (rank, n)
+    assert design.U.base.nbytes == Ut.nbytes
+    if rank == p + 1:
+        block = rank * max(rank, linalg.COLUMN_BLOCK) * 8
+        # beside the design: one block, V and V'/d, and 16 KiB for indexing
+        assert peak <= Ut.nbytes + block + 2 * design.V.nbytes + 16384
+    # the same factors, to the bit, as a caller's copy of the same X', which
+    # is left as it was
+    Xt = np.ascontiguousarray(np.column_stack([np.ones(n), G]).astype(float).T)
+    before = Xt.copy()
+    want = truncate_design(Xt.T, rank)
+    assert np.array_equal(Xt, before)
+    for name in ("d", "U", "V"):
+        assert np.array_equal(getattr(design, name), getattr(want, name)), name
+    assert np.allclose(reconstruct(design), reconstruct(truncate_design(Xt.T.copy(), rank)),
+                       rtol=0.0, atol=1e-9)
