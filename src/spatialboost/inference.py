@@ -4,6 +4,9 @@ Selection thresholds probabilities at 1/(1+gamma); gamma > 0 trades
 sensitivity against specificity, with gamma = 1 reducing to the median
 probability rule. The EMBFDR variant plugs the EM conditional probabilities
 <theta_j> into the BFDR formula to guide the choice of kappa.
+
+The one tuning guideline is ``xi1_bound``, whose docstring also gives the
+stringent bound, the xi0 constraint and the band half-widths sigma s_j.
 """
 
 from __future__ import annotations
@@ -85,74 +88,25 @@ def embfdr_curve(probabilities: np.ndarray, gammas) -> list[EmbfdrPoint]:
     ]
 
 
-def xi1_bound(
-    kappa: float, gamma: float, s: float, xi0: float = 0.0, check: bool = True
-) -> float:
-    """Upper bound on the gene-boost coefficient:
+def xi1_bound(kappa: float, gamma: float, s: float, xi0: float = 0.0) -> float:
+    """Upper bound log(kappa)/2 - xi0 - log(gamma) - s^2/2 (1 - 1/kappa) on
+    the gene-boost coefficient xi1 at band width s, returned as is.
 
-        log(kappa)/2 - xi0 - log(gamma) - s^2/2 (1 - 1/kappa)
-
-    With ``check``, a negative bound raises: xi0 and gamma jointly violate
-    the non-negativity constraint on xi1.
+    Stringent bound: kappa = s^2, which minimizes it over kappa. xi0
+    constraint: bound >= 0. Band half-width sigma s_j at boost b_j, where
+    the bound equals xi1 b_j: s_j^2 = 2 kappa/(kappa-1) (log(kappa)/2 - xi0
+    - xi1 b_j - log(gamma)); the band collapses where s_j^2 < 0.
     """
     if kappa <= 1:
         raise ConfigurationError(f"kappa must be > 1, got {kappa}")
     if s <= 0 or gamma <= 0:
         raise ConfigurationError("s and gamma must be positive")
-    bound = (
+    return (
         0.5 * math.log(kappa)
         - xi0
         - math.log(gamma)
         - 0.5 * s * s * (1.0 - 1.0 / kappa)
     )
-    if check and bound < 0:
-        raise ConfigurationError(
-            f"xi1 bound is negative ({bound:.4g}): xi0={xi0} and gamma={gamma} "
-            "jointly violate the non-negativity constraint; lower xi0 or gamma"
-        )
-    return bound
-
-
-def stringent_xi1_bound(
-    gamma: float, s: float, xi0: float = 0.0, check: bool = True
-) -> float:
-    """The stringent variant: minimize the bound over kappa by kappa = s^2."""
-    return xi1_bound(s * s, gamma, s, xi0, check=check)
-
-
-def xi0_constraint_satisfied(
-    kappa: float, gamma: float, s: float, xi0: float
-) -> bool:
-    """Joint constraint keeping the xi1 bound non-negative:
-    xi0 + log(gamma) <= log(kappa)/2 - s^2/2 (1 - 1/kappa)."""
-    return xi1_bound(kappa, gamma, s, xi0, check=False) >= 0
-
-
-def beta_thresholds(
-    sigma2: float, hyper: Hyperparameters, boosts: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Per-marker half-widths sigma s_j of the selection bands +/- sigma s_j
-    on beta_j, with
-
-        s_j^2 = 2 kappa/(kappa-1) (log(kappa)/2 - xi0 - xi1 b_j - log(gamma)).
-
-    NaN where s_j^2 < 0: the band collapses and the marker is always
-    selected."""
-    threshold(gamma)
-    b = np.asarray(boosts, dtype=float)
-    s2 = (
-        2.0
-        * hyper.kappa
-        / (hyper.kappa - 1.0)
-        * (
-            0.5 * math.log(hyper.kappa)
-            - hyper.xi0
-            - hyper.xi1 * b
-            - math.log(gamma)
-        )
-    )
-    with np.errstate(invalid="ignore"):
-        return math.sqrt(sigma2) * np.sqrt(s2)
 
 
 def kappa_scan(

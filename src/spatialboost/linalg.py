@@ -11,8 +11,8 @@ it comes from ``rank_tol`` or is given explicitly.
 
 Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved through a Woodbury
 core (``WoodburySolver``) in one of two spaces, chosen once per design from
-(n, l) (``TruncatedDesign.sample_space``), and each design stores only what
-its space reads:
+(n, l) by ``truncate_design``, and each design stores only what its space
+reads (``TruncatedDesign.sample_space`` reports which):
 
 - rank space (3 l < 2 n): U, d and V. X_l'WX_l = S'S with S = C_w V' and
   C_w the l x l weighted-Gram Cholesky factor (``weighted_cholesky``,
@@ -97,9 +97,9 @@ class TruncatedDesign:
 
     @property
     def sample_space(self) -> bool:
-        """Whether ridge solves use the n x n sample-space Woodbury core
-        (3 l >= 2 n) instead of the l x l rank-space one."""
-        return 3 * self.rank >= 2 * self.n
+        """Whether the design holds the n x n sample-space form (X_l', K),
+        which ``truncate_design`` picks for 3 l >= 2 n."""
+        return self.K is not None
 
     def matvec(self, beta: np.ndarray) -> np.ndarray:
         """X_l beta through the stored factors."""
@@ -396,16 +396,12 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
     its memory does not depend on n, and it is exactly symmetric.
 
     With S = C_w V', S'S approximates X' diag(W) X within truncation error;
-    S itself is never formed. W entries may be zero (IRLS weights vanish at
-    saturated fits); an all-zero W yields C_w = 0.
+    S itself is never formed. W comes checked by ``weighted_woodbury``; its
+    entries may be zero (IRLS weights vanish at saturated fits), and an
+    all-zero W yields C_w = 0.
     """
-    W = np.asarray(W, dtype=float)
-    if np.any(W < 0):
-        raise ConfigurationError("weights must be non-negative")
     if design.sample_space:
         raise ConfigurationError("weighted_cholesky needs a rank-space design")
-    if W.shape != (design.n,):
-        raise ConfigurationError(f"{W.size} weights for {design.n} individuals")
     Ut, l = design.U.T, design.rank
     width = max(l, COLUMN_BLOCK)
     scratch = np.empty((l, min(design.n, width)))
@@ -425,10 +421,15 @@ def weighted_woodbury(
 ) -> WoodburySolver:
     """Solver for (X_l' diag(W) X_l + diag(sigma)^-1)^-1 in the design's
     space: the left factor is diag(sqrt W) with X_l' and K in sample space,
-    and C_w from ``weighted_cholesky`` with V in rank space."""
-    if not design.sample_space:
-        return WoodburySolver(weighted_cholesky(design, W), design.V, sigma)
+    and C_w from ``weighted_cholesky`` with V in rank space; W is checked
+    here for both (n entries, finite, non-negative)."""
     W = np.asarray(W, dtype=float)
+    if W.shape != (design.n,):
+        raise ConfigurationError(f"{W.size} weights for {design.n} individuals")
+    if not np.all(np.isfinite(W)):
+        raise NumericalError("weights must be finite")
     if np.any(W < 0):
         raise ConfigurationError("weights must be non-negative")
+    if not design.sample_space:
+        return WoodburySolver(weighted_cholesky(design, W), design.V, sigma)
     return WoodburySolver(np.sqrt(W), design.Xt, sigma, gram=design.K)

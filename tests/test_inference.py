@@ -8,15 +8,12 @@ from spatialboost.errors import ConfigurationError
 from spatialboost.inference import (
     DEFAULT_GAMMA_GRID,
     SelectionReport,
-    beta_thresholds,
     bfdr,
     centroid,
     embfdr_curve,
     kappa_scan,
     kappa_scan_tsv,
-    stringent_xi1_bound,
     threshold,
-    xi0_constraint_satisfied,
     xi1_bound,
 )
 from spatialboost.linalg import truncate_design
@@ -74,20 +71,19 @@ def test_embfdr_bounded_by_selection_threshold(rng):
 
 
 def test_xi1_bound_worked_example():
-    bound = xi1_bound(16.0, 1.0, 4.0, xi0=0.0, check=False)
-    assert bound == pytest.approx(-6.11, abs=0.01)
-    with pytest.raises(ConfigurationError):
-        xi1_bound(16.0, 1.0, 4.0, xi0=0.0)
-    assert xi0_constraint_satisfied(16.0, 1.0, 4.0, math.log(1e-4 / (1 - 1e-4)))
-    bound = xi1_bound(16.0, 1.0, 4.0, xi0=math.log(1e-4 / (1 - 1e-4)))
+    assert xi1_bound(16.0, 1.0, 4.0, xi0=0.0) == pytest.approx(-6.11, abs=0.01)
+    xi0 = math.log(1e-4 / (1 - 1e-4))
+    bound = xi1_bound(16.0, 1.0, 4.0, xi0=xi0)
+    assert bound >= 0  # the xi0 constraint
     assert bound == pytest.approx(3.10, abs=0.01)
 
 
 def test_xi1_bound_boundary_is_zero():
     kappa, s = 16.0, 4.0
     xi0 = 0.5 * math.log(kappa) - 0.5 * s * s * (1.0 - 1.0 / kappa)
-    assert xi1_bound(kappa, 1.0, s, xi0=xi0) == pytest.approx(0.0, abs=1e-12)
-    assert xi0_constraint_satisfied(kappa, 1.0, s, xi0)
+    bound = xi1_bound(kappa, 1.0, s, xi0=xi0)
+    assert bound == pytest.approx(0.0, abs=1e-12)
+    assert bound >= 0
 
 
 def test_xi1_bound_validation():
@@ -98,33 +94,23 @@ def test_xi1_bound_validation():
 
 
 def test_stringent_variant_uses_kappa_s_squared():
-    assert stringent_xi1_bound(1.0, 4.0, xi0=-9.21, check=False) == pytest.approx(
-        xi1_bound(16.0, 1.0, 4.0, xi0=-9.21, check=False)
-    )
+    # kappa = s^2 minimizes the bound over kappa
+    stringent = xi1_bound(16.0, 1.0, 4.0, xi0=-9.21)
+    for kappa in (2.0, 8.0, 15.9, 16.1, 32.0, 1e4):
+        assert stringent < xi1_bound(kappa, 1.0, 4.0, xi0=-9.21)
 
 
-def test_beta_thresholds_reference_value():
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=0.0)
-    half = beta_thresholds(0.01, hyper, np.array([0.0]), 1.0)
-    # s_j^2 = (2k/(k-1)) (log(k)/2 - xi0 - log(gamma))
-    s2 = (200.0 / 99.0) * (math.log(100.0) / 2.0 + 4.0)
-    assert s2 == pytest.approx(12.73, abs=0.01)
-    assert half[0] == pytest.approx(0.1 * math.sqrt(s2), abs=1e-9)
-    assert not np.isnan(half[0])
-
-
-def test_beta_thresholds_monotone_in_boost():
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=2.0)
-    half = beta_thresholds(0.01, hyper, np.array([0.0, 1.0]), 1.0)
-    assert half[1] < half[0]
-
-
-def test_beta_thresholds_collapse_flag():
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-4.0, xi1=0.0)
-    # gamma = exp(log(kappa)/2 - xi0) makes the bracket hit zero; go beyond it
-    gamma = math.exp(0.5 * math.log(100.0) + 4.0) * 2.0
-    half = beta_thresholds(0.01, hyper, np.array([0.0]), gamma)
-    assert np.isnan(half[0])
+def test_band_half_width_zeroes_the_xi1_bound():
+    kappa, xi0, xi1, gamma = 100.0, -4.0, 2.0, 1.0
+    for b, s2_want in ((0.0, 12.73), (1.0, 8.69)):
+        # s_j^2 = 2k/(k-1) (log(k)/2 - xi0 - xi1 b_j - log(gamma))
+        s2 = 2 * kappa / (kappa - 1) * (
+            0.5 * math.log(kappa) - xi0 - xi1 * b - math.log(gamma)
+        )
+        assert s2 == pytest.approx(s2_want, abs=0.01)
+        # at s = s_j the bound equals xi1 b_j
+        bound = xi1_bound(kappa, gamma, math.sqrt(s2), xi0=xi0)
+        assert bound == pytest.approx(xi1 * b, abs=1e-12)
 
 
 def _scan_fixture(seed=13):

@@ -214,10 +214,12 @@ def test_woodbury_sample_space_validation(rng):
 
 @pytest.mark.parametrize("n, l, sample", [(9, 6, True), (9, 5, False),
                                           (250, 166, False), (250, 167, True)])
-def test_sample_space_rule(n, l, sample):
-    d = TruncatedDesign(U=np.zeros((n, l)), d=np.ones(l), V=np.zeros((300, l)),
-                        relative_residual_energy=0.0)
-    assert d.sample_space is sample
+def test_sample_space_rule(rng, n, l, sample):
+    # truncate_design picks sample space for 3 l >= 2 n, and the design
+    # reports the form it stored
+    d = truncate_design(rng.standard_normal((n, 300)), l)
+    assert d.rank == l and d.sample_space is sample
+    assert (d.K is not None) is sample and (d.U is None) is sample
 
 
 def test_sample_space_factors_and_weighted_woodbury(rng):
@@ -295,13 +297,21 @@ def test_weighted_cholesky_random_weights_dense_oracle(rng):
     assert np.allclose(_gram(Cw, design), dense, atol=1e-8)
 
 
-def test_weighted_cholesky_rejects_negative_weights(rng):
-    design = truncate_design(rng.standard_normal((4, 3)), 3)
-    with pytest.raises(ConfigurationError):
-        weighted_cholesky(design, np.array([1.0, -0.1, 1.0, 1.0]))
-    design = truncate_design(rng.standard_normal((9, 3)), 3)
-    with pytest.raises(ConfigurationError, match="8 weights for 9"):
-        weighted_cholesky(design, np.ones(8))
+@pytest.mark.parametrize("space, l", [("rank", 3), ("sample", 9)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_weighted_woodbury_checks_weights_in_both_spaces(rng, space, l, bad):
+    design = truncate_design(rng.standard_normal((9, 12)), l)
+    assert design.sample_space is (space == "sample")
+    W = np.ones(9)
+    W[4] = bad
+    error, message = (
+        (ConfigurationError, "weights must be non-negative") if bad < 0
+        else (NumericalError, "weights must be finite")
+    )
+    with pytest.raises(error, match=f"^{message}$"):
+        weighted_woodbury(design, W, np.ones(12))
+    with pytest.raises(ConfigurationError, match="^8 weights for 9 individuals$"):
+        weighted_woodbury(design, np.ones(8), np.ones(12))
 
 
 @pytest.mark.parametrize("shape, l", [((1500, 40), 30), ((600, 900), 300)])
