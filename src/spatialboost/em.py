@@ -59,12 +59,13 @@ class Hyperparameters:
 @dataclass
 class EmState:
     """ECM iterate: beta (index 0 = intercept), sigma^2, <theta> (with
-    <theta_0> = 1), iteration count, the marginal log posterior after each
-    iteration and status flags."""
+    <theta_0> = 1), the linear predictor eta = X beta, iteration count, the
+    marginal log posterior after each iteration and status flags."""
 
     beta: np.ndarray
     sigma2: float
     etheta: np.ndarray
+    eta: np.ndarray
     iterations: int = 0
     objective_trace: list[float] = field(default_factory=list)
     converged: bool = False
@@ -202,7 +203,7 @@ def em_fit(
     Each iteration evaluates the marginal log posterior at the new
     (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
     iteration's value flags the state as diverged. The state is still
-    returned.
+    returned, with the eta of its beta that the last iteration computed.
     """
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
@@ -221,7 +222,7 @@ def em_fit(
         beta = beta_new
         if converged:
             break
-    return EmState(beta, sigma2, etheta, it, trace, converged, diverged)
+    return EmState(beta, sigma2, etheta, eta, it, trace, converged, diverged)
 
 
 def max_residual(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -251,34 +252,31 @@ class FilterRound:
     state: EmState
     ppl: float
     max_residual: float
-    survivors: np.ndarray  # original marker indices retained after filtering
     rank: int  # of the round's truncated design
     residual_energy: float  # relative energy the truncation dropped
 
 
 @dataclass
 class FilterTrace:
-    """Every round of one EM filter run, why it stopped, and its last design."""
+    """One EM filter run: every round and why filtering stopped, and what the
+    stages after it read, the final survivors and their factored design.
+    Round r's survivors are round r + 1's ``retained``."""
 
-    initial: np.ndarray
-    rounds: list[FilterRound] = field(default_factory=list)
-    stop_reason: str = "rounds"  # or "residual", "floor"
-    design: TruncatedDesign | None = None  # the last round's factors
+    initial: np.ndarray  # original marker indices the first round fits
+    final_survivors: np.ndarray  # original marker indices that survive
+    design: TruncatedDesign  # factors of the final survivors' design
+    rounds: list[FilterRound]
+    stop_reason: str  # "rounds", "residual" or "floor"
 
     @property
-    def final_survivors(self) -> np.ndarray:
-        return self.rounds[-1].survivors if self.rounds else self.initial
-
-    def survivor_design(
-        self, X_markers: np.ndarray, config: FilterConfig
-    ) -> TruncatedDesign:
-        """Factors of the final survivors' design: the last round's when the
-        survivors are that round's columns, else a new factorization."""
-        if self.rounds and np.array_equal(
-            self.rounds[-1].retained, self.final_survivors
-        ):
-            return self.design
-        return config.factor(X_markers, self.final_survivors)
+    def survivor_etheta(self) -> np.ndarray | None:
+        """The last round's <theta_j> of the final survivors, a subset of
+        the columns it fitted; None when no round ran."""
+        if not self.rounds:
+            return None
+        last = self.rounds[-1]
+        columns = np.searchsorted(last.retained, self.final_survivors)
+        return last.state.etheta[1 + columns]
 
     def to_tsv(self, snp_ids: list[str]) -> str:
         """Per-round summary: round, retained count, ppl, max residual, the
@@ -356,8 +354,10 @@ def em_filter_pipeline(
     ``trace.stop_reason`` says which.
     Boosts are subset (never re-normalized) and beta is warm-started by
     restriction to the surviving coordinates. The design is re-factored per
-    round since filtering changes columns; the last round's factors are kept
-    on the trace.
+    round since filtering changes columns. The returned trace carries the
+    final survivors' design: the last round's when it removed none, else
+    the survivors are factored once more (after a removal in the last of
+    ``config.max_rounds`` rounds, or when that is 0 and no round runs).
     """
     y = np.asarray(y, dtype=float)
     n, p = X_markers.shape
@@ -365,38 +365,34 @@ def em_filter_pipeline(
     floor = max(10, n // 10)
 
     current = np.arange(p)
-    trace = FilterTrace(initial=current.copy())
+    rounds: list[FilterRound] = []
+    stop_reason = "rounds"
     beta_warm: np.ndarray | None = None
-
     for _ in range(config.max_rounds):
-        design = trace.design = config.factor(X_markers, current)
+        design = config.factor(X_markers, current)
         state = em_fit(design, y, b_all[current], hyper, beta0=beta_warm)
-        yhat = expit(design.matvec(state.beta))
-        record = FilterRound(
-            retained=current.copy(),
+        yhat = expit(state.eta)
+        rounds.append(FilterRound(
+            retained=current,
             state=state,
             ppl=ppl(y, yhat),
             max_residual=max_residual(y, yhat),
-            survivors=current.copy(),
             rank=design.rank,
             residual_energy=design.relative_residual_energy,
-        )
-        trace.rounds.append(record)
-
-        if record.max_residual > STOP_RESIDUAL:
-            trace.stop_reason = "residual"
+        ))
+        if rounds[-1].max_residual > STOP_RESIDUAL:
+            stop_reason = "residual"
             break
         k = int(np.floor(config.fraction * current.size))
         if k < 1 or current.size - k < floor:
-            trace.stop_reason = "floor"
+            stop_reason = "floor"
             break
         keep_local = filter_round(state, k)
-        record.survivors = current[keep_local]
-        beta_warm = np.concatenate(
-            [state.beta[:1], state.beta[1:][keep_local]]
-        )
-        current = record.survivors
-    return trace
+        beta_warm = np.concatenate([state.beta[:1], state.beta[1:][keep_local]])
+        current = current[keep_local]
+    else:  # the last round removed markers, or no round ran
+        design = config.factor(X_markers, current)
+    return FilterTrace(np.arange(p), current, design, rounds, stop_reason)
 
 
 def em_ranking_scores(trace: FilterTrace, p: int) -> np.ndarray:

@@ -100,6 +100,21 @@ class Dataset:
         )
 
 
+def _lines(path: str) -> list[tuple[int, str]]:
+    """(line number, text) of the non-blank lines of ``path``, LF or CRLF
+    ending dropped; a line that is not UTF-8 raises ParseError at path:line."""
+    numbered = []
+    with open(path, "rb") as fh:
+        for k, raw in enumerate(fh, start=1):
+            try:
+                ln = raw.decode().removesuffix("\n").removesuffix("\r")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{k}: not UTF-8 text ({exc.reason})") from exc
+            if ln.strip():
+                numbered.append((k, ln))
+    return numbered
+
+
 def load_genotypes(path: str) -> Dataset:
     """Parse the self-describing genotype table; ``.`` cells are imputed to
     the rounded mean dosage of the observed entries in their column.
@@ -109,12 +124,7 @@ def load_genotypes(path: str) -> Dataset:
     When that check fails, a per-line scan names the first bad
     ``file:line``, counting blank lines.
     """
-    with open(path) as fh:
-        numbered = [
-            (lineno, ln.rstrip("\n"))
-            for lineno, ln in enumerate(fh, start=1)
-            if ln.strip()
-        ]
+    numbered = _lines(path)
     if not numbered:
         raise ParseError(f"{path}: empty genotype file")
     snps = _parse_genotype_header(path, *numbered[0])
@@ -137,7 +147,7 @@ def _parse_genotype_header(path: str, lineno: int, line: str) -> list[SnpLocus]:
     header = line.split("\t")
     if header[0] != "#pheno":
         raise ParseError(f"{path}:{lineno}: header must start with '#pheno'")
-    snps = []
+    snps, seen = [], set()
     for col in header[1:]:
         parts = col.split(":")
         if len(parts) != 3:
@@ -145,6 +155,9 @@ def _parse_genotype_header(path: str, lineno: int, line: str) -> list[SnpLocus]:
                 f"{path}:{lineno}: SNP header '{col}' is not id:chrom:pos"
             )
         sid, chrom, pos = parts
+        if sid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate SNP id {sid}")
+        seen.add(sid)
         try:
             snps.append(SnpLocus(sid, int(pos), chrom))
         except ValueError as exc:
@@ -210,14 +223,13 @@ def _raise_first_bad_row(path: str, rows: list[tuple[int, str]], p: int) -> None
 def _records(path: str, width: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each line of ``path`` that is neither blank
     nor a ``#`` comment; a line without ``width`` fields raises ParseError."""
-    with open(path) as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            if not ln.strip() or ln.startswith("#"):
-                continue
-            cells = ln.split()
-            if len(cells) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields")
-            yield lineno, cells
+    for lineno, ln in _lines(path):
+        if ln.startswith("#"):
+            continue
+        cells = ln.split()
+        if len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields")
+        yield lineno, cells
 
 
 def load_genes(path: str) -> list[Gene]:
@@ -398,25 +410,24 @@ def parse_config(path: str) -> RunConfig:
     gibbs.iters wherever either line is.
     """
     settings = []  # (key order, file:line, field path, value)
-    with open(path) as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in ln:
-                raise ParseError(f"{where}: expected 'key = value'")
-            key, val = (part.strip() for part in ln.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigurationError(f"{where}: unknown config key '{key}'")
-            field_path, convert = _KEYS[key]
-            try:
-                value = convert(val)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{where}: bad value '{val}' for '{key}'"
-                ) from exc
-            settings.append((list(_KEYS).index(key), where, field_path, value))
+    for lineno, ln in _lines(path):
+        ln = ln.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in ln:
+            raise ParseError(f"{where}: expected 'key = value'")
+        key, val = (part.strip() for part in ln.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigurationError(f"{where}: unknown config key '{key}'")
+        field_path, convert = _KEYS[key]
+        try:
+            value = convert(val)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{where}: bad value '{val}' for '{key}'"
+            ) from exc
+        settings.append((list(_KEYS).index(key), where, field_path, value))
     cfg = RunConfig()
     for _, where, field_path, value in sorted(settings, key=lambda s: s[0]):
         try:
@@ -539,27 +550,24 @@ def _boosts(run: PipelineResult) -> str:
 
 def _em_filter(run: PipelineResult) -> str | None:
     cfg, ds = run.config, run.dataset
-    run.trace = em_filter_pipeline(
-        ds.G, ds.y, run.boosts, cfg.em, cfg.filtering
-    )
-    if not run.trace.rounds:  # filter.max_rounds = 0: every marker survives
+    run.trace = em_filter_pipeline(ds.G, ds.y, run.boosts, cfg.em, cfg.filtering)
+    if not run.trace.rounds:  # filter.max_rounds = 0: no round to trace
         return None
     return run.emit("em_trace.tsv", run.trace.to_tsv([s.id for s in ds.snps]))
 
 
 def sample_survivors(
     config: RunConfig,
-    G: np.ndarray,
     y: np.ndarray,
     boosts: np.ndarray,
     trace: FilterTrace,
     seed: int,
 ) -> ChainSummary:
     """The chain of ``config.gibbs`` from ``seed`` on the EM filter's
-    survivors: their design (``trace.survivor_design``) and boosts. The gibbs
+    survivors: the design ``trace`` carries and their boosts. The gibbs
     stage and the simulation study both sample through it."""
     return gibbs_run(
-        trace.survivor_design(G, config.filtering),
+        trace.design,
         y,
         boosts[trace.final_survivors],
         config.gibbs,
@@ -572,7 +580,7 @@ def sample_survivors(
 def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
     seed = int(substream(cfg.seed, "gibbs.chain0").integers(2**31))
-    run.chain = chain = sample_survivors(cfg, ds.G, ds.y, run.boosts, run.trace, seed)
+    run.chain = chain = sample_survivors(cfg, ds.y, run.boosts, run.trace, seed)
     draws = _npz_bytes({
         "theta": chain.theta_draws,
         "beta": chain.beta_draws,
@@ -585,12 +593,7 @@ def _report(run: PipelineResult) -> str:
     ds, pi_hat, survivors = run.dataset, run.chain.pi_hat, run.trace.final_survivors
     gammas = run.config.gammas
     surv_set = {int(j): k for k, j in enumerate(survivors)}
-    etheta_em = None
-    if run.trace.rounds:
-        # the last round's <theta> is indexed by the columns it fitted, of
-        # which the survivors are a subset
-        last = run.trace.rounds[-1]
-        etheta_em = last.state.etheta[1 + np.searchsorted(last.retained, survivors)]
+    etheta_em = run.trace.survivor_etheta
     # each gamma's selection and BFDR, computed once; report.tsv's
     # selected_gamma1 column reads gamma = 1's
     ids = [ds.snps[int(j)].id for j in survivors]

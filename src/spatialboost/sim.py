@@ -284,7 +284,7 @@ def study_harness(
         trace = em_filter_pipeline(X, data.y, boosts, config.em, config.filtering)
         sb_scores = em_ranking_scores(trace, p)
         if gibbs_ranking:  # survivors rank above the rest, by pi_hat
-            chain = sample_survivors(config, X, data.y, boosts, trace, seed)
+            chain = sample_survivors(config, data.y, boosts, trace, seed)
             sb_scores[trace.final_survivors] = sb_scores.max() + 1.0 + chain.pi_hat[1:]
 
         ss = single_snp_tests(X, data.y)

@@ -288,6 +288,45 @@ def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message)
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["config", "genotypes", "genes", "relevances"])
+def test_undecodable_input_names_its_line(tmp_path, monkeypatch, capsys, kind):
+    # a 0xff byte on line 3 of one input file: one error line naming
+    # path:3, exit 2, no traceback
+    monkeypatch.chdir(tmp_path)
+    cfg = _sim_config(tmp_path, f"relevances = {tmp_path / 'rel.tsv'}\n")
+    (tmp_path / "rel.tsv").write_text("ga\t1\ngb\t2\ngc\t3\n")
+    path = {
+        "config": tmp_path / "run.cfg",
+        "genotypes": tmp_path / "sim" / "simulated_genotypes.tsv",
+        "genes": tmp_path / "sim" / "simulated_genes.bed",
+        "relevances": tmp_path / "rel.tsv",
+    }[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["--config", cfg, "report"]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spatialboost: error:"), lines
+    assert f"{path}:3: not UTF-8 text" in lines[0], lines
+    if kind == "config":  # rejected before the run makes its output directory
+        assert not (tmp_path / "out").exists()
+
+
+def test_crlf_config_and_genotypes_run(tmp_path):
+    cfg = _sim_config(tmp_path)
+    assert main(["--config", cfg, "--out-dir", str(tmp_path / "lf"), "boosts"]) == 0
+    geno = tmp_path / "sim" / "simulated_genotypes.tsv"
+    for path in (tmp_path / "run.cfg", geno):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["--config", cfg, "--out-dir", str(tmp_path / "crlf"), "boosts"]) == 0
+    for name in ("filters.tsv", "boosts.tsv"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (
+            tmp_path / "lf" / name
+        ).read_bytes()
+
+
 def test_manifest_config_reads_back(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the run writes into the default out/
     ran = run_pipeline(parse_config(_sim_config(tmp_path)), "filter").config

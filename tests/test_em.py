@@ -217,6 +217,8 @@ def test_em_fit_tall_panel_ascends_marginal_objective():
     assert len(state.objective_trace) == state.iterations > 2
     assert np.all(np.diff(state.objective_trace) >= -ASCENT_SLACK)
     assert not state.diverged
+    # the state's eta is its beta's linear predictor, bit for bit
+    assert state.eta.tobytes() == design.matvec(state.beta).tobytes()
 
 
 def test_marginal_log_posterior_matches_direct_sum(rng):
@@ -306,6 +308,7 @@ def test_filter_round_removes_lowest():
         beta=np.zeros(5),
         sigma2=0.01,
         etheta=np.array([1.0, 0.9, 0.1, 0.5, 0.7]),
+        eta=np.zeros(8),
     )
     kept = filter_round(state, 1)
     assert kept.tolist() == [0, 2, 3]
@@ -316,6 +319,7 @@ def test_filter_round_tie_break_lower_index():
         beta=np.zeros(5),
         sigma2=0.01,
         etheta=np.array([1.0, 0.5, 0.2, 0.2, 0.9]),
+        eta=np.zeros(8),
     )
     kept = filter_round(state, 1)
     assert kept.tolist() == [0, 2, 3]
@@ -360,25 +364,55 @@ def test_em_filter_pipeline_size_chain():
     assert trace.stop_reason == "rounds"
 
 
-def test_em_filter_pipeline_keeps_survivor_design():
-    # the marker floor max(10, 40 // 10) stops the filter before any removal
-    # (12 - 3 < 10), so the last round's design is the survivors' design
+def _same_factors(got, want):
+    for name in ("U", "d", "V", "Xt", "K"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.relative_residual_energy == want.relative_residual_energy
+
+
+def test_em_filter_pipeline_hands_over_the_survivors_design(monkeypatch):
+    factored = []  # every design em_filter_pipeline factors, in order
+    factor = FilterConfig.factor
+
+    def recording_factor(self, X_markers, columns):
+        factored.append(factor(self, X_markers, columns))
+        return factored[-1]
+
+    monkeypatch.setattr(FilterConfig, "factor", recording_factor)
+
+    # floor stop: the marker floor max(10, 40 // 10) stops the filter before
+    # any removal (12 - 3 < 10), so the last round's design is handed over
     X, y, boosts, hyper = _floor_instance()
     config = FilterConfig(max_rounds=3, rank=40)
     trace = em_filter_pipeline(X, y, boosts, hyper, config)
     assert trace.stop_reason == "floor"
     assert trace.final_survivors.size == 12
-    assert trace.survivor_design(X, config) is trace.design
+    assert len(factored) == len(trace.rounds) and trace.design is factored[-1]
     assert trace.design.rank == 13
 
+    # the rounds run out after a removal: the survivors are factored anew
     X, y, boosts, hyper = _separable_instance()
     config = FilterConfig(max_rounds=2, rank=40)
+    factored.clear()
     trace = em_filter_pipeline(X, y, boosts, hyper, config)
+    assert trace.stop_reason == "rounds"
+    assert len(factored) == len(trace.rounds) + 1 and trace.design is factored[-1]
     surv = trace.final_survivors
     assert surv.size < trace.rounds[-1].retained.size
-    design = trace.survivor_design(X, config)
+    _same_factors(trace.design, factor(config, X, surv))
     expected = truncate_design(np.column_stack([np.ones(X.shape[0]), X[:, surv]]), 40)
-    assert np.array_equal(reconstruct(design), reconstruct(expected))
+    assert np.array_equal(reconstruct(trace.design), reconstruct(expected))
+
+    # no round: the full design
+    config = FilterConfig(max_rounds=0, rank=40)
+    factored.clear()
+    trace = em_filter_pipeline(X, y, boosts, hyper, config)
+    assert trace.rounds == [] and np.array_equal(trace.final_survivors, np.arange(100))
+    assert len(factored) == 1
+    _same_factors(trace.design, factor(config, X, np.arange(100)))
 
 
 def test_factor_int8_markers_match_float64():
@@ -387,11 +421,7 @@ def test_factor_int8_markers_match_float64():
     columns = np.array([0, 3, 4, 17, 60, 99])
     for config in (FilterConfig(), FilterConfig(rank=4), FilterConfig(rank=200)):
         for cols in (columns, np.arange(100)):
-            got = config.factor(G, cols)
-            want = config.factor(G.astype(float), cols)
-            for name in ("U", "d", "V", "Xt", "K"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert got.relative_residual_energy == want.relative_residual_energy
+            _same_factors(config.factor(G, cols), config.factor(G.astype(float), cols))
 
 
 def test_em_filter_pipeline_nesting_and_round_trip():
@@ -400,10 +430,10 @@ def test_em_filter_pipeline_nesting_and_round_trip():
         X, y, boosts, hyper, FilterConfig(max_rounds=3, rank=40)
     )
     prev = set(trace.initial.tolist())
-    for rec in trace.rounds:
-        cur = set(rec.survivors.tolist())
+    for kept in [rec.retained for rec in trace.rounds] + [trace.final_survivors]:
+        cur = set(kept.tolist())
         assert cur <= prev
-        assert len(cur) == rec.survivors.size  # no duplicates
+        assert len(cur) == kept.size  # no duplicates
         prev = cur
     assert all(0 <= j < 100 for j in trace.final_survivors)
 
@@ -472,6 +502,6 @@ def test_em_ranking_scores_survivors_rank_highest():
     )
     scores = em_ranking_scores(trace, 100)
     surv = trace.final_survivors
-    removed_round0 = np.setdiff1d(trace.initial, trace.rounds[0].survivors)
+    removed_round0 = np.setdiff1d(trace.initial, trace.rounds[1].retained)
     assert scores[surv].min() > scores[removed_round0].max()
     assert np.all(scores >= 0.0)

@@ -104,6 +104,12 @@ def test_load_genotypes_errors_count_blank_lines(tmp_path):
         load_genotypes(_write(tmp_path, "head.tsv", "\npheno\trs1:1:100\n1\t0\n"))
 
 
+def test_load_genotypes_rejects_duplicate_snp_ids(tmp_path):
+    text = "\n#pheno\trs1:1:100\trs2:1:200\trs1:1:300\n1\t0\t2\t1\n"
+    with pytest.raises(ParseError, match=r"^\S*dup\.tsv:2: duplicate SNP id rs1$"):
+        load_genotypes(_write(tmp_path, "dup.tsv", text))
+
+
 def _genotype_text(rng, n, p, missing, sep="\n"):
     header = "\t".join(["#pheno"] + [f"rs{j}:{1 + j % 3}:{100 * j}" for j in range(p)])
     codes = np.array(["0", "1", "2"])[rng.integers(0, 3, (n, p))]

@@ -202,7 +202,7 @@ def test_study_gibbs_ranking_samples_through_the_stage_chain(monkeypatch):
     trace = em_filter_pipeline(data.genotypes, data.y, boosts, cfg.em, cfg.filtering)
 
     def scores(chain_seed):
-        chain = sample_survivors(cfg, data.genotypes, data.y, boosts, trace, chain_seed)
+        chain = sample_survivors(cfg, data.y, boosts, trace, chain_seed)
         out = em_ranking_scores(trace, p)
         out[trace.final_survivors] = out.max() + 1.0 + chain.pi_hat[1:]
         return out
