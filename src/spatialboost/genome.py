@@ -244,8 +244,13 @@ def _distance_bins(X: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, float]:
     """Bin every pair of the non-constant (n x m) columns X at positions pos
     by log-distance: d > 0 in floor(_BINS_PER_DECADE log10 d), d = 0 in bin
     0. Returns the rows pair count, sum d, sum |r| and sum |r| d per bin,
-    bins ascending, and sum r^2 over all the pairs."""
-    Z = X.T - X.mean(axis=0)[:, None]  # one row per SNP
+    bins ascending, and sum r^2 over all the pairs.
+
+    X may be the int8 genotypes: the column means are their exact integer
+    sums over n, and the one float copy of X is centred and scaled in place.
+    """
+    Z = X.T.astype(float)  # one row per SNP
+    Z -= (X.sum(axis=0) / X.shape[0])[:, None]
     Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]  # Z Z' = corr
     ps = np.sort(pos, kind="stable")
     gaps = np.diff(ps)
@@ -267,9 +272,10 @@ def _distance_bins(X: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, float]:
         k *= _BINS_PER_DECADE
         np.floor(k, out=k)
         k -= lo - 1.0
-        k = np.clip(k, 0, n_bins - 1, out=k).astype(np.intp)
-        for row, w in zip(sums, (None, d, r, r * d)):
-            row += np.bincount(k, w, minlength=n_bins)
+        at = np.clip(k, 0, n_bins - 1, out=k).astype(np.intp)
+        rd = np.multiply(r, d, out=k)  # k's float buffer, once cast
+        for row, w in zip(sums, (None, d, r, rd)):
+            row += np.bincount(at, w, minlength=n_bins)
         r2 += float(r @ r)
 
     m = pos.size
@@ -333,12 +339,12 @@ def fit_phi(
     of the exact per-pair mean at any phi; on the benchmark's gwas_wide
     regions it is within 1.3e-6. The coarse grid is scored in one call.
     """
-    X = np.asarray(genotype_columns, dtype=float)
+    X = np.asarray(genotype_columns)
     positions = np.asarray(positions, dtype=float)
     if X.ndim != 2 or X.shape[1] != positions.size:
         raise ConfigurationError("genotype columns and positions misaligned")
 
-    usable = np.std(X, axis=0) > 0
+    usable = X.max(axis=0) > X.min(axis=0)  # the non-constant columns
     if usable.sum() < 2:
         return DEFAULT_PHI
     errors = _binned_errors(*_distance_bins(X[:, usable], positions[usable]))

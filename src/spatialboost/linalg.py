@@ -316,7 +316,9 @@ class WoodburySolver:
             C = np.atleast_2d(C)
         V = np.asarray(V, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        if not np.all(np.isfinite(sigma)):  # a fit that diverged
+            raise NumericalError("prior covariance entries must be finite")
+        if np.any(sigma <= 0):
             raise ConfigurationError("prior covariance entries must be positive")
         k = V.shape[1]
         if self._diag:

@@ -21,6 +21,7 @@ import zipfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
+from typing import BinaryIO
 
 import numpy as np
 
@@ -404,12 +405,14 @@ def _replaced(obj, path: str, value):
 def parse_config(path: str) -> RunConfig:
     """Flat ``key = value`` config with stage prefixes em./gibbs./filter.
 
-    An unknown key, a value that does not convert, or a value its dataclass
-    rejects raises ConfigurationError naming ``path:line``. Values are set
-    in ``_KEYS`` order, so gibbs.burnin is checked against the file's
-    gibbs.iters wherever either line is.
+    An unknown key, a key given twice (naming both lines), a value that
+    does not convert, or a value its dataclass rejects raises
+    ConfigurationError naming ``path:line``. Values are set in ``_KEYS``
+    order, so gibbs.burnin is checked against the file's gibbs.iters
+    wherever either line is.
     """
     settings = []  # (key order, file:line, field path, value)
+    seen: dict[str, str] = {}  # key -> the file:line that set it
     for lineno, ln in _lines(path):
         ln = ln.split("#", 1)[0].strip()
         if not ln:
@@ -420,6 +423,9 @@ def parse_config(path: str) -> RunConfig:
         key, val = (part.strip() for part in ln.split("=", 1))
         if key not in _KEYS:
             raise ConfigurationError(f"{where}: unknown config key '{key}'")
+        if key in seen:
+            raise ConfigurationError(f"{where}: key '{key}' already set at {seen[key]}")
+        seen[key] = where
         field_path, convert = _KEYS[key]
         try:
             value = convert(val)
@@ -448,32 +454,55 @@ def atomic_write(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to a temporary file next to ``path``, then rename it
-    over ``path``, so a reader never sees a partial file."""
+def atomic_write_bytes(path: str, data: bytes | Callable[[BinaryIO], None]) -> None:
+    """Write ``data``, or let ``data(fh)`` write, to a temporary file next
+    to ``path``, then rename it over ``path``, so a reader never sees a
+    partial file. A write that raises removes the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    """An uncompressed .npz archive of ``arrays`` that ``np.load`` reads,
-    one ``<name>.npy`` member each. Unlike ``np.savez``, every member carries
-    the same fixed timestamp, so equal arrays give equal bytes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+def write_npz(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
+    """Write an uncompressed .npz archive of ``arrays`` that ``np.load``
+    reads to the seekable ``fh``, one ``<name>.npy`` member each. Unlike
+    ``np.savez``, every member carries the same fixed timestamp, so equal
+    arrays give equal bytes. Each member is written from its array's own
+    buffer (the chain's draws are C-contiguous), so no copy of the draws
+    or of the archive is held in memory."""
+    with zipfile.ZipFile(fh, "w") as zf:
         for name, arr in arrays.items():
-            npy = io.BytesIO()
-            np.lib.format.write_array(npy, np.asarray(arr), allow_pickle=False)
+            arr = np.ascontiguousarray(arr)
+            header = io.BytesIO()
+            meta = np.lib.format.header_data_from_array_1_0(arr)
+            np.lib.format.write_array_header_1_0(header, meta)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, npy.getvalue())
-    return buf.getvalue()
+            # the size is set before opening, as writestr sets it, so the
+            # member's zip64 choice is writestr's
+            info.file_size = header.tell() + arr.nbytes
+            with zf.open(info, "w") as member:
+                member.write(header.getvalue())
+                member.write(arr)
+
+
+_CHUNK = 1 << 20  # bytes per read when hashing an artifact
 
 
 def _checksum(path: str) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -497,12 +526,12 @@ class PipelineResult:
     def out_dir(self) -> str:
         return self.config.out_dir
 
-    def emit(self, name: str, data: str | bytes) -> str:
+    def emit(self, name: str, data: str | Callable[[BinaryIO], None]) -> str:
         path = os.path.join(self.out_dir, name)
-        if isinstance(data, bytes):
-            atomic_write_bytes(path, data)
-        else:
+        if isinstance(data, str):
             atomic_write(path, data)
+        else:
+            atomic_write_bytes(path, data)
         self.outputs.append(path)
         return path
 
@@ -581,12 +610,12 @@ def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
     seed = int(substream(cfg.seed, "gibbs.chain0").integers(2**31))
     run.chain = chain = sample_survivors(cfg, ds.y, run.boosts, run.trace, seed)
-    draws = _npz_bytes({
+    draws = {
         "theta": chain.theta_draws,
         "beta": chain.beta_draws,
         "sigma2": chain.sigma2_draws,
-    })
-    return run.emit("gibbs_draws.npz", draws)
+    }
+    return run.emit("gibbs_draws.npz", lambda fh: write_npz(fh, draws))
 
 
 def _report(run: PipelineResult) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from spatialboost._special import expit, ndtr
 from spatialboost.em import Hyperparameters, em_filter_pipeline, em_ranking_scores
-from spatialboost.errors import ConfigurationError
+from spatialboost.errors import ConfigurationError, NumericalError
 from spatialboost.genome import (
     DEFAULT_PHI,
     Gene,
@@ -267,25 +267,30 @@ def study_harness(
     boosted model with the settings the em-filter and gibbs stages read from
     ``config`` (the Gibbs chain on the EM survivors runs only for
     ``gibbs_ranking``) and the single-SNP baseline, and score both by AUC
-    against the true indicators. Failed datasets are recorded, never
-    silently dropped."""
+    against the true indicators. Failed datasets (a degenerate truth, or a
+    fit that raises NumericalError) are recorded, never silently dropped."""
     rows: list[StudyRow] = []
     for d, seed in enumerate(seeds):
         _, _, boosts, data = draw_dataset(config, n, p, np.random.default_rng(seed))
         X = data.genotypes
         n_assoc = int(data.theta.sum())
+        nan = np.nan
         if n_assoc == 0 or n_assoc == p:
-            rows.append(
-                StudyRow(d, seed, np.nan, np.nan, np.nan, np.nan, n_assoc,
-                         failed="degenerate truth")
-            )
+            rows.append(StudyRow(d, seed, nan, nan, nan, nan, n_assoc,
+                                 failed="degenerate truth"))
             continue
 
-        trace = em_filter_pipeline(X, data.y, boosts, config.em, config.filtering)
-        sb_scores = em_ranking_scores(trace, p)
-        if gibbs_ranking:  # survivors rank above the rest, by pi_hat
-            chain = sample_survivors(config, data.y, boosts, trace, seed)
-            sb_scores[trace.final_survivors] = sb_scores.max() + 1.0 + chain.pi_hat[1:]
+        try:
+            trace = em_filter_pipeline(X, data.y, boosts, config.em, config.filtering)
+            sb_scores = em_ranking_scores(trace, p)
+            if gibbs_ranking:  # survivors rank above the rest, by pi_hat
+                chain = sample_survivors(config, data.y, boosts, trace, seed)
+                top = sb_scores.max() + 1.0
+                sb_scores[trace.final_survivors] = top + chain.pi_hat[1:]
+        except NumericalError as exc:
+            rows.append(StudyRow(d, seed, nan, nan, nan, nan, n_assoc,
+                                 failed=f"fit failed: {exc}"))
+            continue
 
         ss = single_snp_tests(X, data.y)
         roc_sb = roc_auc(sb_scores, data.theta)

@@ -1,6 +1,9 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import io
 import math
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, log_ndtr
 
 from spatialboost.em import em_prior_covariance
+from spatialboost import genome
 from spatialboost.errors import ConfigurationError, ParseError
 from spatialboost.genome import (
     DEFAULT_PHI,
@@ -168,6 +172,102 @@ def exhaustive_fit_phi(genotype_columns: np.ndarray, positions: np.ndarray,
     fine = np.logspace(np.log10(lo), np.log10(hi), 200)
     fine_errs = np.array([mse(p) for p in fine])
     return float(fine[int(np.argmin(fine_errs))])
+
+
+def float_copy_distance_bins(X: np.ndarray, pos: np.ndarray):
+    """``genome._distance_bins`` through a float64 cast of X, centred out
+    of place, with |r| d in a buffer of its own: the reference the int8
+    route must match bit for bit."""
+    X = np.asarray(X, dtype=float)
+    Z = X.T - X.mean(axis=0)[:, None]  # one row per SNP
+    Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]  # Z Z' = corr
+    ps = np.sort(pos, kind="stable")
+    gaps = np.diff(ps)
+    if gaps.any():
+        d_lo, d_hi = gaps[gaps > 0].min(), ps[-1] - ps[0]
+        lo, hi = np.floor(genome._BINS_PER_DECADE * np.log10([d_lo, d_hi]))
+    else:  # every pair at d = 0
+        lo = hi = 0.0
+    n_bins = int(hi - lo) + 2
+    sums = np.zeros((4, n_bins))
+    r2 = 0.0
+
+    def add(r: np.ndarray, d: np.ndarray) -> None:  # overwrites r, d
+        nonlocal r2
+        np.abs(r, out=r)
+        np.abs(d, out=d)
+        with np.errstate(divide="ignore"):  # log10(0) = -inf: bin 0
+            k = np.log10(d)
+        k *= genome._BINS_PER_DECADE
+        np.floor(k, out=k)
+        k -= lo - 1.0
+        k = np.clip(k, 0, n_bins - 1, out=k).astype(np.intp)
+        for row, w in zip(sums, (None, d, r, r * d)):
+            row += np.bincount(k, w, minlength=n_bins)
+        r2 += float(r @ r)
+
+    m, rows = pos.size, genome._BLOCK_ROWS
+    upper = np.triu(np.ones((min(m, rows),) * 2, dtype=bool), 1)
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        Za, pa, tri = Z[a:b], pos[a:b, None], upper[:b - a, :b - a]
+        add((Za @ Za.T)[tri], (pa - pos[a:b])[tri])
+        add((Za @ Z[b:].T).ravel(), (pa - pos[b:]).ravel())
+    return sums, r2
+
+
+def float_copy_fit_phi(genotype_columns: np.ndarray, positions: np.ndarray,
+                       grid: np.ndarray = PHI_GRID) -> float:
+    """``genome.fit_phi`` through three float64 copies of the region (the
+    cast, the usable columns and the centred rows), usable columns by
+    np.std, and the same binned search: the reference the int8 route must
+    match bit for bit."""
+    X = np.asarray(genotype_columns, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    usable = np.std(X, axis=0) > 0
+    if usable.sum() < 2:
+        return DEFAULT_PHI
+    bins = float_copy_distance_bins(X[:, usable], positions[usable])
+    errors = genome._binned_errors(*bins)
+    k = int(np.argmin(errors(grid)))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, grid.size - 1)]
+    fine = np.logspace(np.log10(lo), np.log10(hi), 200)
+    a, b = 0, fine.size - 1
+    while a < b:
+        mid = (a + b) // 2
+        if errors(fine[mid:mid + 1])[0] <= errors(fine[mid + 1:mid + 2])[0]:
+            b = mid
+        else:
+            a = mid + 1
+    return float(fine[a])
+
+
+def npz_bytes(arrays: dict) -> bytes:
+    """The draw archive built whole in memory: one ``<name>.npy`` member
+    per array from ``np.lib.format.write_array``, each stored by
+    ``writestr`` with the fixed 1980-01-01 timestamp; the reference the
+    streamed ``write_npz`` must match byte for byte."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in arrays.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.asarray(arr), allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, npy.getvalue())
+    return buf.getvalue()
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes numpy and Python allocated while fn ran, over what was
+    live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def dense_woodbury(S: np.ndarray, sigma: np.ndarray,

@@ -41,16 +41,21 @@ def test_simulate_deterministic_with_seed(tmp_path):
 def _sim_config(tmp_path, extra=""):
     out = str(tmp_path / "sim")
     main(["--seed", "3", "--out-dir", out, "simulate", "--n", "40", "--p", "16"])
+    base = [
+        f"genotypes = {out}/simulated_genotypes.tsv",
+        f"genes = {out}/simulated_genes.bed",
+        "phi = 5000",
+        "seed = 7",
+        "gibbs.iters = 120",
+        "gibbs.burnin = 30",
+        "filter.max_rounds = 1",
+    ]
+    # a key that ``extra`` sets is commented out above it, since a config
+    # may set each key once; ``extra`` still starts on line 8
+    keys = {ln.partition("=")[0].strip() for ln in extra.splitlines()}
+    lines = [f"# {ln}" if ln.partition("=")[0].strip() in keys else ln for ln in base]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"genotypes = {out}/simulated_genotypes.tsv\n"
-        f"genes = {out}/simulated_genes.bed\n"
-        "phi = 5000\n"
-        "seed = 7\n"
-        "gibbs.iters = 120\n"
-        "gibbs.burnin = 30\n"
-        "filter.max_rounds = 1\n" + extra
-    )
+    cfg.write_text("\n".join(lines) + "\n" + extra)
     return str(cfg)
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,11 +20,15 @@ from spatialboost.genome import (
     gene_weight,
     partition_regions,
 )
+from spatialboost.pipeline import load_genotypes
 from tests.conftest import (
     correlated_columns,
     exhaustive_fit_phi,
+    float_copy_distance_bins,
+    float_copy_fit_phi,
     loop_build_blocks,
     loop_compute_boosts,
+    peak_bytes,
 )
 
 
@@ -458,18 +460,6 @@ def test_distance_bins_match_pair_sums():
     assert r2 == pytest.approx(float(t @ t), rel=1e-12)
 
 
-def _peak_bytes(fn):
-    """Peak bytes numpy and Python allocated while fn ran, over what was
-    live when it started."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_fit_phi_memory_grows_linearly_in_snps():
     # m (m - 1) / 2 pairs, but the pass holds the region's columns and one
     # row block of pairs: at m = 3000 one m x m float matrix alone is 72 MB
@@ -477,9 +467,80 @@ def test_fit_phi_memory_grows_linearly_in_snps():
     for m in (1500, 3000):
         X = _ld_genotypes(n, m, 0.9, 6)
         pos = np.arange(m) * 37.0
-        peaks[m] = _peak_bytes(lambda: fit_phi(X, pos))
+        peaks[m] = peak_bytes(lambda: fit_phi(X, pos))
     assert peaks[3000] < 8 * 3000 * (4 * n + 8 * genome._BLOCK_ROWS)
     assert peaks[3000] < 2.5 * peaks[1500]  # 4x if it grew as m^2
+
+
+def _int8_region(tmp_path, name):
+    """An int8 region and its positions: LD genotypes with constant columns,
+    loaded from a genotype file whose missing cells load_genotypes imputes
+    when ``name`` asks for them."""
+    seed = int(name.rpartition("=")[2])
+    rng = np.random.default_rng(seed)
+    n, m = 40 + 20 * seed, 300 if name.startswith("ld") else 6
+    G = _ld_genotypes(n, m, 0.6 + 0.05 * seed, seed).astype(np.int8)
+    pos = np.sort(rng.integers(0, 400_000, m))
+    pos[1:4] = pos[1]  # pairs at d = 0
+    const = rng.choice(m, size=m // 10 or 1, replace=False)
+    if name.startswith("one_usable"):
+        const = np.arange(1, m)
+    elif name.startswith("two_usable"):
+        const = np.arange(2, m)
+    G[:, const] = rng.integers(0, 3, const.size)
+    cells = G.astype("U1")
+    if name.startswith("ld_imputed"):
+        missing = rng.random(G.shape) < 0.03
+        missing[:, const] = False  # keep them constant
+        cells[missing] = "."
+    path = tmp_path / "region.tsv"
+    header = "\t".join(f"rs{j}:1:{pos[j]}" for j in range(m))
+    body = "".join(f"{k % 2}\t" + "\t".join(row) + "\n"
+                   for k, row in enumerate(cells))
+    path.write_text(f"#pheno\t{header}\n{body}")
+    ds = load_genotypes(str(path))
+    assert (ds.imputed > 0) == name.startswith("ld_imputed")
+    return ds.G, np.array([s.position for s in ds.snps], dtype=float)
+
+
+INT8_REGIONS = [
+    *(f"ld={s}" for s in range(4)),
+    *(f"ld_imputed={s}" for s in range(4)),
+    "one_usable=1",
+    "two_usable=2",
+    "two_usable=5",
+]
+
+
+@pytest.mark.parametrize("name", INT8_REGIONS)
+def test_fit_phi_on_int8_matches_the_float_copy_route(tmp_path, name):
+    # the bins built from the int8 columns, and so phi, equal the float64
+    # route's to the bit
+    G, pos = _int8_region(tmp_path, name)
+    assert G.dtype == np.int8
+    usable = np.std(G.astype(float), axis=0) > 0
+    kept = {"one": 1, "two": 2}.get(name.partition("_")[0])
+    assert usable.sum() == kept if kept else 2 < usable.sum() < usable.size
+    got, want = fit_phi(G, pos), float_copy_fit_phi(G, pos)
+    assert got.hex() == want.hex()
+    if kept == 1:
+        assert got == DEFAULT_PHI
+        return
+    sums, r2 = genome._distance_bins(G[:, usable], pos[usable])
+    want_sums, want_r2 = float_copy_distance_bins(G[:, usable], pos[usable])
+    assert sums.tobytes() == want_sums.tobytes() and r2.hex() == want_r2.hex()
+
+
+def test_fit_phi_int8_region_holds_one_float_copy():
+    # the region's one float64 copy, centred and scaled in place, and four
+    # row blocks of pairs: |r|, d, the log-bin buffer (which then holds
+    # |r| d) and its intp cast; float_copy_fit_phi holds three copies
+    n, m = 200, 3000
+    G = _ld_genotypes(n, m, 0.9, 6).astype(np.int8)
+    pos = np.arange(m) * 37.0
+    one_copy, block = 8 * n * m, 8 * genome._BLOCK_ROWS * m
+    peak = peak_bytes(lambda: fit_phi(G, pos))
+    assert peak < one_copy + 4 * block + 2**20
 
 
 def test_global_phi_requires_fits():

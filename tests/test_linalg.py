@@ -177,6 +177,23 @@ def test_woodbury_validation(rng):
         WoodburySolver(rng.standard_normal((2, 3)), V, np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_woodbury_prior_covariance_checks(rng, bad):
+    # a non-finite sigma comes from a fit that diverged, a numerical
+    # failure; a finite sigma <= 0 is an invalid input
+    C = rng.standard_normal((2, 2))
+    V = orthonormal(4, 2, rng)
+    sigma = np.ones(4)
+    sigma[2] = bad
+    error, message = (
+        (NumericalError, "prior covariance entries must be finite")
+        if not np.isfinite(bad)
+        else (ConfigurationError, "prior covariance entries must be positive")
+    )
+    with pytest.raises(error, match=f"^{message}$"):
+        WoodburySolver(C, V, sigma)
+
+
 def test_woodbury_sample_space_dense_oracle(rng):
     # S = diag(r) X with X n x (p+1), p+1 > n, given as V = X' and K = X X'
     X = rng.integers(0, 3, (8, 15)).astype(float)

@@ -1,7 +1,12 @@
+import errno
+import hashlib
+import io
 import os
+import re
 from dataclasses import fields, is_dataclass
 from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +19,15 @@ from spatialboost.errors import (
     ParseError,
     PipelineError,
 )
+from spatialboost import pipeline
 from spatialboost.genome import Gene, SnpLocus
+from spatialboost.mcmc import ChainSummary
 from spatialboost.pipeline import (
+    _CHUNK,
     Dataset,
     _KEYS,
+    PipelineResult,
+    _checksum,
     RunConfig,
     atomic_write,
     atomic_write_bytes,
@@ -31,8 +41,9 @@ from spatialboost.pipeline import (
     parse_config,
     run_pipeline,
     substream,
+    write_npz,
 )
-from tests.conftest import per_cell_load_genotypes
+from tests.conftest import npz_bytes, peak_bytes, per_cell_load_genotypes
 
 GENO_SMALL = """#pheno\trs1:1:100\trs2:1:200
 1\t0\t2
@@ -407,6 +418,17 @@ def test_parse_config_phi_fit_and_unknown_key(tmp_path):
         parse_config(_write(tmp_path, "c.cfg", "no equals sign\n"))
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    # the second line would silently win; both lines are named
+    path = _write(tmp_path, "a.cfg", "gibbs.iters = 60\nseed = 2\n\ngibbs.iters=90\n")
+    where = re.escape(path)
+    with pytest.raises(
+        ConfigurationError,
+        match=f"^{where}:4: key 'gibbs.iters' already set at {where}:1$",
+    ):
+        parse_config(path)
+
+
 def test_substream_determinism():
     a = substream(3, "gibbs.chain0").integers(2**31, size=5)
     b = substream(3, "gibbs.chain0").integers(2**31, size=5)
@@ -423,6 +445,94 @@ def test_atomic_write(tmp_path):
     atomic_write_bytes(path, b"\x00\xff")
     assert open(path, "rb").read() == b"\x00\xff"
     assert not os.path.exists(path + ".tmp")
+
+
+def _archive_cases():
+    rng = np.random.default_rng(8)
+    beta = rng.standard_normal((6, 5))
+    return {
+        # a chain that keeps one draw
+        "one_draw": {"theta": np.array([[1, 0, 1]], dtype=np.int8),
+                     "beta": rng.standard_normal((1, 3)),
+                     "sigma2": rng.random(1)},
+        "chain": {"theta": rng.integers(0, 2, (25, 9)).astype(np.int8),
+                  "beta": rng.standard_normal((25, 9)),
+                  "sigma2": rng.random(25)},
+        "empty_and_bool": {"empty": np.empty((0, 4)), "bool": beta > 0},
+        # not C-contiguous: written in C order, as write_array writes a copy
+        "layouts": {"fortran": np.asfortranarray(beta), "strided": beta[::2, ::3]},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_archive_cases()))
+def test_streamed_draw_archive_matches_the_in_memory_one(tmp_path, case):
+    arrays = _archive_cases()[case]
+    path = tmp_path / "draws.npz"
+    atomic_write_bytes(str(path), lambda fh: write_npz(fh, arrays))
+    copies = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    assert path.read_bytes() == npz_bytes(copies)
+    assert os.listdir(tmp_path) == ["draws.npz"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == list(arrays)
+        for name, want in arrays.items():
+            got = npz[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+def test_checksum_in_chunks_matches_whole_file_sha256(tmp_path, size):
+    path = tmp_path / "artifact"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert _checksum(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _gibbs_stage(tmp_path, monkeypatch, chain):
+    """A run context whose gibbs stage writes ``chain``'s draws to tmp_path."""
+    monkeypatch.setattr(pipeline, "sample_survivors", lambda *args: chain)
+    run = PipelineResult(RunConfig(out_dir=str(tmp_path)))
+    run.dataset = SimpleNamespace(y=None)
+    return run
+
+
+def _big_chain(retained=1000, p1=3000):
+    theta = np.zeros((retained, p1), dtype=np.int8)
+    beta = np.random.default_rng(1).standard_normal((retained, p1))
+    return ChainSummary(theta.mean(axis=0), retained, theta, beta, np.ones(retained))
+
+
+def test_gibbs_stage_streams_the_draw_archive(tmp_path, monkeypatch):
+    # beta's draws are 24 MB; written member by member from the arrays' own
+    # buffers, the archive never holds a copy of them (npz_bytes holds an
+    # npy buffer, a zip buffer and its copy)
+    chain = _big_chain()
+    run = _gibbs_stage(tmp_path, monkeypatch, chain)
+    peak = peak_bytes(lambda: pipeline._gibbs(run))
+    size = chain.beta_draws.nbytes
+    assert size == 24_000_000
+    assert peak < size
+    want = npz_bytes({"theta": chain.theta_draws, "beta": chain.beta_draws,
+                      "sigma2": chain.sigma2_draws})
+    assert (tmp_path / "gibbs_draws.npz").read_bytes() == want
+    assert run.outputs == [str(tmp_path / "gibbs_draws.npz")]
+
+
+def test_failed_draw_archive_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # the disk fills up at the first byte: the temporary file is removed and
+    # the previous run's archive is left as it was
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    old = tmp_path / "gibbs_draws.npz"
+    old.write_bytes(b"previous run")
+    run = _gibbs_stage(tmp_path, monkeypatch, _big_chain(retained=4, p1=5))
+    monkeypatch.setattr(pipeline, "open", lambda path, mode: FullDisk(path, "w"),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        pipeline._gibbs(run)
+    assert os.listdir(tmp_path) == ["gibbs_draws.npz"]
+    assert old.read_bytes() == b"previous run"
 
 
 def _planted_files(tmp_path, seed=5, n=120, p=20, planted=8):
@@ -539,6 +649,11 @@ def test_gibbs_draws_npz_holds_the_chain(tmp_path):
         paths.append(tmp_path / run / "gibbs_draws.npz")
     assert paths[0].read_bytes() == paths[1].read_bytes()
     chain = chains[0]
+    assert paths[0].read_bytes() == npz_bytes({
+        "theta": chain.theta_draws,
+        "beta": chain.beta_draws,
+        "sigma2": chain.sigma2_draws,
+    })
     with np.load(paths[0], allow_pickle=False) as npz:
         assert sorted(npz.files) == ["beta", "sigma2", "theta"]
         for key, want in (("theta", chain.theta_draws),

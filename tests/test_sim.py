@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -188,6 +190,26 @@ def test_study_harness_single_dataset():
     text = result.to_tsv()
     assert text.startswith("dataset\tseed")
     assert text.strip().split("\n")[-1].startswith("median")
+
+
+def test_study_records_a_diverged_fit_as_failed():
+    # at em.lam = 50 and em.xi0 = 1, beta diverges on the separable dataset
+    # of seed 2 and sigma^2 becomes infinite: that dataset is recorded as
+    # failed, and the study goes on over the others
+    cfg = RunConfig(filtering=FilterConfig(max_rounds=2), gibbs_iters=60)
+    cfg = replace(cfg, em=replace(cfg.em, lam=50.0, xi0=1.0))
+    with np.errstate(all="ignore"):
+        result = study_harness(cfg, 60, 40, [0, 1, 2], gibbs_ranking=True)
+        with pytest.raises(ConfigurationError, match="^all datasets failed$"):
+            study_harness(cfg, 60, 40, [2], gibbs_ranking=True)
+    status = [r.failed or "ok" for r in result.rows]
+    assert status == ["ok", "ok",
+                      "fit failed: prior covariance entries must be finite"]
+    assert np.isnan(result.rows[2].auc_sb)
+    ok = [r.auc_sb for r in result.rows[:2]]
+    assert result.median_auc_sb == float(np.median(ok))
+    rows = result.to_tsv().splitlines()
+    assert rows[3].split("\t")[-1] == status[2]
 
 
 def test_study_gibbs_ranking_samples_through_the_stage_chain(monkeypatch):
