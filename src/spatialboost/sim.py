@@ -26,6 +26,7 @@ from spatialboost.pipeline import RunConfig, sample_survivors
 
 SIGMA2 = 0.01  # true sigma^2 of simulated effects
 LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
+GENOTYPE_BLOCK = 256  # columns thresholded per ndtr call; bounds its temporaries
 NEWTON_STEPS = 60  # most Newton steps a single-SNP fit takes
 
 
@@ -83,7 +84,9 @@ def synthetic_genotypes(
         if ld_rho > 0:
             for j in range(1, p):
                 z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
-        alleles += (ndtr(z) < mafs).astype(np.int8)
+        for j in range(0, p, GENOTYPE_BLOCK):
+            cols = slice(j, j + GENOTYPE_BLOCK)
+            alleles[:, cols] += ndtr(z[:, cols]) < mafs[cols]
     return alleles
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from spatialboost._special import ndtr
 from spatialboost.errors import ConfigurationError
 import spatialboost.genome as genome
 from spatialboost.genome import (
@@ -145,15 +146,42 @@ def test_compute_boosts_quadrature_oracle():
 
 
 @pytest.mark.parametrize("phi", [1e-3, 1.0, 3e4, 1e9])
-def test_compute_boosts_matches_loop_oracle_bitwise(phi):
+def test_gene_weight_is_exactly_zero_beyond_the_window(phi):
+    # 1000 blocks, each with a SNP WINDOW * phi or more past its end, one as
+    # far before its start, and one LEAD * phi or more before its start;
+    # the first SNP of each kind sits exactly at the bound
+    rng = np.random.default_rng(23)
+    start = rng.integers(0, 1_000_000, 1000)
+    end = start + rng.integers(1, 100_000, 1000)
+    extra = rng.uniform(0.0, 1.0, 1000)
+    extra[0] = 0.0
+    s = np.concatenate([
+        end + genome.WINDOW * phi * (1.0 + extra),
+        start - genome.WINDOW * phi * (1.0 + extra),
+        start - genome.LEAD * phi * (1.0 + extra),
+    ])
+    start, end = np.tile(start, 3), np.tile(end, 3)
+    weights = [
+        gene_weight(sj, GenomicBlock(int(a), int(b), 1.0), phi)
+        for sj, a, b in zip(s, start, end)
+    ]
+    assert all(w == 0.0 for w in weights)
+    # compute_boosts' term for the pair
+    assert np.all(ndtr((end - s) / phi) - ndtr((start - s) / phi) == 0.0)
+
+
+@pytest.mark.parametrize("phi", [1e-3, 1.0, 3e4, 1e9])
+def test_compute_boosts_matches_loop_oracle_to_rounding(phi, monkeypatch):
     # chromosome "2" has SNPs and no blocks, "4" blocks and no SNPs; the
-    # SNPs of each chromosome are interleaved with the others'
+    # SNPs of each chromosome are interleaved with the others', and two
+    # SNPs of chromosome "1" share a position
     rng = np.random.default_rng(17)
     chroms = ["1", "2", "3"]
     snps = [
         SnpLocus(f"s{k}", int(pos), chroms[k % 3])
         for k, pos in enumerate(rng.integers(0, 2_000_000, 300))
     ]
+    snps += [SnpLocus("t0", 1_000_000, "1"), SnpLocus("t1", 1_000_000, "1")]
     genes = [
         Gene(f"g{k}", int(a), int(a) + int(w), c)
         for k, (a, w, c) in enumerate(zip(
@@ -165,8 +193,27 @@ def test_compute_boosts_matches_loop_oracle_bitwise(phi):
     blocks = build_blocks(genes, rng.uniform(0.0, 3.0, len(genes)))
     want = loop_compute_boosts(snps, blocks, phi)
     got = compute_boosts(snps, blocks, phi)
-    assert got.tobytes() == want.tobytes()
-    assert np.all(got[1::3] == 0.0)
+    # each mass, from ndtr or from gene_weight, is within about 2 eps of the
+    # exact one, so the two raw sums differ by at most 4 eps times the
+    # chromosome's total relevance
+    top = max(
+        sum(gene_weight(snp.position, b, phi) * b.relevance
+            for b in blocks if b.chromosome == snp.chromosome)
+        for snp in snps
+    )
+    eps = np.finfo(float).eps
+    for chrom in chroms:
+        on = np.array([snp.chromosome == chrom for snp in snps])
+        total = sum(b.relevance for b in blocks if b.chromosome == chrom)
+        bound = 4 * eps * total / top
+        assert np.all(np.abs(got[on] - want[on]) <= bound), chrom
+    assert np.all(got[1:300:3] == 0.0)
+    assert got[-2] == got[-1]
+    # the windows skip only exact zeros, and the batches split no SNP's sum
+    monkeypatch.setattr(genome, "WINDOW", np.inf)
+    monkeypatch.setattr(genome, "LEAD", np.inf)
+    monkeypatch.setattr(genome, "PAIRS_PER_CALL", 7)
+    assert compute_boosts(snps, blocks, phi).tobytes() == got.tobytes()
 
 
 def test_compute_boosts_all_zero_warns():

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import kstest, rankdata
 
+from spatialboost._special import ndtr
 from spatialboost.em import (
     FilterConfig,
     Hyperparameters,
@@ -14,6 +15,7 @@ from spatialboost.em import (
 from spatialboost.errors import ConfigurationError
 from spatialboost.pipeline import RunConfig, sample_survivors
 from spatialboost.sim import (
+    GENOTYPE_BLOCK,
     draw_dataset,
     roc_auc,
     simulate,
@@ -82,6 +84,24 @@ def test_synthetic_genotypes_support_and_ld(rng):
     assert corr.mean() > 0.15
     with pytest.raises(ConfigurationError):
         synthetic_genotypes(10, 5, rng, ld_rho=1.0)
+
+
+@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
+def test_synthetic_genotypes_in_column_blocks_match_whole_matrix(ld_rho):
+    # p spans three column blocks, the last one partial
+    n, p = 30, 2 * GENOTYPE_BLOCK + 77
+    got = synthetic_genotypes(n, p, np.random.default_rng(8), ld_rho)
+    rng = np.random.default_rng(8)
+    mafs = rng.uniform(0.05, 0.5, size=p)
+    want = np.zeros((n, p), dtype=np.int8)
+    for _ in range(2):
+        z = rng.standard_normal((n, p))
+        if ld_rho > 0:
+            for j in range(1, p):
+                z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
+        want += (ndtr(z) < mafs).astype(np.int8)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
 
 
 def test_single_snp_null_pvalues_uniform():
