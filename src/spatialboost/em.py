@@ -328,8 +328,8 @@ class FilterConfig:
         intercept first, is built; the markers may be any numeric dtype,
         such as the loader's int8. It is built as X' ((p+1) x n), in blocks
         of FACTOR_BLOCK columns, and handed over to the factorization: a
-        full-rank sample-space design keeps it as its X_l', and a truncated
-        one overwrites it with X_l'."""
+        sample-space design keeps it as its X', and a tall rank-space one at
+        full rank writes U' over it."""
         Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
         Xt[0] = 1.0
         for a in range(0, len(columns), FACTOR_BLOCK):  # no copy of every column

@@ -1,13 +1,14 @@
 """Rank-truncated design factors and Woodbury-identity solves.
 
 The design matrix X (n x (p+1)) is replaced by its top-l singular triplets,
-X_l = U diag(d) V'. They come from the eigendecomposition of the Gram
-matrix of X's short side (X X' when n <= p+1, else X'X): one BLAS product
-and an ``eigh`` of a min(n, p+1)-sided matrix, so the long-side vectors are
-one more product (V = X'U / d or U = X V / d). A Gram squares the
-condition number, so eigenvalues at or below max(n, p+1) eps lambda_1 are
-rounding noise; the rank is capped at the count above that floor, whether
-it comes from ``rank_tol`` or is given explicitly.
+X_l = U diag(d) V', where truncation saves work (rank space, below). They
+come from the eigendecomposition of the Gram matrix of X's short side
+(X X' when n <= p+1, else X'X): one BLAS product and an ``eigh`` of a
+min(n, p+1)-sided matrix, so the long-side vectors are one more product
+(V = X'U / d or U = X V / d). A Gram squares the condition number, so
+eigenvalues at or below max(n, p+1) eps lambda_1 are rounding noise; the
+rank is capped at the count above that floor, whether it comes from
+``rank_tol`` or is given explicitly.
 
 Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved through a Woodbury
 core (``WoodburySolver``) in one of two spaces, chosen once per design from
@@ -17,9 +18,11 @@ reads (``TruncatedDesign.sample_space`` reports which):
 - rank space (3 l < 2 n): U, d and V. X_l'WX_l = S'S with S = C_w V' and
   C_w the l x l weighted-Gram Cholesky factor (``weighted_cholesky``,
   O(n l^2 + l^3)); the core is l x l.
-- sample space (3 l >= 2 n): X_l' and K = X_l X_l'. S = diag(sqrt W) X_l,
-  and the n x n core is built from K, which is fixed for the design, so no
-  weighted Gram is formed.
+- sample space (3 l >= 2 n): X' itself and K = X X'. The n x n core, the
+  (p+1) x n design and each solve cost the same whatever l is, so the
+  design is not truncated: its rank is the numerical rank and its
+  residual energy 0. S = diag(sqrt W) X, and the core is built from K,
+  which is fixed for the design, so no weighted Gram is formed.
 
 S itself is never formed in either space. The core I + S Sigma S' has every
 eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
@@ -32,16 +35,13 @@ at most V's size, (p+1) x l, and the weighted Gram is summed over blocks of
 at most max(l, COLUMN_BLOCK) individuals in one l x max(l, COLUMN_BLOCK)
 scratch, so a rank-space step allocates no n x l temporary.
 
-The float design that ``FilterConfig.factor`` hands over is written over
-(any other caller's X is left as it was). A rank-space design keeps U as
-U' (l x n, C-contiguous). A tall one at full rank writes U' over X'
-itself, block by block; below full rank U' is built in a new array, and
-X' is freed when the factor returns. Either way the design is never
-held twice, and afterwards only U' and V remain. A truncated sample-space
-design writes its X_l' over X'. For a wide design (n <= p+1) the dropped
-part is subtracted in row blocks of at most n rows, so the design is held
-once; a tall one (p+1 < n) forms the dropped part whole, one design-sized
-product, which is still smaller than its n x n K.
+A sample-space design keeps the float design X' that ``FilterConfig.factor``
+hands over without a copy. A rank-space design keeps U as U' (l x n,
+C-contiguous). A tall one at full rank writes U' over the handed-over X'
+block by block (any other caller's X is left as it was); below full rank
+U' is built in a new array, and X' is freed when the factor returns.
+Either way the design is never held twice, and afterwards only U' and V
+remain.
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ class TruncatedDesign:
     d: l non-increasing positive singular values, on both forms. A rank-space
     design holds U (n x l) and V ((p+1) x l), both orthonormal; U is the
     F-ordered view U'.T of a C-contiguous l x n U', the layout the weighted
-    Gram reads in column blocks. A
-    sample-space design holds instead Xt = X_l' as a C-contiguous (p+1) x n
-    array (X' itself when l = min(n, p+1)) and K = X_l X_l' (n x n); its U
-    and V are None. ``relative_residual_energy`` is the share of the
-    design's energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2, the
-    quantity ``rank_tol`` bounds.
+    Gram reads in column blocks. A sample-space design holds instead
+    Xt = X' itself as a C-contiguous (p+1) x n array and K = X X' (n x n),
+    at the numerical rank; its U and V are None. ``relative_residual_energy``
+    is the share of the design's energy the truncation drops,
+    ||X - X_l||_F^2 / ||X||_F^2, the quantity ``rank_tol`` bounds (0 in
+    sample space).
     """
 
     d: np.ndarray
@@ -97,7 +97,7 @@ class TruncatedDesign:
 
     @property
     def sample_space(self) -> bool:
-        """Whether the design holds the n x n sample-space form (X_l', K),
+        """Whether the design holds the n x n sample-space form (X', K),
         which ``truncate_design`` picks for 3 l >= 2 n."""
         return self.K is not None
 
@@ -128,8 +128,10 @@ def check_rank_tol(tol: float) -> None:
 
 
 def select_rank(X: np.ndarray, tol: float) -> int:
-    """Smallest l with ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1),
-    capped at the numerical rank: ``truncate_design``'s rank for ``tol``."""
+    """``truncate_design``'s rank for ``tol``: the smallest l with
+    ||X - X_l||_F^2 / ||X||_F^2 <= tol (always >= 1), capped at the
+    numerical rank, and the numerical rank itself when that l is at least
+    2n/3, where the design is kept exact (sample space)."""
     return truncate_design(X, tol=tol).rank
 
 
@@ -182,16 +184,16 @@ def truncate_design(
     With ``l`` None the rank is the smallest whose relative residual energy
     is at most ``tol``, which is then required (the ``select_rank`` rule).
     Either way it is capped at the numerical rank (see the module
-    docstring), so an explicit ``l`` may come back lower. Rank-space
-    factors carry deterministic signs: the first entry of each column of V
-    with magnitude above 1e-12 is positive.
+    docstring), so an explicit ``l`` may come back lower. A rank at or above
+    2n/3 means sample space, where X is kept exact at its numerical rank.
+    Rank-space factors carry deterministic signs: the first entry of each
+    column of V with magnitude above 1e-12 is positive.
     Pass X as the transpose of a C-contiguous (p+1) x n array and a
-    full-rank sample-space design keeps that array as its X_l' without a
-    copy. A truncated sample-space design writes its X_l' into a copy of X',
-    and a tall rank-space design its U' into a new array, so X is left as
-    it was; ``_overwrite`` is for ``FilterConfig.factor`` alone, which hands
-    over its private float design so that a truncated sample-space X_l' and
-    a full-rank tall U' are written over X' itself.
+    sample-space design keeps that array as its X' without a copy. A tall
+    rank-space design writes its U' into a new array, so X is left as it
+    was; ``_overwrite`` is for ``FilterConfig.factor`` alone, which hands
+    over its private float design so that a full-rank tall U' is written
+    over X' itself.
     """
     if l is None and tol is None:
         raise TypeError("truncate_design needs tol when l is None")
@@ -217,44 +219,25 @@ def truncate_design(
     if k == 0:
         raise ConfigurationError("design matrix has no non-zero singular value")
     l = min(l, k)
-    d = s[:l].copy()
-    rre = float(resid[l - 1] / total) if total > 0 else 0.0
-    if 3 * l < 2 * n:  # rank space
-        Q = Q[:, :l]
-        if n <= p1:
-            V = X.T @ Q
-            V /= d
-            sign = _signs(V)
-            V *= sign
-            Ut = np.ascontiguousarray(Q.T)
-            Ut *= sign[:, None]
-        else:
-            V = Q * _signs(Q)
-            del G, Q
-            Ut = _tall_left_factor(X, V, d, _overwrite)
-        return TruncatedDesign(d=d, relative_residual_energy=rre, U=Ut.T, V=V)
-    if l == s.size:  # X_l = X
+    if 3 * l >= 2 * n:  # sample space: X itself, at the numerical rank
         Xt = np.ascontiguousarray(X.T)
         K = G if n <= p1 else Xt.T @ Xt
-        return TruncatedDesign(d=d, relative_residual_energy=rre, Xt=Xt, K=K)
-    del G
-    # X_l' is X' less its part on the dropped singular vectors Q_r (at most
-    # a third of the short side here), subtracted in place
-    Xt = np.ascontiguousarray(X.T) if _overwrite else X.T.copy()
+        return TruncatedDesign(d=s[:k].copy(), relative_residual_energy=0.0, Xt=Xt, K=K)
+    d = s[:l].copy()
+    rre = float(resid[l - 1] / total) if total > 0 else 0.0
+    Q = Q[:, :l]
     if n <= p1:
-        # Q's kept and dropped parts, then Q itself freed; blocks of at most
-        # n rows keep each temporary within n x n
-        Qd, Qr = Q[:, :l] * d, Q[:, l:].copy()
-        del Q
-        for rows in _blocks(p1, n):
-            Xb = Xt[rows]
-            Xb -= (Xb @ Qr) @ Qr.T
-        K = Qd @ Qd.T
-    else:  # p+1 < n: one (p+1) x n temporary, smaller than K's n x n
-        Qr = Q[:, l:]
-        Xt -= Qr @ (Qr.T @ Xt)
-        K = Xt.T @ Xt
-    return TruncatedDesign(d=d, relative_residual_energy=rre, Xt=Xt, K=K)
+        V = X.T @ Q
+        V /= d
+        sign = _signs(V)
+        V *= sign
+        Ut = np.ascontiguousarray(Q.T)
+        Ut *= sign[:, None]
+    else:
+        V = Q * _signs(Q)
+        del G, Q
+        Ut = _tall_left_factor(X, V, d, _overwrite)
+    return TruncatedDesign(d=d, relative_residual_energy=rre, U=Ut.T, V=V)
 
 
 def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
@@ -286,7 +269,7 @@ class WoodburySolver:
     - rank space: C is an l x l matrix and V ((p+1) x l) has orthonormal
       columns, as the right factor of a ``TruncatedDesign`` does;
     - sample space: C is a vector of n entries standing for diag(C), V is
-      X_l' ((p+1) x n), and ``gram`` is K = V'V = X_l X_l'.
+      X' ((p+1) x n), and ``gram`` is K = V'V = X X'.
 
     With G = V'V (I in rank space), V' Sigma V = c G + V_B' diag(sigma_B - c)
     V_B for c = min sigma and B = {j : sigma_j > c}, so the core is
@@ -422,7 +405,7 @@ def weighted_woodbury(
     design: TruncatedDesign, W: np.ndarray, sigma: np.ndarray
 ) -> WoodburySolver:
     """Solver for (X_l' diag(W) X_l + diag(sigma)^-1)^-1 in the design's
-    space: the left factor is diag(sqrt W) with X_l' and K in sample space,
+    space: the left factor is diag(sqrt W) with X' and K in sample space,
     and C_w from ``weighted_cholesky`` with V in rank space; W is checked
     here for both (n entries, finite, non-negative)."""
     W = np.asarray(W, dtype=float)

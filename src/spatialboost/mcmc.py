@@ -8,15 +8,14 @@ individual by Devroye's alternating-series rejection sampler (Polson, Scott
 at once (exponential tail or truncated inverse Gaussian), the series decides
 each entry on its own term count, and only the rejected entries are proposed
 again. The beta draw is the Woodbury-form draw of Bhattacharya, Chakraborty
-& Mallick (2016) on the truncated design X_l = U diag(d) V', run in the
-design's space (see ``spatialboost.linalg``), with A the markers with
-theta = 1:
+& Mallick (2016) on the design, run in its space (see
+``spatialboost.linalg``), with A the markers with theta = 1:
 
-- rank space (3 l < 2 n): it factors the l x l weighted Gram and the l x l
-  core and touches the p + 1 coefficients only through matvecs with V, for
-  O(n l^2 + l^3 + |A| l^2 + l p) per draw;
+- rank space (3 l < 2 n), on X_l = U diag(d) V': it factors the l x l
+  weighted Gram and the l x l core and touches the p + 1 coefficients only
+  through matvecs with V, for O(n l^2 + l^3 + |A| l^2 + l p) per draw;
 - sample space (3 l >= 2 n): the n x n core is (sqrt(omega) sqrt(omega)') o K
-  plus a rank-|A| update, with K = X_l X_l' computed once per design, for
+  plus a rank-|A| update, with K = X X' computed once per design, for
   O(n^2 |A| + 2 n^3/3 + n p) per draw.
 
 In both spaces the core is solved by one LU solve per draw (see
@@ -197,7 +196,7 @@ def sample_beta(
 
     ``xty`` is the sufficient statistic X'(y - 1/2) (``design.rmatvec``),
     fixed for a chain. X' Omega X ~ S'S, with S = C_w V' in rank space and
-    S = diag(sqrt(omega)) X_l in sample space; products with S are matvecs,
+    S = diag(sqrt(omega)) X in sample space; products with S are matvecs,
     so S is never formed. With u ~ N(0, Sigma), an auxiliary normal delta of
     the core's dimension (l or n) and v = Sigma X'(y - 1/2) + u, the draw is
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import zipfile
 from collections.abc import Callable, Iterator, Sequence
@@ -263,6 +264,8 @@ def load_relevances(path: str | None, genes: list[Gene]) -> np.ndarray:
             raise ParseError(f"{path}:{lineno}: bad score '{raw}'") from exc
         if val < 0:
             raise ParseError(f"{path}:{lineno}: negative score for {gid}")
+        if not math.isfinite(val):
+            raise ParseError(f"{path}:{lineno}: non-finite score for {gid}")
         if gid in scores:
             raise ParseError(f"{path}:{lineno}: duplicate gene id {gid}")
         scores[gid] = val
@@ -366,6 +369,14 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def _finite(text: str) -> float:
+    """A float config value; NaN and +-inf are rejected like any bad value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # config key -> (RunConfig field path, converter), one for every field a
 # run reads. parse_config reads with it and RunConfig.resolved_text writes
 # with it, so the manifest's [config] reruns any run.
@@ -375,18 +386,18 @@ _KEYS = {
     "relevances": ("relevances", lambda v: v or None),
     "out_dir": ("out_dir", str),
     "seed": ("seed", int),
-    "phi": ("phi", lambda v: None if v in ("fit", "") else float(v)),
-    "min_maf": ("min_maf", float),
-    "hwe_alpha": ("hwe_alpha", float),
-    "rank_tol": ("filtering.rank_tol", float),
+    "phi": ("phi", lambda v: None if v in ("fit", "") else _finite(v)),
+    "min_maf": ("min_maf", _finite),
+    "hwe_alpha": ("hwe_alpha", _finite),
+    "rank_tol": ("filtering.rank_tol", _finite),
     "rank": ("filtering.rank", lambda v: int(v) if v else None),
-    "filter.fraction": ("filtering.fraction", float),
+    "filter.fraction": ("filtering.fraction", _finite),
     "filter.max_rounds": ("filtering.max_rounds", int),
     "gibbs.iters": ("gibbs_iters", int),
     "gibbs.burnin": ("gibbs_burnin", lambda v: int(v) if v else None),
-    "gammas": ("gammas", lambda v: tuple(float(g) for g in v.split(","))),
+    "gammas": ("gammas", lambda v: tuple(_finite(g) for g in v.split(","))),
     **{
-        f"{stage}.{f_.name}": (f"{stage}.{f_.name}", float)
+        f"{stage}.{f_.name}": (f"{stage}.{f_.name}", _finite)
         for stage in ("em", "gibbs")
         for f_ in fields(Hyperparameters)
     },

@@ -257,8 +257,9 @@ CLI_ERRORS = [  # (config line, command, message)
      "run.cfg:8: need iters > burnin >= 0, got 120, 120"),
     ("rank_tol = 0", "report",
      "run.cfg:8: rank_tol must be positive and finite, got 0.0"),
-    ("rank_tol = nan", "report",
-     "run.cfg:8: rank_tol must be positive and finite, got nan"),
+    ("rank_tol = nan", "report", "run.cfg:8: bad value 'nan' for 'rank_tol'"),
+    ("gibbs.xi0 = nan", "report", "run.cfg:8: bad value 'nan' for 'gibbs.xi0'"),
+    ("relevances = nan_rel.tsv", "report", "nan_rel.tsv:1: non-finite score for gene0"),
     ("min_maf = 0.5", "report", "run.cfg:8: min_maf must be in [0, 0.5), got 0.5"),
     ("hwe_alpha = -1", "report",
      "run.cfg:8: hwe_alpha must be in [0, 1), got -1.0"),
@@ -274,6 +275,7 @@ CLI_ERRORS = [  # (config line, command, message)
 def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message):
     cfg = _sim_config(tmp_path, config_line + "\n")
     (tmp_path / "header_only.tsv").write_text("#pheno\trs1:1:100\trs2:1:200\n")
+    (tmp_path / "nan_rel.tsv").write_text("gene0\tnan\n")
     src = os.path.dirname(os.path.dirname(spatialboost.__file__))
     out = subprocess.run(
         [sys.executable, "-m", "spatialboost", "--config", cfg, *command.split()],

@@ -28,10 +28,15 @@ def test_select_rank_full_rank_noise(rng):
     assert select_rank(X, tol=1e-12) == 4
 
 
+def _known_singular_values():
+    """diag(4, 2, 1) over 6 zero rows: orthogonal columns scaled by known
+    singular values, with n = 9, so every rank up to 3 is in rank space."""
+    return np.vstack([np.diag([4.0, 2.0, 1.0]), np.zeros((6, 3))])
+
+
 def test_select_rank_known_singular_values():
-    # orthogonal columns scaled by known singular values: tail sums are exact
-    s = np.array([4.0, 2.0, 1.0])
-    X = np.diag(s)
+    # tail sums are exact
+    X = _known_singular_values()
     # ||X||^2 = 21; keeping l=1 leaves residual energy 5, l=2 leaves 1
     assert select_rank(X, tol=6.0 / 21.0) == 1
     assert select_rank(X, tol=3.0 / 21.0) == 2
@@ -48,10 +53,10 @@ def test_select_rank_validation():
 
 
 def test_truncate_design_rank_from_tol_matches_select_rank(rng):
-    X = np.diag([4.0, 2.0, 1.0])
+    X = _known_singular_values()
     for tol, rank in ((6.0 / 21.0, 1), (3.0 / 21.0, 2), (0.5 / 21.0, 3)):
         design = truncate_design(X, tol=tol)
-        assert design.rank == rank
+        assert design.rank == rank and not design.sample_space
         assert design.relative_residual_energy <= tol
     X = np.column_stack([np.ones(30), rng.integers(0, 3, size=(30, 50))])
     for tol in (0.5, 0.1, 0.01, 1e-6):
@@ -62,12 +67,13 @@ def test_truncate_design_rank_from_tol_matches_select_rank(rng):
 
 def test_rank_rule_needs_tol_without_rank():
     # rank_tol's default lives in FilterConfig alone
-    X = np.diag([4.0, 2.0, 1.0])
+    X = _known_singular_values()
     with pytest.raises(TypeError):
         truncate_design(X)
     with pytest.raises(TypeError):
         select_rank(X)
-    assert truncate_design(X, 2).rank == 2
+    design = truncate_design(X, 2)
+    assert design.rank == 2 and not design.sample_space
 
 
 def test_truncate_design_rank_one(rng):
@@ -233,10 +239,15 @@ def test_woodbury_sample_space_validation(rng):
                                           (250, 166, False), (250, 167, True)])
 def test_sample_space_rule(rng, n, l, sample):
     # truncate_design picks sample space for 3 l >= 2 n, and the design
-    # reports the form it stored
+    # reports the form it stored: in sample space X itself, at its
+    # numerical rank n, with nothing dropped
     d = truncate_design(rng.standard_normal((n, 300)), l)
-    assert d.rank == l and d.sample_space is sample
+    assert d.sample_space is sample
     assert (d.K is not None) is sample and (d.U is None) is sample
+    if sample:
+        assert d.rank == n and d.relative_residual_energy == 0.0
+    else:
+        assert d.rank == l and d.relative_residual_energy > 0.0
 
 
 def test_sample_space_factors_and_weighted_woodbury(rng):
@@ -484,17 +495,54 @@ def test_sample_space_core_build_allocates_no_copy_of_the_design(rng):
     assert peak < 300 * 1024
 
 
-def test_truncated_factor_overwrites_its_own_design_only(rng):
+def test_sample_space_factor_keeps_its_design_exact(rng):
+    # rank 50 of 60 is sample space, where the design is not truncated: the
+    # factor holds the exact float design, at its numerical rank, and
+    # allocates little beside it
     from spatialboost.em import FilterConfig
 
     n, p = 60, 3000
     G = rng.integers(0, 3, (n, p)).astype(np.int8)
     design, peak = _traced_peak(lambda: FilterConfig(rank=50).factor(G, np.arange(p)))
-    assert design.sample_space and design.rank == 50
+    assert design.sample_space and design.rank == n
+    assert design.relative_residual_energy == 0.0
     assert peak < 1.3 * design.Xt.nbytes
     X = np.column_stack([np.ones(n), G]).astype(float)
-    assert np.allclose(reconstruct(design), reconstruct(truncate_design(X, 50)),
-                       rtol=0.0, atol=1e-10 * np.abs(X).max())
+    assert design.Xt.flags.c_contiguous and np.array_equal(design.Xt, X.T)
+
+
+def test_factor_hands_its_design_to_sample_space_and_keeps_rank_space(rng, monkeypatch):
+    # the default rank_tol keeps a rank at or above 2n/3 here: the design
+    # is the array factor built, and K its Gram; rank-space factors are the
+    # short-side Gram eigenvectors with V's signs, to the bit
+    from spatialboost import em
+
+    n, p = 60, 3000
+    G = rng.integers(0, 3, (n, p)).astype(np.int8)
+    built = []
+
+    def spy(X, *args, **kw):
+        built.append(X)
+        return truncate_design(X, *args, **kw)
+
+    monkeypatch.setattr(em, "truncate_design", spy)
+    design = em.FilterConfig().factor(G, np.arange(p))
+    Xt = np.ascontiguousarray(np.column_stack([np.ones(n), G]).astype(float).T)
+    assert design.sample_space and np.shares_memory(design.Xt, built[0])
+    assert design.relative_residual_energy == 0.0 and np.array_equal(design.Xt, Xt)
+    want = Xt.T @ Xt
+    assert np.linalg.norm(design.K - want) <= 1e-9 * np.linalg.norm(want)
+    design = em.FilterConfig(rank=20).factor(G, np.arange(p))
+    lam, Q = np.linalg.eigh(Xt.T @ Xt)
+    lam, Q = lam[::-1], Q[:, ::-1]
+    d = np.sqrt(lam[:20])
+    V = Xt @ Q[:, :20] / d
+    first = np.argmax(np.abs(V) > 1e-12, axis=0)
+    sign = np.where(V[first, np.arange(20)] < 0, -1.0, 1.0)
+    assert not design.sample_space and np.array_equal(design.d, d)
+    assert np.array_equal(design.V, V * sign)
+    assert np.array_equal(design.U, Q[:, :20] * sign)
+    assert design.relative_residual_energy == pytest.approx(lam[20:].sum() / lam.sum())
 
 
 def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
@@ -516,12 +564,13 @@ def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
 @pytest.mark.parametrize("shape, l", [((20, 50), 15), ((40, 33), 30), ((40, 15), 8),
                                       ((1100, 12), 12), ((1100, 12), 5)])
 def test_truncate_design_leaves_the_callers_design_unmodified(rng, shape, l):
-    # wide and tall truncated sample space, then rank space, last over
-    # several column blocks at and below full rank
+    # wide and tall sample space, then rank space, last over several column
+    # blocks at and below full rank
     for X in (_genotype_matrix(rng, *shape), _wide_design(rng, *shape).T):
         before = X.copy()
         design = truncate_design(X, l)
-        assert design.rank == l and design.sample_space is (3 * l >= 2 * shape[0])
+        assert design.sample_space is (3 * l >= 2 * shape[0])
+        assert design.sample_space or design.rank == l
         assert np.array_equal(X, before)
 
 

@@ -204,6 +204,14 @@ def test_load_relevances(tmp_path):
         load_relevances(_write(tmp_path, "dup.tsv", "ga\t1\nga\t2\n"), genes)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_load_relevances_rejects_non_finite_scores(tmp_path, raw):
+    genes = [Gene("ga", 0, 10), Gene("gb", 20, 30)]
+    path = _write(tmp_path, "rel.tsv", f"gb\t1\nga\t{raw}\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}:2: non-finite score for ga$"):
+        load_relevances(path, genes)
+
+
 def _dataset(markers, y=None):
     G = np.asarray(markers, dtype=np.int8)
     n, p = G.shape
@@ -416,6 +424,23 @@ def test_parse_config_phi_fit_and_unknown_key(tmp_path):
         parse_config(_write(tmp_path, "b.cfg", "em.bogus = 1\n"))
     with pytest.raises(ParseError):
         parse_config(_write(tmp_path, "c.cfg", "no equals sign\n"))
+
+
+FLOAT_KEYS = ["phi", "min_maf", "hwe_alpha", "rank_tol", "filter.fraction", "gammas",
+              *(f"{stage}.{f.name}" for stage in ("em", "gibbs")
+                for f in fields(Hyperparameters))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_parse_config_rejects_non_finite_floats(tmp_path, key, value):
+    # a NaN or infinite setting is a bad value, named at its line, before
+    # any range check or stage can read it
+    path = _write(tmp_path, "a.cfg", f"seed = 1\n{key} = {value}\n")
+    with pytest.raises(
+        ConfigurationError, match=f"^{re.escape(path)}:2: bad value '{value}' for '{key}'$"
+    ):
+        parse_config(path)
 
 
 def test_parse_config_rejects_a_repeated_key(tmp_path):
