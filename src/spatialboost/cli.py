@@ -77,6 +77,12 @@ def cmd_filter(args) -> int:
 
 
 def cmd_kappa_scan(args) -> int:
+    em = _load_config(args).em
+    for kappa in args.kappas:  # each checked before any stage runs
+        try:
+            replace(em, kappa=kappa)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--kappas: {exc}") from None
     scan = partial(scan_kappas, kappas=args.kappas)
     return cmd_stages(args, "boosts", ("kappa-scan", scan))
 
@@ -134,6 +140,8 @@ def cmd_simulate(args) -> int:
 def cmd_study(args) -> int:
     from spatialboost.sim import study_harness
 
+    if args.datasets < 1:
+        raise ConfigurationError(f"--datasets must be >= 1, got {args.datasets}")
     cfg = _load_config(args)
     seeds = [cfg.seed + k for k in range(args.datasets)]
     outcome = []

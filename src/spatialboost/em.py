@@ -48,6 +48,9 @@ class Hyperparameters:
     xi1: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.kappa <= 1:
             raise ConfigurationError(f"kappa must be > 1, got {self.kappa}")
         if self.nu <= 0 or self.lam <= 0:
@@ -328,15 +331,15 @@ class FilterConfig:
         intercept first, is built; the markers may be any numeric dtype,
         such as the loader's int8. It is built as X' ((p+1) x n), in blocks
         of FACTOR_BLOCK columns, and handed over to the factorization: a
-        sample-space design keeps it as its X', and a tall rank-space one at
-        full rank writes U' over it."""
+        sample-space design keeps it as its X', and a tall one at full rank
+        as its U'."""
         Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
         Xt[0] = 1.0
         for a in range(0, len(columns), FACTOR_BLOCK):  # no copy of every column
             block = columns[a:a + FACTOR_BLOCK]
             Xt[1 + a:1 + a + len(block)] = X_markers[:, block].T
         l = None if self.rank is None else min(self.rank, min(Xt.shape))
-        return truncate_design(Xt.T, l, self.rank_tol, _overwrite=True)
+        return truncate_design(Xt.T, l, self.rank_tol)
 
 
 def em_filter_pipeline(

@@ -37,11 +37,10 @@ scratch, so a rank-space step allocates no n x l temporary.
 
 A sample-space design keeps the float design X' that ``FilterConfig.factor``
 hands over without a copy. A rank-space design keeps U as U' (l x n,
-C-contiguous). A tall one at full rank writes U' over the handed-over X'
-block by block (any other caller's X is left as it was); below full rank
-U' is built in a new array, and X' is freed when the factor returns.
-Either way the design is never held twice, and afterwards only U' and V
-remain.
+C-contiguous). A tall one at full rank drops nothing, so it holds X itself
+in rank-space form: U' is that same X', d = 1 and V = I. Below full rank
+U' is built in a new array, and X' is freed when the factor returns, so the
+design is never held twice.
 """
 
 from __future__ import annotations
@@ -65,15 +64,15 @@ class TruncatedDesign:
     """Top-l factors of the design matrix X, in the form its Woodbury space
     reads.
 
-    d: l non-increasing positive singular values, on both forms. A rank-space
-    design holds U (n x l) and V ((p+1) x l), both orthonormal; U is the
-    F-ordered view U'.T of a C-contiguous l x n U', the layout the weighted
-    Gram reads in column blocks. A sample-space design holds instead
-    Xt = X' itself as a C-contiguous (p+1) x n array and K = X X' (n x n),
-    at the numerical rank; its U and V are None. ``relative_residual_energy``
-    is the share of the design's energy the truncation drops,
-    ||X - X_l||_F^2 / ||X||_F^2, the quantity ``rank_tol`` bounds (0 in
-    sample space).
+    A rank-space design holds U (n x l) and V ((p+1) x l), both orthonormal,
+    and d, l non-increasing positive singular values; a tall one at full
+    rank holds X itself as U = X, d = 1 and V = I. U is the F-ordered view
+    U'.T of a C-contiguous l x n U', the layout the weighted Gram reads in
+    column blocks. A sample-space design holds instead Xt = X' itself as a
+    C-contiguous (p+1) x n array, K = X X' (n x n) and d, at the numerical
+    rank; its U and V are None. ``relative_residual_energy`` is the share of
+    the design's energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2,
+    the quantity ``rank_tol`` bounds (0 in sample space and at full rank).
     """
 
     d: np.ndarray
@@ -150,32 +149,8 @@ def _blocks(m: int, size: int) -> list[slice]:
     return [slice(m * i // count, m * (i + 1) // count) for i in range(count)]
 
 
-def _tall_left_factor(X: np.ndarray, V: np.ndarray, d: np.ndarray,
-                      overwrite: bool) -> np.ndarray:
-    """U' = diag(1/d) V' X' (l x n, C-contiguous) for a tall X, one block of
-    at most max(l, COLUMN_BLOCK) individuals at a time. At full rank with
-    ``overwrite`` it is written over X' itself through one scratch block;
-    otherwise straight into a new array."""
-    A = V.T / d[:, None]
-    l, n = d.size, X.shape[0]
-    width = max(l, COLUMN_BLOCK)
-    in_place = overwrite and l == X.shape[1]
-    if in_place:
-        Xt = Ut = np.ascontiguousarray(X.T)
-        scratch = np.empty((l, min(n, width)))
-    else:
-        Xt, Ut = X.T, np.empty((l, n))
-    for cols in _blocks(n, width):
-        out = scratch[:, : cols.stop - cols.start] if in_place else Ut[:, cols]
-        np.matmul(A, Xt[:, cols], out=out)
-        if in_place:
-            Ut[:, cols] = out
-    return Ut
-
-
 def truncate_design(
-    X: np.ndarray, l: int | None = None, tol: float | None = None, *,
-    _overwrite: bool = False,
+    X: np.ndarray, l: int | None = None, tol: float | None = None
 ) -> TruncatedDesign:
     """Optimal rank-l factors of X from the short-side Gram's
     eigendecomposition, stored in the form the design's Woodbury space
@@ -188,12 +163,11 @@ def truncate_design(
     2n/3 means sample space, where X is kept exact at its numerical rank.
     Rank-space factors carry deterministic signs: the first entry of each
     column of V with magnitude above 1e-12 is positive.
+    A tall design at full rank (p+1) drops nothing and holds X itself:
+    U = X, d = 1 and V = I.
     Pass X as the transpose of a C-contiguous (p+1) x n array and a
-    sample-space design keeps that array as its X' without a copy. A tall
-    rank-space design writes its U' into a new array, so X is left as it
-    was; ``_overwrite`` is for ``FilterConfig.factor`` alone, which hands
-    over its private float design so that a full-rank tall U' is written
-    over X' itself.
+    sample-space or full-rank tall design keeps that array as its X' (or
+    U') without a copy; any other X is copied, and X is never written.
     """
     if l is None and tol is None:
         raise TypeError("truncate_design needs tol when l is None")
@@ -223,6 +197,9 @@ def truncate_design(
         Xt = np.ascontiguousarray(X.T)
         K = G if n <= p1 else Xt.T @ Xt
         return TruncatedDesign(d=s[:k].copy(), relative_residual_energy=0.0, Xt=Xt, K=K)
+    if l == p1:  # tall (a wide X at l = p+1 >= n is sample space) and exact
+        return TruncatedDesign(d=np.ones(l), relative_residual_energy=0.0,
+                               U=np.ascontiguousarray(X.T).T, V=np.eye(l))
     d = s[:l].copy()
     rre = float(resid[l - 1] / total) if total > 0 else 0.0
     Q = Q[:, :l]
@@ -235,8 +212,10 @@ def truncate_design(
         Ut *= sign[:, None]
     else:
         V = Q * _signs(Q)
-        del G, Q
-        Ut = _tall_left_factor(X, V, d, _overwrite)
+        A = V.T / d[:, None]
+        Ut = np.empty((l, n))
+        for cols in _blocks(n, max(l, COLUMN_BLOCK)):
+            np.matmul(A, X.T[:, cols], out=Ut[:, cols])
     return TruncatedDesign(d=d, relative_residual_energy=rre, U=Ut.T, V=V)
 
 

@@ -53,6 +53,8 @@ def simulate(
         raise ConfigurationError(f"boosts ({b.shape}) misaligned with p={p}")
     if not sigma2_true > 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2_true}")
+    if not np.isfinite(sigma2_true):
+        raise ConfigurationError(f"sigma2 must be finite, got {sigma2_true}")
 
     theta = (rng.random(p) < expit(hyper.xi0 + hyper.xi1 * b)).astype(np.int8)
     beta = np.empty(p + 1)

@@ -245,7 +245,10 @@ CLI_ERRORS = [  # (config line, command, message)
     ("", "simulate --sigma2 0", "sigma2 must be positive, got 0.0"),
     ("", "simulate --n 0", "n must be >= 1, got 0"),
     ("", "simulate --p 0", "p must be >= 1, got 0"),
+    ("", "simulate --sigma2 inf", "sigma2 must be finite, got inf"),
     ("", "study --datasets 1 --p 0", "p must be >= 1, got 0"),
+    ("", "study --datasets 0", "--datasets must be >= 1, got 0"),
+    ("", "kappa-scan --kappas nan,100", "--kappas: kappa must be finite, got nan"),
     ("genotypes = header_only.tsv", "report",
      "header_only.tsv: no genotype rows below the header"),
     ("gammas = 0", "report", "run.cfg:8: gamma must be positive, got 0.0"),
@@ -291,7 +294,7 @@ def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message)
     assert "Traceback" not in out.stderr
     # a bad setting or flag is rejected before the run makes its output
     # directory (the default out/ under the working directory)
-    if message.startswith("run.cfg:") or command.startswith("--"):
+    if message.startswith(("run.cfg:", "--")) or command.startswith("--"):
         assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -42,6 +44,14 @@ def test_hyperparameter_validation():
         Hyperparameters(kappa=2.0, nu=-1.0, lam=1.0, xi0=0.0, xi1=0.0)
     with pytest.raises(ConfigurationError):
         Hyperparameters(kappa=2.0, nu=1.0, lam=1.0, xi0=0.0, xi1=-0.5)
+
+
+@pytest.mark.parametrize("name", ["kappa", "nu", "lam", "xi0", "xi1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hyperparameters_reject_non_finite_fields(name, bad):
+    # a NaN kappa would pass kappa <= 1, and an infinite one kappa > 1
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got "):
+        replace(HYPER, **{name: bad})
 
 
 def test_e_step_intercept_pinned():

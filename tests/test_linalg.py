@@ -303,7 +303,7 @@ def test_weighted_cholesky_identity_weights(rng):
     X = rng.standard_normal((10, 6))
     design = truncate_design(X, 6)
     Cw = weighted_cholesky(design, np.ones(10))
-    gram = design.V @ np.diag(design.d**2) @ design.V.T
+    gram = reconstruct(design).T @ reconstruct(design)
     assert np.allclose(_gram(Cw, design), gram, atol=1e-8)
     assert np.array_equal(Cw, np.triu(Cw))
 
@@ -342,9 +342,11 @@ def test_weighted_woodbury_checks_weights_in_both_spaces(rng, space, l, bad):
         weighted_woodbury(design, np.ones(8), np.ones(12))
 
 
-@pytest.mark.parametrize("shape, l", [((1500, 40), 30), ((600, 900), 300)])
+@pytest.mark.parametrize("shape, l", [((1500, 40), 30), ((600, 900), 300),
+                                      ((1500, 40), 40)])
 def test_blocked_weighted_gram_matches_dense(rng, shape, l):
-    # tall and wide rank-space designs whose n spans several column blocks
+    # tall (below and at full rank) and wide rank-space designs whose n
+    # spans several column blocks
     design = truncate_design(_genotype_matrix(rng, *shape), l)
     assert not design.sample_space and design.n > linalg.COLUMN_BLOCK
     W = rng.uniform(0.0, 0.25, design.n)
@@ -387,6 +389,11 @@ def test_gram_factors_match_svd_oracle(rng, shape):
     for tol in tols:
         design = truncate_design(X, tol=tol)
         l = design.rank
+        if not design.sample_space and l == X.shape[1]:  # tall at full rank
+            assert np.array_equal(reconstruct(design), X)
+            assert np.array_equal(design.d, np.ones(l))
+            assert design.relative_residual_energy == 0.0
+            continue
         assert np.allclose(design.d, s[:l], rtol=1e-10, atol=0.0)
         want = (U[:, :l] * s[:l]) @ Vt[:l]
         assert np.allclose(reconstruct(design), want, rtol=0.0, atol=1e-10 * s[0])
@@ -398,11 +405,36 @@ def test_gram_factors_match_svd_oracle(rng, shape):
 
 @pytest.mark.parametrize("shape, l", [((40, 15), 10), ((15, 40), 8), ((60, 21), 21)])
 def test_gram_long_side_vectors_orthonormal(rng, shape, l):
-    design = truncate_design(_genotype_matrix(rng, *shape), l)
+    # below full rank; a tall design at full rank holds U = X and V = I
+    X = _genotype_matrix(rng, *shape)
+    design = truncate_design(X, l)
     assert not design.sample_space
     assert design.U.T.flags.c_contiguous  # U is stored as U'
+    if l == shape[1]:
+        assert np.array_equal(design.U, X) and np.array_equal(design.V, np.eye(l))
+        return
     for M in (design.U, design.V):
         assert np.abs(M.T @ M - np.eye(l)).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape, l", [((200, 40), None), ((1100, 12), 5),
+                                      ((3000, 60), 40), ((3000, 60), None)])
+def test_tall_factors_below_full_rank_match_a_blocked_oracle(rng, shape, l):
+    # V: the Gram's eigenvectors with their signs; U' = diag(1/d) V' X',
+    # one column block of max(l, COLUMN_BLOCK) individuals at a time; to
+    # the bit, at an explicit rank and at the default rank_tol
+    X = _genotype_matrix(rng, *shape)
+    design = truncate_design(X, l, 0.01)
+    l = design.rank
+    assert not design.sample_space and l < shape[1]
+    lam, Q = np.linalg.eigh(X.T @ X)
+    d, Q = np.sqrt(lam[::-1][:l]), Q[:, ::-1][:, :l]
+    first = np.argmax(np.abs(Q) > 1e-12, axis=0)
+    V = Q * np.where(Q[first, np.arange(l)] < 0, -1.0, 1.0)
+    blocks = linalg._blocks(shape[0], max(l, linalg.COLUMN_BLOCK))
+    Ut = np.hstack([(V.T / d[:, None]) @ X.T[:, cols] for cols in blocks])
+    assert np.array_equal(design.d, d) and np.array_equal(design.V, V)
+    assert np.array_equal(design.U.T, Ut)
 
 
 def _duplicated(rng, n, p, dup_rows=(), dup_cols=()):
@@ -575,26 +607,37 @@ def test_truncate_design_leaves_the_callers_design_unmodified(rng, shape, l):
 
 
 @pytest.mark.parametrize("rank", [61, 40])
-def test_tall_factor_writes_u_transposed_over_its_own_design(rng, rank):
-    # at full rank U' is written over the float design block by block, so
-    # the factor holds no second n x (p+1) array; at either rank the design
-    # keeps only U'-sized memory alive
-    from spatialboost.em import FilterConfig
+def test_tall_factor_holds_its_design_at_full_rank(rng, rank, monkeypatch):
+    # at full rank U' is the float design factor built, with d = 1 and
+    # V = I, so the factor holds no second n x (p+1) array; at either rank
+    # the design keeps only U'-sized memory alive
+    from spatialboost import em
 
     n, p = 3000, 60
     G = rng.integers(0, 3, (n, p)).astype(np.int8)
-    design, peak = _traced_peak(lambda: FilterConfig(rank=rank).factor(G, np.arange(p)))
+    built = []
+
+    def spy(X, *args, **kw):
+        built.append(X)
+        return truncate_design(X, *args, **kw)
+
+    monkeypatch.setattr(em, "truncate_design", spy)
+    design, peak = _traced_peak(lambda: em.FilterConfig(rank=rank).factor(G, np.arange(p)))
     assert not design.sample_space and design.rank == rank
     Ut = design.U.T
     assert Ut.flags.c_contiguous and Ut.shape == (rank, n)
     assert design.U.base.nbytes == Ut.nbytes
+    Xt = np.ascontiguousarray(np.column_stack([np.ones(n), G]).astype(float).T)
     if rank == p + 1:
-        block = rank * max(rank, linalg.COLUMN_BLOCK) * 8
-        # beside the design: one block, V and V'/d, and 16 KiB for indexing
-        assert peak <= Ut.nbytes + block + 2 * design.V.nbytes + 16384
+        assert np.shares_memory(Ut, built[0]) and np.array_equal(Ut, Xt)
+        assert np.array_equal(design.d, np.ones(rank))
+        assert np.array_equal(design.V, np.eye(rank))
+        # beside the design: one int8 block of columns, the Gram, its
+        # eigenvectors, V, and 16 KiB for indexing
+        block = n * min(p, em.FACTOR_BLOCK) * G.itemsize
+        assert peak <= Ut.nbytes + block + 3 * design.V.nbytes + 16384
     # the same factors, to the bit, as a caller's copy of the same X', which
     # is left as it was
-    Xt = np.ascontiguousarray(np.column_stack([np.ones(n), G]).astype(float).T)
     before = Xt.copy()
     want = truncate_design(Xt.T, rank)
     assert np.array_equal(Xt, before)
