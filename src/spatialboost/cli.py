@@ -35,7 +35,20 @@ def _load_config(args) -> RunConfig:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(k) for k in text.split(",")]
+    try:
+        return [float(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers such as 10,100,1000, got '{text}'"
+        ) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``spatialboost: error:``
+    line, exit 2, with no usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"spatialboost: error: {message}\n")
 
 
 def _command(args) -> str:
@@ -161,7 +174,7 @@ def cmd_study(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spatialboost",
         description="Gene-proximity Bayesian variable selection for GWAS",
     )

@@ -8,7 +8,9 @@ min(n, p+1)-sided matrix, so the long-side vectors are one more product
 (V = X'U / d or U = X V / d). A Gram squares the condition number, so
 eigenvalues at or below max(n, p+1) eps lambda_1 are rounding noise; the
 rank is capped at the count above that floor, whether it comes from
-``rank_tol`` or is given explicitly.
+``rank_tol`` or is given explicitly. Sample space reads no singular
+vector, so the rank is chosen from the Gram's eigenvalues alone
+(``eigvalsh``), and ``eigh`` runs only for a design in rank space.
 
 Ridge systems (X_l'WX_l + Sigma^-1)^-1 rhs are solved through a Woodbury
 core (``WoodburySolver``) in one of two spaces, chosen once per design from
@@ -149,6 +151,31 @@ def _blocks(m: int, size: int) -> list[slice]:
     return [slice(m * i // count, m * (i + 1) // count) for i in range(count)]
 
 
+def _truncation(
+    lam: np.ndarray, shape: tuple[int, int], l: int | None, tol: float | None
+) -> tuple[np.ndarray, int, int, float]:
+    """From the short-side Gram's eigenvalues ``lam``, ascending as ``eigh``
+    and ``eigvalsh`` give them: X's singular values (descending), its
+    numerical rank k, the rank (``l``, or the smallest whose relative
+    residual energy is at most ``tol``) capped at k, and that rank's
+    relative residual energy."""
+    n, p1 = shape
+    lam = lam[::-1]
+    s = np.sqrt(np.maximum(lam, 0.0))
+    resid, total = _residuals(s)
+    if l is None:  # the smallest l with ||X - X_l||_F^2 <= tol ||X||_F^2
+        check_rank_tol(tol)
+        l = int(np.argmax(resid <= tol * total)) + 1
+    elif not 1 <= l <= s.size:
+        raise ConfigurationError(f"rank l={l} outside [1, {s.size}]")
+    # the numerical rank: the eigenvalues above max(n, p+1) eps lambda_1
+    k = int(np.count_nonzero(lam > max(n, p1) * np.finfo(float).eps * lam[0]))
+    if k == 0:
+        raise ConfigurationError("design matrix has no non-zero singular value")
+    l = min(l, k)
+    return s, k, l, float(resid[l - 1] / total) if total > 0 else 0.0
+
+
 def truncate_design(
     X: np.ndarray, l: int | None = None, tol: float | None = None
 ) -> TruncatedDesign:
@@ -160,7 +187,10 @@ def truncate_design(
     is at most ``tol``, which is then required (the ``select_rank`` rule).
     Either way it is capped at the numerical rank (see the module
     docstring), so an explicit ``l`` may come back lower. A rank at or above
-    2n/3 means sample space, where X is kept exact at its numerical rank.
+    2n/3 means sample space, where X is kept exact at its numerical rank;
+    its d come from ``eigvalsh``, and only ``rank`` reads them. ``eigh``
+    runs only when the rank lands in rank space, and its own values then
+    give the rank, d and the residual.
     Rank-space factors carry deterministic signs: the first entry of each
     column of V with magnitude above 1e-12 is positive.
     A tall design at full rank (p+1) drops nothing and holds X itself:
@@ -179,30 +209,20 @@ def truncate_design(
     # eigenvectors, in descending order of the eigenvalues, are the left
     # (wide X) or right (tall X) singular vectors
     G = X @ X.T if n <= p1 else X.T @ X
-    lam, Q = np.linalg.eigh(G)
-    lam, Q = lam[::-1], Q[:, ::-1]
-    s = np.sqrt(np.maximum(lam, 0.0))
-    resid, total = _residuals(s)
-    if l is None:  # the smallest l with ||X - X_l||_F^2 <= tol ||X||_F^2
-        check_rank_tol(tol)
-        l = int(np.argmax(resid <= tol * total)) + 1
-    elif not 1 <= l <= s.size:
-        raise ConfigurationError(f"rank l={l} outside [1, {s.size}]")
-    # the numerical rank: the eigenvalues above max(n, p+1) eps lambda_1
-    k = int(np.count_nonzero(lam > max(n, p1) * np.finfo(float).eps * lam[0]))
-    if k == 0:
-        raise ConfigurationError("design matrix has no non-zero singular value")
-    l = min(l, k)
-    if 3 * l >= 2 * n:  # sample space: X itself, at the numerical rank
+    lam = np.linalg.eigvalsh(G)
+    s, k, rank, rre = _truncation(lam, X.shape, l, tol)
+    if 3 * rank < 2 * n:  # rank space, from eigh's own values
+        lam, Q = np.linalg.eigh(G)
+        s, k, rank, rre = _truncation(lam, X.shape, l, tol)
+    if 3 * rank >= 2 * n:  # sample space: X itself, at the numerical rank
         Xt = np.ascontiguousarray(X.T)
         K = G if n <= p1 else Xt.T @ Xt
         return TruncatedDesign(d=s[:k].copy(), relative_residual_energy=0.0, Xt=Xt, K=K)
-    if l == p1:  # tall (a wide X at l = p+1 >= n is sample space) and exact
-        return TruncatedDesign(d=np.ones(l), relative_residual_energy=0.0,
-                               U=np.ascontiguousarray(X.T).T, V=np.eye(l))
-    d = s[:l].copy()
-    rre = float(resid[l - 1] / total) if total > 0 else 0.0
-    Q = Q[:, :l]
+    if rank == p1:  # tall (a wide X at l = p+1 >= n is sample space) and exact
+        return TruncatedDesign(d=np.ones(rank), relative_residual_energy=0.0,
+                               U=np.ascontiguousarray(X.T).T, V=np.eye(rank))
+    d = s[:rank].copy()
+    Q = Q[:, ::-1][:, :rank]
     if n <= p1:
         V = X.T @ Q
         V /= d
@@ -213,8 +233,8 @@ def truncate_design(
     else:
         V = Q * _signs(Q)
         A = V.T / d[:, None]
-        Ut = np.empty((l, n))
-        for cols in _blocks(n, max(l, COLUMN_BLOCK)):
+        Ut = np.empty((rank, n))
+        for cols in _blocks(n, max(rank, COLUMN_BLOCK)):
             np.matmul(A, X.T[:, cols], out=Ut[:, cols])
     return TruncatedDesign(d=d, relative_residual_energy=rre, U=Ut.T, V=V)
 

@@ -22,6 +22,7 @@ import zipfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
+from itertools import islice
 from typing import BinaryIO
 
 import numpy as np
@@ -58,6 +59,9 @@ from spatialboost.inference import (
 from spatialboost.mcmc import ChainSummary, gibbs_run, resolve_burnin
 
 MISSING_CODE = "."
+# genotype rows are decoded in blocks of about this many bytes of text, so a
+# load holds the int8 matrix and one block's text and codes beside it
+LOAD_BLOCK = 1 << 16
 
 
 @dataclass
@@ -80,7 +84,7 @@ class Dataset:
             raise ConfigurationError(
                 f"{len(self.y)} phenotypes for {self.n} genotype rows"
             )
-        if not (self.G.view(np.uint8) <= 2).all():  # an int8 -1 reads as 255
+        if self.G.view(np.uint8).max(initial=0) > 2:  # an int8 -1 reads as 255
             raise ConfigurationError("marker entries must be in {0,1,2}")
         if not np.isin(self.y, (0, 1)).all():
             raise ConfigurationError("phenotypes must be in {0,1}")
@@ -102,10 +106,10 @@ class Dataset:
         )
 
 
-def _lines(path: str) -> list[tuple[int, str]]:
-    """(line number, text) of the non-blank lines of ``path``, LF or CRLF
-    ending dropped; a line that is not UTF-8 raises ParseError at path:line."""
-    numbered = []
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of the non-blank lines of ``path``, read lazily,
+    LF or CRLF ending dropped; a line that is not UTF-8 raises ParseError at
+    path:line when it is reached."""
     with open(path, "rb") as fh:
         for k, raw in enumerate(fh, start=1):
             try:
@@ -113,35 +117,53 @@ def _lines(path: str) -> list[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}:{k}: not UTF-8 text ({exc.reason})") from exc
             if ln.strip():
-                numbered.append((k, ln))
-    return numbered
+                yield k, ln
 
 
 def load_genotypes(path: str) -> Dataset:
-    """Parse the self-describing genotype table; ``.`` cells are imputed to
+    """Parse the genotype file; missing cells ('.') are imputed with
     the rounded mean dosage of the observed entries in their column.
 
     A valid row is one character per field with single tabs between
-    (2p + 1 characters), so the cells are decoded and checked in numpy.
-    When that check fails, a per-line scan names the first bad
-    ``file:line``, counting blank lines.
+    (2p + 1 characters), so the cells are decoded and checked in numpy, in
+    blocks of rows of about LOAD_BLOCK bytes, straight into one int8 matrix
+    allocated up front; a missing cell holds a sentinel code there until
+    the imputation, which also runs in row blocks. When a block fails that
+    check, a per-line scan names its first bad ``file:line``, counting
+    blank lines.
     """
-    numbered = _lines(path)
-    if not numbered:
+    lines = _lines(path)
+    header = next(lines, None)
+    if header is None:
         raise ParseError(f"{path}: empty genotype file")
-    snps = _parse_genotype_header(path, *numbered[0])
-    if len(numbered) == 1:
+    snps = _parse_genotype_header(path, *header)
+    p = len(snps)
+    step = max(1, LOAD_BLOCK // (2 * p + 2))  # rows per block
+    # a valid row takes 2p + 2 bytes (the last one may lack its newline) and
+    # the header more, so the file holds at most this many rows
+    cap = os.path.getsize(path) // (2 * p + 2)
+    y, G = np.empty(cap, dtype=np.int64), np.empty((cap, p), dtype=np.int8)
+    n, missing = 0, np.zeros(p, dtype=np.int64)
+    while block := list(islice(lines, step)):
+        rows = slice(n, n + len(block))
+        if rows.stop > cap:  # a pipe, whose size bounds nothing
+            cap = 2 * rows.stop
+            y, G = np.resize(y, cap), np.resize(G, (cap, p))
+        if not _fixed_width_cells([ln for _, ln in block], y[rows], G[rows]):
+            _raise_first_bad_row(path, block, p)
+        missing += (G[rows] == _MISSING).sum(axis=0)
+        n += len(block)
+    if n == 0:
         raise ParseError(f"{path}: no genotype rows below the header")
-    parsed = _fixed_width_cells([ln for _, ln in numbered[1:]], len(snps))
-    if parsed is None:
-        _raise_first_bad_row(path, numbered[1:], len(snps))
-    y, G, miss = parsed
-    imputed = int(miss.sum())
+    y, G = y[:n], G[:n]
+    imputed = int(missing.sum())
     if imputed:
-        # missing cells hold 0, so the integer column sums are exact totals
-        observed = G.shape[0] - miss.sum(axis=0)
-        fill = np.round(G.sum(axis=0) / np.maximum(observed, 1))  # 0 if none
-        np.copyto(G, fill.astype(np.int8), where=miss)
+        # the integer column sums less the sentinels are exact totals
+        total = G.sum(axis=0) - _MISSING * missing
+        fill = np.round(total / np.maximum(n - missing, 1))  # 0 if none
+        fill = fill.astype(np.int8)
+        for i in range(0, n, step):
+            np.copyto(G[i:i + step], fill, where=G[i:i + step] == _MISSING)
     return Dataset(y=y, G=G, snps=snps, imputed=imputed)
 
 
@@ -171,33 +193,31 @@ def _parse_genotype_header(path: str, lineno: int, line: str) -> list[SnpLocus]:
 
 _TAB, _DOT = ord("\t"), ord(MISSING_CODE)
 _ZERO, _TWO = ord("0"), ord("2")
+_MISSING = _DOT - _ZERO  # a missing cell's int8 code as decoded
 
 
-def _fixed_width_cells(
-    rows: list[str], p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Phenotypes, int8 genotype matrix (0 where missing) and missing-cell
-    mask of rows that are all 2p + 1 ASCII characters long with valid codes,
-    or None."""
-    width = 2 * p + 1
+def _fixed_width_cells(rows: list[str], y: np.ndarray, G: np.ndarray) -> bool:
+    """Decode rows that are all 2p + 1 ASCII characters long with valid
+    codes into the phenotypes y and the int8 genotype rows G, a missing
+    cell as _MISSING, and return True; else return False, writing nothing."""
+    width = 2 * G.shape[1] + 1
     if any(len(ln) != width for ln in rows):
-        return None
+        return False
     buf = "".join(rows).encode()
     if len(buf) != len(rows) * width:  # a multi-byte character
-        return None
+        return False
     A = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width)
     pheno, cells = A[:, 0], A[:, 2::2]
-    missing = cells == _DOT
     if not (
         np.all(A[:, 1::2] == _TAB)
         and np.all((pheno == _ZERO) | (pheno == _ZERO + 1))
-        and np.all(((cells >= _ZERO) & (cells <= _TWO)) | missing)
+        and np.all(((cells >= _ZERO) & (cells <= _TWO)) | (cells == _DOT))
     ):
-        return None
-    G = cells.astype(np.int8)  # codes are ASCII, below 128
+        return False
+    y[:] = pheno - _ZERO
+    G[:] = cells  # codes are ASCII, below 128
     G -= _ZERO
-    G[missing] = 0
-    return (pheno - _ZERO).astype(np.int64), G, missing
+    return True
 
 
 def _raise_first_bad_row(path: str, rows: list[tuple[int, str]], p: int) -> None:

@@ -249,6 +249,12 @@ CLI_ERRORS = [  # (config line, command, message)
     ("", "study --datasets 1 --p 0", "p must be >= 1, got 0"),
     ("", "study --datasets 0", "--datasets must be >= 1, got 0"),
     ("", "kappa-scan --kappas nan,100", "--kappas: kappa must be finite, got nan"),
+    # flag values argparse cannot convert: one line, no usage block
+    ("", "simulate --n abc",
+     "spatialboost: error: argument --n: invalid int value: 'abc'"),
+    ("", "kappa-scan --kappas 10,",
+     "spatialboost: error: argument --kappas: expected comma-separated numbers"
+     " such as 10,100,1000, got '10,'"),
     ("genotypes = header_only.tsv", "report",
      "header_only.tsv: no genotype rows below the header"),
     ("gammas = 0", "report", "run.cfg:8: gamma must be positive, got 0.0"),
@@ -294,7 +300,9 @@ def test_cli_errors_are_one_line_exit_2(tmp_path, config_line, command, message)
     assert "Traceback" not in out.stderr
     # a bad setting or flag is rejected before the run makes its output
     # directory (the default out/ under the working directory)
-    if message.startswith(("run.cfg:", "--")) or command.startswith("--"):
+    if message.startswith(("run.cfg:", "--", "spatialboost: error: argument")) or (
+        command.startswith("--")
+    ):
         assert not (tmp_path / "out").exists()
 
 

@@ -645,3 +645,77 @@ def test_tall_factor_holds_its_design_at_full_rank(rng, rank, monkeypatch):
         assert np.array_equal(getattr(design, name), getattr(want, name)), name
     assert np.allclose(reconstruct(design), reconstruct(truncate_design(Xt.T.copy(), rank)),
                        rtol=0.0, atol=1e-9)
+
+
+def _count_eigh(monkeypatch):
+    """A list that records each ``np.linalg.eigh`` call from here on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(G):
+        calls.append(G.shape)
+        return eigh(G)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape, l, tol, sample", [
+    ((25, 61), None, 0.01, True),  # wide, the default rank_tol
+    ((25, 61), 20, None, True),  # wide, an explicit rank of 2n/3 or more
+    ((40, 33), 30, None, True),  # tall, an explicit rank of 2n/3 or more
+    ((40, 33), None, 1e-12, True),  # tall, 3(p+1) >= 2n: the rule decides
+    ((25, 61), 5, None, False),  # wide, an explicit rank below 2n/3
+    ((200, 21), None, 0.01, False),  # tall, 3(p+1) < 2n
+    ((200, 21), 21, None, False),  # tall at full rank
+])
+def test_eigenvectors_only_in_rank_space(rng, monkeypatch, shape, l, tol, sample):
+    # sample space reads the Gram's eigenvalues alone; rank space calls
+    # eigh once, after eigvalsh has chosen the rank
+    X = _genotype_matrix(rng, *shape)
+    calls = _count_eigh(monkeypatch)
+    design = truncate_design(X, l, tol)
+    assert design.sample_space is sample
+    assert len(calls) == (0 if sample else 1)
+
+
+def test_wide_design_whose_rank_tol_lands_in_rank_space(rng, monkeypatch):
+    # a wide design of rank about 5 plus noise: rank_tol picks a rank below
+    # 2n/3 from eigvalsh, then eigh's own values give the rank, d, U, V and
+    # the residual, to the bit, as an eigh reference does
+    n, p1, tol = 60, 400, 1e-3
+    X = rng.standard_normal((n, 5)) @ rng.standard_normal((5, p1))
+    X += 1e-3 * rng.standard_normal((n, p1))
+    Xt = np.ascontiguousarray(X.T)
+    calls = _count_eigh(monkeypatch)
+    design = truncate_design(Xt.T, tol=tol)
+    assert len(calls) == 1 and not design.sample_space
+    lam, Q = np.linalg.eigh(Xt.T @ Xt)
+    lam, Q = lam[::-1], Q[:, ::-1]
+    resid = np.append(np.cumsum(lam[::-1])[::-1][1:], 0.0)
+    l = int(np.argmax(resid <= tol * lam.sum())) + 1
+    assert design.rank == l and 3 * l < 2 * n
+    d = np.sqrt(lam[:l])
+    V = Xt @ Q[:, :l]
+    V /= d
+    first = np.argmax(np.abs(V) > 1e-12, axis=0)
+    sign = np.where(V[first, np.arange(l)] < 0, -1.0, 1.0)
+    assert np.array_equal(design.d, d)
+    assert np.array_equal(design.V, V * sign)
+    assert np.array_equal(design.U, Q[:, :l] * sign)
+    assert design.relative_residual_energy == pytest.approx(resid[l - 1] / lam.sum())
+
+
+def test_sample_space_rank_matches_eigh_on_duplicated_rows():
+    # the numerical rank from eigvalsh agrees with eigh's on wide designs
+    # with duplicated individuals, which are rank deficient
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 60))
+        X = _genotype_matrix(rng, n, int(rng.integers(n + 1, 3 * n)))
+        for a in rng.choice(n, size=int(rng.integers(1, n // 4)), replace=False):
+            X[a] = X[rng.integers(n)]
+        design = truncate_design(X, tol=1e-12)
+        lam = np.linalg.eigh(X @ X.T)[0][::-1]
+        k = int(np.count_nonzero(lam > max(X.shape) * np.finfo(float).eps * lam[0]))
+        assert design.sample_space and design.rank == k, seed
+        assert k == np.linalg.matrix_rank(X), seed

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import re
+import threading
 from dataclasses import fields, is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -141,8 +142,19 @@ def _assert_same_dataset(got, want):
     assert got.imputed == want.imputed
 
 
+# rows of 300 SNPs per LOAD_BLOCK decoding block (602 bytes a row)
+_BLOCK_300 = pipeline.LOAD_BLOCK // 602
+
+
 @pytest.mark.parametrize(
-    "n, p, missing", [(1, 1, 0.0), (9, 6, 0.0), (7, 5, 0.3), (40, 90, 0.05)]
+    "n, p, missing",
+    [
+        (1, 1, 0.0), (9, 6, 0.0), (7, 5, 0.3), (40, 90, 0.05),
+        # one row, exactly one block, one block and a row, and four blocks;
+        # column 0 is missing in every row, so every block has missing cells
+        (1, 300, 0.05), (_BLOCK_300, 300, 0.05), (_BLOCK_300 + 1, 300, 0.05),
+        (3 * _BLOCK_300 + 2, 300, 0.05),
+    ],
 )
 def test_load_genotypes_matches_per_cell_oracle(tmp_path, n, p, missing):
     rng = np.random.default_rng(n * 1000 + p)
@@ -154,6 +166,28 @@ def test_load_genotypes_matches_per_cell_oracle(tmp_path, n, p, missing):
     odd = "\r\n".join(lines[:2] + ["", "  "] + lines[2:])
     path = _write(tmp_path, "crlf.tsv", odd)
     _assert_same_dataset(load_genotypes(path), per_cell_load_genotypes(path))
+    # and with a blank line after every row, LF and CRLF
+    for sep in ("\n", "\r\n"):
+        path = _write(tmp_path, "blank.tsv", (sep + sep).join(lines[:-1]) + sep)
+        _assert_same_dataset(load_genotypes(path), per_cell_load_genotypes(path))
+
+
+def test_load_genotypes_memory_does_not_grow_with_missing_cells(tmp_path):
+    # missing cells stay in G as a sentinel code until they are imputed in
+    # row blocks, so beside G the load holds about one block's text and
+    # masks, whatever the share of missing cells
+    n, p = 8 * _BLOCK_300, 300
+    peaks = {}
+    for missing in (0.0, 0.2, 0.5):
+        rng = np.random.default_rng(7)
+        path = _write(tmp_path, f"g{missing}.tsv", _genotype_text(rng, n, p, missing))
+        peaks[missing] = peak_bytes(lambda: load_genotypes(path))
+    assert max(peaks.values()) - min(peaks.values()) < pipeline.LOAD_BLOCK, peaks
+    assert max(peaks.values()) < n * p + 8 * pipeline.LOAD_BLOCK, peaks
+
+
+# rows of 2 SNPs per LOAD_BLOCK decoding block (6 bytes a row)
+_BLOCK_2 = pipeline.LOAD_BLOCK // 6
 
 
 @pytest.mark.parametrize(
@@ -170,13 +204,29 @@ def test_load_genotypes_matches_per_cell_oracle(tmp_path, n, p, missing):
     ],
 )
 def test_load_genotypes_errors_match_per_cell_oracle(tmp_path, row):
-    text = "#pheno\trs1:1:100\trs2:1:200\n0\t1\t.\n\n" + row + "\n1\t2\t2\n"
-    path = _write(tmp_path, "bad.tsv", text)
-    with pytest.raises(ParseError) as want:
-        per_cell_load_genotypes(path)
-    with pytest.raises(ParseError) as got:
-        load_genotypes(path)
-    assert str(got.value) == str(want.value)
+    # ``before`` good rows, a blank line after the first, then the bad row:
+    # in the first decoding block, or in the third
+    for before in (1, 2 * _BLOCK_2 + 3):
+        good = "0\t1\t.\n\n" + "1\t2\t2\n" * (before - 1)
+        text = "#pheno\trs1:1:100\trs2:1:200\n" + good + row + "\n1\t2\t2\n"
+        path = _write(tmp_path, "bad.tsv", text)
+        with pytest.raises(ParseError) as want:
+            per_cell_load_genotypes(path)
+        with pytest.raises(ParseError) as got:
+            load_genotypes(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:{before + 3}: "), got.value
+
+
+@pytest.mark.parametrize("sep", [b"\n", b"\r\n"])
+def test_load_genotypes_undecodable_row_past_the_first_block(tmp_path, sep):
+    rows = [b"#pheno\trs1:1:100\trs2:1:200", b""] + [b"1\t0\t2"] * (2 * _BLOCK_2)
+    rows.insert(_BLOCK_2 + 7, b"1\t\xff\t2")
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(sep.join(rows) + sep)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:{_BLOCK_2 + 8}: "
+                       r"not UTF-8 text \(invalid start byte\)$"):
+        load_genotypes(str(path))
 
 
 def test_load_genes(tmp_path):
@@ -803,3 +853,18 @@ def test_report_etheta_em_follows_the_last_rounds_columns(tmp_path):
     for j, row in enumerate(rows):
         cell = row.split("\t")[4]
         assert cell == (f"{etheta[j]:.10g}" if j in survivors else "NA"), j
+
+
+def test_load_genotypes_reads_a_pipe(tmp_path):
+    # a pipe has no size to bound the rows by, so the matrix grows as the
+    # blocks arrive
+    text = _genotype_text(np.random.default_rng(5), 3 * _BLOCK_300 + 2, 300, 0.05)
+    path = _write(tmp_path, "g.tsv", text)
+    fifo = tmp_path / "pipe.tsv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
+    writer.start()
+    try:
+        _assert_same_dataset(load_genotypes(str(fifo)), per_cell_load_genotypes(path))
+    finally:
+        writer.join(timeout=30)
