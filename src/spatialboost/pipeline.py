@@ -22,7 +22,7 @@ import zipfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from typing import BinaryIO
 
 import numpy as np
@@ -96,14 +96,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.G.shape[1]
-
-    def subset_markers(self, keep: np.ndarray) -> "Dataset":
-        return Dataset(
-            y=self.y,
-            G=self.G[:, keep],
-            snps=[self.snps[j] for j in keep],
-            imputed=self.imputed,
-        )
 
 
 def _lines(path: str) -> Iterator[tuple[int, str]]:
@@ -292,25 +284,23 @@ def load_relevances(path: str | None, genes: list[Gene]) -> np.ndarray:
     return np.array([scores.get(g.id, 1.0) for g in genes])
 
 
-def minor_allele_frequencies(dataset: Dataset) -> np.ndarray:
-    f = dataset.G.sum(axis=0) / (2.0 * dataset.n)
-    return np.minimum(f, 1.0 - f)
+def maf_filter(G: np.ndarray, min_maf: float) -> np.ndarray:
+    """Keep mask over the columns of ``G``: minor allele frequency strictly
+    above ``min_maf``."""
+    f = G.sum(axis=0) / (2.0 * G.shape[0])
+    return np.minimum(f, 1.0 - f) > min_maf
 
 
-def maf_filter(dataset: Dataset, min_maf: float) -> tuple[Dataset, np.ndarray]:
-    """Keep markers with minor allele frequency strictly above ``min_maf``."""
-    maf = minor_allele_frequencies(dataset)
-    keep = np.flatnonzero(maf > min_maf)
-    return dataset.subset_markers(keep), keep
-
-
-def hwe_pvalues(dataset: Dataset) -> np.ndarray:
-    """One-df chi-square goodness of fit of genotype counts against the
-    random-mating proportions (q^2, 2pq, p^2)."""
-    G = dataset.G
-    n = dataset.n
-    counts = np.stack([(G == g).sum(axis=0) for g in (0, 1, 2)])
-    f = G.sum(axis=0) / (2.0 * n)
+def hwe_pvalues(G: np.ndarray) -> np.ndarray:
+    """One-df chi-square goodness of fit of each column's genotype counts
+    against the random-mating proportions (q^2, 2pq, p^2); the 2s are
+    counted, and the column sums give the 1s and 0s."""
+    n = G.shape[0]
+    dosage = G.sum(axis=0)
+    n2 = (G == 2).sum(axis=0)
+    n1 = dosage - 2 * n2
+    counts = np.stack([n - n1 - n2, n1, n2])
+    f = dosage / (2.0 * n)
     expected = np.stack([(1 - f) ** 2, 2 * f * (1 - f), f**2]) * n
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
@@ -318,11 +308,10 @@ def hwe_pvalues(dataset: Dataset) -> np.ndarray:
     return chi2_sf_1df(stat)
 
 
-def hwe_filter(dataset: Dataset, alpha: float) -> tuple[Dataset, np.ndarray]:
-    """Drop markers whose equilibrium p-value falls below ``alpha``."""
-    pv = hwe_pvalues(dataset)
-    keep = np.flatnonzero(~(pv < alpha))
-    return dataset.subset_markers(keep), keep
+def hwe_filter(G: np.ndarray, alpha: float) -> np.ndarray:
+    """Keep mask over the columns of ``G``: equilibrium p-value not below
+    ``alpha``."""
+    return ~(hwe_pvalues(G) < alpha)
 
 
 def selection_file(gamma: float) -> str:
@@ -575,15 +564,16 @@ def _load(run: PipelineResult) -> None:
 
 
 def _qc(run: PipelineResult) -> str:
-    cfg, dataset = run.config, run.dataset
-    maf_ds, maf_keep = maf_filter(dataset, cfg.min_maf)
-    run.dataset, hwe_keep = hwe_filter(maf_ds, cfg.hwe_alpha)
-    run.qc_counts = (dataset.p, maf_ds.p, run.dataset.p)
-    maf_set = set(maf_keep.tolist())
-    kept_set = set(maf_keep[hwe_keep].tolist())
+    cfg, loaded = run.config, run.dataset
+    maf_pass = maf_filter(loaded.G, cfg.min_maf)
+    kept = maf_pass & hwe_filter(loaded.G, cfg.hwe_alpha)
+    run.dataset = replace(
+        loaded, G=loaded.G[:, kept], snps=list(compress(loaded.snps, kept))
+    )
+    run.qc_counts = (loaded.p, int(maf_pass.sum()), run.dataset.p)
     lines = ["snp\tmaf_pass\thwe_pass"]
-    for j, snp in enumerate(dataset.snps):
-        lines.append(f"{snp.id}\t{int(j in maf_set)}\t{int(j in kept_set)}")
+    for snp, m, k in zip(loaded.snps, maf_pass.tolist(), kept.tolist()):
+        lines.append(f"{snp.id}\t{int(m)}\t{int(k)}")
     return run.emit("filters.tsv", "\n".join(lines) + "\n")
 
 

@@ -4,7 +4,7 @@ import io
 import os
 import re
 import threading
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,7 +38,6 @@ from spatialboost.pipeline import (
     load_genotypes,
     load_relevances,
     maf_filter,
-    minor_allele_frequencies,
     parse_config,
     run_pipeline,
     substream,
@@ -290,58 +289,77 @@ def test_dataset_invariants():
 
 
 def test_maf_hand_example():
-    ds = _dataset(np.array([[0.0], [1.0], [2.0], [2.0]]))
-    assert minor_allele_frequencies(ds)[0] == pytest.approx(0.375)
-    kept_ds, kept = maf_filter(ds, 0.05)
-    assert kept.tolist() == [0]
-    assert kept_ds.p == 1
+    # f = 5/8, so the minor allele frequency is exactly 0.375
+    G = np.array([[0], [1], [2], [2]], dtype=np.int8)
+    assert maf_filter(G, 0.05).tolist() == [True]
+    assert maf_filter(G, 0.374).tolist() == [True]
+    assert maf_filter(G, 0.375).tolist() == [False]
 
 
 def test_maf_drops_monomorphic():
-    ds = _dataset(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]]))
-    kept_ds, kept = maf_filter(ds, 0.0)
-    assert kept.tolist() == [1]
-    assert [s.id for s in kept_ds.snps] == ["rs1"]
+    G = np.array([[0, 1], [0, 2], [0, 1]], dtype=np.int8)
+    assert maf_filter(G, 0.0).tolist() == [False, True]
 
 
 def test_hwe_exact_proportions_retained():
     # f = 0.5, counts (1,2,1) equal the expected (q^2, 2pq, p^2) * 4
-    ds = _dataset(np.array([[0.0], [1.0], [1.0], [2.0]]))
-    assert hwe_pvalues(ds)[0] == pytest.approx(1.0)
-    _, kept = hwe_filter(ds, alpha=0.05)
-    assert kept.tolist() == [0]
+    G = np.array([[0], [1], [1], [2]], dtype=np.int8)
+    assert hwe_pvalues(G)[0] == pytest.approx(1.0)
+    assert hwe_filter(G, alpha=0.05).tolist() == [True]
 
 
 def test_hwe_all_heterozygous_dropped():
-    ds = _dataset(np.ones((100, 1)))
-    pv = hwe_pvalues(ds)
+    G = np.ones((100, 1), dtype=np.int8)
+    pv = hwe_pvalues(G)
     # chi-square statistic is exactly 100
     from scipy.stats import chi2
 
     assert pv[0] == pytest.approx(chi2.sf(100.0, df=1))
-    _, kept = hwe_filter(ds, alpha=1e-6)
-    assert kept.size == 0
-    _, kept = hwe_filter(ds, alpha=0.0)
-    assert kept.tolist() == [0]
+    assert hwe_filter(G, alpha=1e-6).tolist() == [False]
+    assert hwe_filter(G, alpha=0.0).tolist() == [True]
 
 
-def test_maf_hwe_filters_commute(rng):
-    markers = rng.integers(0, 3, size=(60, 25)).astype(float)
-    markers[:, 3] = 1.0  # HWE violation
-    markers[:, 7] = 0.0  # monomorphic
-    ds = _dataset(markers)
-    a, _ = hwe_filter(maf_filter(ds, 0.05)[0], 1e-6)
-    b, _ = maf_filter(hwe_filter(ds, 1e-6)[0], 0.05)
-    assert [s.id for s in a.snps] == [s.id for s in b.snps]
+def test_qc_masks_of_a_column_subset_are_the_subset_of_the_masks(rng):
+    # each filter reads its columns alone, so the filter stage may take both
+    # masks over the loaded columns and copy the markers that pass both once
+    G = rng.integers(0, 3, size=(60, 25)).astype(np.int8)
+    G[:, 3] = 1  # HWE violation
+    G[:, 7] = 0  # monomorphic
+    for cols in (np.arange(25), np.arange(0, 25, 3), rng.permutation(25)[:11]):
+        sub = G[:, cols]
+        assert np.array_equal(maf_filter(sub, 0.05), maf_filter(G, 0.05)[cols])
+        assert np.array_equal(hwe_pvalues(sub), hwe_pvalues(G)[cols])
+        assert np.array_equal(hwe_filter(sub, 1e-6), hwe_filter(G, 1e-6)[cols])
 
 
-def test_column_alignment_round_trip(rng):
-    markers = rng.integers(0, 3, size=(40, 12)).astype(float)
-    ds = _dataset(markers)
-    kept_ds, kept = maf_filter(ds, 0.05)
+def _filter_stage(tmp_path, G):
+    """The filter stage run on ``G`` at the default thresholds, writing
+    filters.tsv to tmp_path; returns the run and the loaded dataset."""
+    run = PipelineResult(RunConfig(out_dir=str(tmp_path)))
+    run.dataset = replace(_dataset(G), imputed=5)
+    loaded = run.dataset
+    pipeline._qc(run)
+    return run, loaded
+
+
+def test_column_alignment_round_trip(rng, tmp_path):
+    G = rng.integers(0, 3, size=(40, 12)).astype(np.int8)
+    G[:, 4] = 0
+    run, loaded = _filter_stage(tmp_path, G)
+    kept = [j for j, row in enumerate(_filter_rows(tmp_path)) if row[2] == "1"]
+    ds = run.dataset
+    assert ds.G.dtype == np.int8
+    assert 0 < ds.p == len(kept) < loaded.p
+    assert ds.y is loaded.y and ds.imputed == 5
     for k, j in enumerate(kept):
-        assert kept_ds.snps[k].id == ds.snps[j].id
-        assert np.array_equal(kept_ds.G[:, k], ds.G[:, j])
+        assert ds.snps[k].id == loaded.snps[j].id
+        assert np.array_equal(ds.G[:, k], loaded.G[:, j])
+
+
+def _filter_rows(out_dir):
+    lines = (Path(out_dir) / "filters.tsv").read_text().splitlines()
+    assert lines[0] == "snp\tmaf_pass\thwe_pass"
+    return [ln.split("\t") for ln in lines[1:]]
 
 
 def _float_qc_keep(G, min_maf, alpha):
@@ -372,19 +390,61 @@ def test_int8_qc_keeps_the_float_path_markers(rng):
     for j in range(20, 30):  # excess homozygotes, graded
         hom = rng.random(120) < 0.1 * (j - 19)
         G[hom, j] = 2 * (G[hom, j] > 0)
-    ds = _dataset(G)
     for min_maf, alpha in ((0.05, 1e-6), (0.2, 1e-3), (0.0, 0.05)):
         maf_keep, pv, hwe_keep = _float_qc_keep(G, min_maf, alpha)
-        maf_ds, got_maf = maf_filter(ds, min_maf)
-        assert maf_ds.G.dtype == np.int8
-        assert np.array_equal(got_maf, maf_keep)
-        assert np.array_equal(hwe_pvalues(maf_ds), pv)
-        hwe_ds, got_hwe = hwe_filter(maf_ds, alpha)
-        assert hwe_ds.G.dtype == np.int8
-        assert np.array_equal(got_hwe, hwe_keep)
+        maf_pass = maf_filter(G, min_maf)
+        assert maf_pass.dtype == bool and maf_pass.shape == (60,)
+        assert np.array_equal(np.flatnonzero(maf_pass), maf_keep)
+        assert np.array_equal(hwe_pvalues(G)[maf_keep], pv)
+        hwe_pass = hwe_filter(G, alpha)
+        assert hwe_pass.dtype == bool and hwe_pass.shape == (60,)
+        assert np.array_equal(np.flatnonzero(hwe_pass[maf_keep]), hwe_keep)
         assert 0 < hwe_keep.size < maf_keep.size < G.shape[1]
-    kept = maf_filter(ds, 0.05)[1]
-    assert 11 not in kept and 12 in kept
+    maf_pass = maf_filter(G, 0.05)
+    assert not maf_pass[11] and maf_pass[12]
+
+
+def test_filter_stage_flags_and_counts_match_the_oracle(rng, tmp_path):
+    # filters.tsv flags every marker read: maf_pass from the MAF filter, and
+    # hwe_pass = 1 only for a marker that passes both filters
+    n, p = 120, 40
+    G = rng.binomial(2, rng.uniform(0.1, 0.5, p), size=(n, p)).astype(np.int8)
+    G[:, 5] = 0
+    G[:3, 5] = 1  # rare, in equilibrium: fails MAF only
+    G[:, 9] = 1  # all heterozygous: fails HWE only
+    G[:, 17] = 0
+    G[:4, 17] = 2  # rare, no heterozygotes: fails both
+    cfg = RunConfig(out_dir=str(tmp_path))
+    maf_pass = maf_filter(G, cfg.min_maf)
+    hwe_pass = hwe_filter(G, cfg.hwe_alpha)
+    assert (maf_pass[5], hwe_pass[5]) == (False, True)
+    assert (maf_pass[9], hwe_pass[9]) == (True, False)
+    assert (maf_pass[17], hwe_pass[17]) == (False, False)
+    run, loaded = _filter_stage(tmp_path, G)
+    maf_keep, _, hwe_keep = _float_qc_keep(G, cfg.min_maf, cfg.hwe_alpha)
+    rows = _filter_rows(tmp_path)
+    assert [r[0] for r in rows] == [s.id for s in loaded.snps]
+    want_maf = np.isin(np.arange(p), maf_keep).astype(int).astype(str)
+    want_hwe = np.isin(np.arange(p), maf_keep[hwe_keep]).astype(int).astype(str)
+    assert [r[1] for r in rows] == want_maf.tolist()
+    assert [r[2] for r in rows] == want_hwe.tolist()
+    assert [rows[j][1:] for j in (5, 9, 17)] == [["0", "0"], ["1", "0"], ["0", "0"]]
+    assert run.qc_counts == (p, maf_keep.size, hwe_keep.size)
+    assert run.qc_counts[2] == run.dataset.p < run.qc_counts[1] < p
+
+
+def test_filter_stage_copies_the_genotypes_once(tmp_path):
+    # the masks hold a byte per column and the counts one n x p boolean at a
+    # time, and the markers that pass both filters are copied once: the
+    # stage's peak over the loaded matrix stays near one copy of it
+    rng = np.random.default_rng(7)
+    n, p = 400, 3000
+    G = rng.binomial(2, rng.uniform(0.05, 0.5, p), size=(n, p)).astype(np.int8)
+    run = PipelineResult(RunConfig(out_dir=str(tmp_path)))
+    run.dataset = _dataset(G)
+    peak = peak_bytes(lambda: pipeline._qc(run))
+    assert run.dataset.p > 0.9 * p
+    assert peak <= 1.5 * G.nbytes, peak / G.nbytes
 
 
 def test_parse_config_round_trip(tmp_path):
