@@ -18,6 +18,7 @@ from spatialboost._special import expit
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import (
     TruncatedDesign,
+    Workspace,
     check_rank_tol,
     truncate_design,
     weighted_woodbury,
@@ -144,6 +145,7 @@ def cm_beta(
     etheta: np.ndarray,
     sigma2: float,
     hyper: Hyperparameters,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """One ridge IRLS step from beta, with eta = X beta its linear predictor:
 
@@ -151,12 +153,13 @@ def cm_beta(
 
     with mu = logit^-1(eta), W = diag(mu (1 - mu)), everything routed through
     the truncated factors and the design's Woodbury solver: X'WX beta is
-    taken as S'(S beta), so S is never formed.
+    taken as S'(S beta), so S is never formed. The solver's core is built
+    in ``workspace`` (see ``weighted_woodbury``).
     """
     mu = expit(eta)
     W = mu * (1.0 - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
-    solver = weighted_woodbury(design, W, sigma)
+    solver = weighted_woodbury(design, W, sigma, workspace)
     rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu)
     return solver.solve(rhs)
 
@@ -207,6 +210,8 @@ def em_fit(
     (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
     iteration's value flags the state as diverged. The state is still
     returned, with the eta of its beta that the last iteration computed.
+    In sample space every CM-beta step builds its Woodbury core in one
+    ``Workspace``, which the fit releases when it returns.
     """
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
@@ -214,10 +219,11 @@ def em_fit(
     eta = design.matvec(beta)
     trace: list[float] = []
     converged = diverged = False
+    workspace = Workspace()
     for it in range(1, EM_MAX_ITER + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
-        beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper)
+        beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper, workspace)
         eta = design.matvec(beta_new)
         trace.append(marginal_log_posterior(y, eta, beta_new, sigma2, boosts, hyper))
         diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)

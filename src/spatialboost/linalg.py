@@ -31,11 +31,28 @@ eigenvalue >= 1, so it needs no jitter: each use solves it by one LU solve
 (``numpy.linalg.solve``) with all its right-hand sides at once.
 
 A Woodbury build allocates no design-sized temporary. In sample space it
-sums the core's rank-|B| part over blocks of at most n markers, so it
-allocates O(n^2) whatever |B| is. In rank space the core's temporaries are
-at most V's size, (p+1) x l, and the weighted Gram is summed over blocks of
-at most max(l, COLUMN_BLOCK) individuals in one l x max(l, COLUMN_BLOCK)
-scratch, so a rank-space step allocates no n x l temporary.
+sums the core's rank-|B| part over blocks of at most n markers, so it needs
+O(n^2) whatever |B| is: the n x n core, an n x n scratch whose leading rows
+hold a block of T' and then, a chunk of rows at a time, (cC C') o K, and,
+once |B| > n, each later block's n x n product. In rank space the core's
+temporaries are at most V's size, (p+1) x l, and the weighted Gram is
+summed over blocks of at most max(l, COLUMN_BLOCK) individuals in one
+l x max(l, COLUMN_BLOCK) scratch, so a rank-space step allocates no n x l
+temporary.
+
+The sample-space core and scratch live in a ``Workspace``. Each EM fit
+(``em.em_fit``) and each chain (``mcmc.gibbs_run``) owns one: its first
+step allocates them, every later step writes into them in place, and they
+are released when the loop returns; a design never holds them. At n = 250
+an n x n array is 500 KB, above glibc's initial 128 KiB mmap threshold, so
+a fresh one per step can be a fresh mapping, faulted in page by page.
+Two n x n arrays are still allocated per step: the LAPACK copy of the core
+inside ``numpy.linalg.solve`` (numpy has no in-place LU), and, only once
+|B| > n, a later block's product, which a held buffer would keep resident
+beside the core, the scratch and that copy (at n = 2000 it raised the
+em-filter peak by 23 MB). A rank-space step still allocates its scratch
+and l x l arrays per step: at n = 2000, l = 121 holding them across steps
+cut a report's page faults by 2% and raised its peak RSS.
 
 A sample-space design keeps the float design X' that ``FilterConfig.factor``
 hands over without a copy. A rank-space design keeps U as U' (l x n,
@@ -59,6 +76,8 @@ JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 # a rank-space product with U' runs over blocks of max(l, COLUMN_BLOCK)
 # individuals, so its l x max(l, COLUMN_BLOCK) scratch does not grow with n
 COLUMN_BLOCK = 512
+# a sample-space core adds (cC C') o K in chunks of at least this many rows
+MASK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -258,6 +277,27 @@ def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
     )
 
 
+class Workspace:
+    """Named float buffers that a loop of Woodbury builds reuses.
+
+    An EM fit or a chain owns one, so each step writes its core and scratch
+    into the buffers the first step allocated instead of fresh ones, and
+    they are released with the loop. ``array`` hands out a C-contiguous
+    view holding whatever its last user left there; a buffer is replaced by
+    a larger one when a request outgrows it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class WoodburySolver:
     """Applies (S'S + Sigma^-1)^-1 with S = C V' and Sigma = diag(sigma) as
 
@@ -275,11 +315,16 @@ class WoodburySolver:
     I + c C G C' + T T' with T = C V_B' diag(sigma_B - c)^(1/2). In rank space
     that costs O(l^3 + |B| l^2), and T is formed whole: its |B| x l scaled
     rows of V are at most V's size. In sample space C G C' is (C C') o K,
-    formed in the core's own buffer, and T holds scaled rows of V, so it
-    costs O(n^2 |B|) and the core's 2n^3/3 LU solve. There T T' is summed
-    over blocks of at most n markers of B, so a build allocates O(n^2)
-    beside the core whatever |B| is, and never a copy of V_B. Every other
-    product with S is a matvec through C and V.
+    formed without a product, and T holds scaled rows of V, so it costs
+    O(n^2 |B|) and the core's 2n^3/3 LU solve. There T T' is summed over
+    blocks of at most n markers of B, so a build needs O(n^2) beside the
+    core whatever |B| is, and never a copy of V_B. Every other product with
+    S is a matvec through C and V.
+    A sample-space build writes its core and each block of T' into two
+    n x n buffers of ``workspace`` (a fresh ``Workspace`` when None), so a
+    loop that passes its own allocates them once; the core is valid until
+    the next build in that workspace. A rank-space build does not use
+    ``workspace``.
     The core is symmetric with every eigenvalue >= 1, so it is solved as is,
     without jitter; a caller with several right-hand sides passes them
     together to one ``solve_core`` (or ``solve``) call.
@@ -291,6 +336,7 @@ class WoodburySolver:
         V: np.ndarray,
         sigma: np.ndarray,
         gram: np.ndarray | None = None,
+        workspace: Workspace | None = None,
     ):
         C = np.asarray(C, dtype=float)
         self._diag = C.ndim == 1
@@ -316,18 +362,34 @@ class WoodburySolver:
         c = sigma.min()
         B = np.flatnonzero(sigma > c)
         if self._diag:
-            # (cC C') o K in the core's own buffer, then T T' over blocks of
-            # at most n markers of B: each block's rows of T' are a copy of
-            # its rows of V, scaled in place, so no temporary outgrows the
-            # core whatever |B| is
-            core = np.outer(c * C, C)
-            core *= gram
-            for rows in _blocks(B.size, k):
+            # the core is (cC C') o K + T_1 T_1' + T_2 T_2' + ... over blocks
+            # of at most n markers of B: each block's rows of T' are taken
+            # from V into one n x n scratch and scaled in place. The first
+            # block's T T' is formed in the core, and (cC C') o K is added to
+            # it (the same sum, since a + b == b + a) in row chunks of the
+            # scratch that block already filled, at least MASK_ROWS of them:
+            # with |B| <= n a build writes only the core and those rows
+            workspace = Workspace() if workspace is None else workspace
+            core = workspace.array("core", (k, k))
+            scratch = workspace.array("scratch", (k, k))
+            cC = c * C
+            if not B.size:
+                np.multiply(np.outer(cC, C, out=core), gram, out=core)
+            for i, rows in enumerate(_blocks(B.size, k)):
                 Bb = B[rows]
-                Tt = V[Bb]
+                # under mode="raise" numpy fills a temporary and copies it
+                # into out; the rows in Bb are all in range
+                Tt = np.take(V, Bb, axis=0, out=scratch[: Bb.size], mode="clip")
                 Tt *= np.sqrt(sigma[Bb] - c)[:, None]
                 Tt *= C
-                core += Tt.T @ Tt
+                if i == 0:
+                    np.matmul(Tt.T, Tt, out=core)
+                    for part in _blocks(k, max(Bb.size, MASK_ROWS)):
+                        M = np.outer(cC[part], C, out=scratch[: part.stop - part.start])
+                        M *= gram[part]
+                        core[part] += M
+                else:
+                    core += Tt.T @ Tt
         else:
             T = C @ (V[B] * np.sqrt(sigma[B] - c)[:, None]).T
             core = c * (C @ C.T) + T @ T.T
@@ -401,12 +463,16 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
 
 
 def weighted_woodbury(
-    design: TruncatedDesign, W: np.ndarray, sigma: np.ndarray
+    design: TruncatedDesign,
+    W: np.ndarray,
+    sigma: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> WoodburySolver:
     """Solver for (X_l' diag(W) X_l + diag(sigma)^-1)^-1 in the design's
     space: the left factor is diag(sqrt W) with X' and K in sample space,
     and C_w from ``weighted_cholesky`` with V in rank space; W is checked
-    here for both (n entries, finite, non-negative)."""
+    here for both (n entries, finite, non-negative). A sample-space core is
+    built in ``workspace``; a rank-space build does not use it."""
     W = np.asarray(W, dtype=float)
     if W.shape != (design.n,):
         raise ConfigurationError(f"{W.size} weights for {design.n} individuals")
@@ -416,4 +482,5 @@ def weighted_woodbury(
         raise ConfigurationError("weights must be non-negative")
     if not design.sample_space:
         return WoodburySolver(weighted_cholesky(design, W), design.V, sigma)
-    return WoodburySolver(np.sqrt(W), design.Xt, sigma, gram=design.K)
+    return WoodburySolver(np.sqrt(W), design.Xt, sigma, gram=design.K,
+                          workspace=workspace)

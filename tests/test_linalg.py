@@ -8,6 +8,7 @@ from spatialboost.errors import ConfigurationError, NumericalError
 from spatialboost.linalg import (
     TruncatedDesign,
     WoodburySolver,
+    Workspace,
     select_rank,
     truncate_design,
     weighted_cholesky,
@@ -719,3 +720,102 @@ def test_sample_space_rank_matches_eigh_on_duplicated_rows():
         k = int(np.count_nonzero(lam > max(X.shape) * np.finfo(float).eps * lam[0]))
         assert design.sample_space and design.rank == k, seed
         assert k == np.linalg.matrix_rank(X), seed
+
+
+def _sigma_on(rng, p1, size):
+    """A prior variance at its minimum 0.1 off B and above it on B, a random
+    set of ``size`` markers."""
+    sigma = np.full(p1, 0.1)
+    sigma[rng.choice(p1, size, replace=False)] = rng.uniform(0.2, 2.0, size)
+    return sigma
+
+
+def _assert_same_solver(got, want, rng):
+    assert np.array_equal(got._core, want._core)
+    R = rng.standard_normal((want.V.shape[0], 2))
+    assert np.array_equal(got.solve(R), want.solve(R))
+    assert np.array_equal(got.solve(R[:, 0]), want.solve(R[:, 0]))
+    r = rng.standard_normal((want.core_dim, 2))
+    assert np.array_equal(got.solve_core(r), want.solve_core(r))
+
+
+# |B| = 0, 1, below n, exactly n, and above n (four blocks of the core's sum)
+@pytest.mark.parametrize("size", [0, 1, 17, 40, 131])
+def test_workspace_core_matches_a_fresh_build_bit_for_bit(rng, size):
+    # the workspace first holds a build over every marker but one, so its
+    # buffers carry stale data from four blocks and a different C
+    n, p1 = 40, 200
+    Xt = _wide_design(rng, n, p1)
+    K = Xt.T @ Xt
+    workspace = Workspace()
+    WoodburySolver(rng.uniform(0.1, 0.5, n), Xt, _sigma_on(rng, p1, p1 - 1),
+                   gram=K, workspace=workspace)
+    C, sigma = rng.uniform(0.1, 0.5, n), _sigma_on(rng, p1, size)
+    got = WoodburySolver(C, Xt, sigma, gram=K, workspace=workspace)
+    _assert_same_solver(got, WoodburySolver(C, Xt, sigma, gram=K), rng)
+
+
+def test_successive_workspace_builds_match_fresh_ones(rng):
+    # small |B| then large |B| in one workspace, as a chain's sweeps are:
+    # each build is checked before the next overwrites its core
+    n, p1 = 40, 200
+    Xt = _wide_design(rng, n, p1)
+    K = Xt.T @ Xt
+    workspace = Workspace()
+    for size in (3, 150, 40):
+        C, sigma = rng.uniform(0.1, 0.5, n), _sigma_on(rng, p1, size)
+        got = WoodburySolver(C, Xt, sigma, gram=K, workspace=workspace)
+        _assert_same_solver(got, WoodburySolver(C, Xt, sigma, gram=K), rng)
+
+
+def test_rank_space_build_leaves_the_workspace_unused(rng):
+    # a tall rank-space design whose weighted Gram spans three column
+    # blocks: its solver, built through weighted_cholesky with a workspace,
+    # is the fresh one bit for bit, and the workspace stays empty
+    design = truncate_design(_genotype_matrix(rng, 1500, 40), 30)
+    assert not design.sample_space and design.n > 2 * linalg.COLUMN_BLOCK
+    workspace = Workspace()
+    for _ in range(2):
+        W, sigma = rng.uniform(0.0, 0.25, 1500), _sigma_on(rng, 40, 25)
+        _assert_same_solver(weighted_woodbury(design, W, sigma, workspace),
+                            weighted_woodbury(design, W, sigma), rng)
+    assert not workspace._buffers
+
+
+def test_sample_space_steps_after_the_first_allocate_no_core(rng):
+    # a chain's beta draw and an EM fit's CM-beta step at n = 250 build
+    # their n x n core in the buffers the first step allocated: a later
+    # step with |B| < n allocates less than one n x n float array, where a
+    # build with no workspace allocates its core and scratch. Past the
+    # first block of B each block's product is still allocated, one at a
+    # time, so a step with |B| > n allocates less than two
+    from spatialboost.em import Hyperparameters, cm_beta
+    from spatialboost.mcmc import sample_beta
+
+    n, p1 = 250, 600
+    design = truncate_design(_wide_design(rng, n, p1).T, tol=1e-12)
+    assert design.sample_space and design.n == n
+    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0)
+    y = (rng.random(n) < 0.5).astype(float)
+    xty = design.rmatvec(y - 0.5)
+    omega = rng.uniform(0.1, 0.3, n)
+    theta = (rng.random(p1) < 0.2).astype(np.int8)  # |A| below n
+    beta = 0.01 * rng.standard_normal(p1)
+    eta = design.matvec(beta)
+    few = np.where(theta == 1, rng.uniform(0.0, 1.0, p1), 0.0)  # |B| below n
+    every = rng.uniform(0.0, 1.0, p1)  # B is every marker: three blocks
+    nn = n * n * 8
+    steps = [
+        ("sample_beta", nn, lambda ws: sample_beta(omega, theta, 0.1, design,
+                                                   xty, hyper, rng, ws)),
+        ("cm_beta |B| < n", nn,
+         lambda ws: cm_beta(design, y, eta, beta, few, 0.1, hyper, ws)),
+        ("cm_beta |B| > n", 2 * nn,
+         lambda ws: cm_beta(design, y, eta, beta, every, 0.1, hyper, ws)),
+    ]
+    for name, bound, step in steps:
+        workspace = Workspace()
+        step(workspace)
+        _, peak = _traced_peak(lambda: step(workspace))
+        _, fresh = _traced_peak(lambda: step(None))
+        assert peak < bound < fresh, (name, peak, fresh)
