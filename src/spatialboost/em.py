@@ -153,14 +153,15 @@ def cm_beta(
 
     with mu = logit^-1(eta), W = diag(mu (1 - mu)), everything routed through
     the truncated factors and the design's Woodbury solver: X'WX beta is
-    taken as S'(S beta), so S is never formed. The solver's core is built
-    in ``workspace`` (see ``weighted_woodbury``).
+    taken as S'(S beta), so S is never formed. The solver's core, and the
+    blocks of a sample-space X' the step reads, are built in ``workspace``
+    (see ``weighted_woodbury``).
     """
     mu = expit(eta)
     W = mu * (1.0 - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
     solver = weighted_woodbury(design, W, sigma, workspace)
-    rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu)
+    rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu, workspace)
     return solver.solve(rhs)
 
 
@@ -210,21 +211,22 @@ def em_fit(
     (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
     iteration's value flags the state as diverged. The state is still
     returned, with the eta of its beta that the last iteration computed.
-    In sample space every CM-beta step builds its Woodbury core in one
-    ``Workspace``, which the fit releases when it returns.
+    In sample space every CM-beta step builds its Woodbury core, and every
+    product casts its blocks of X', in one ``Workspace``, which the fit
+    releases when it returns.
     """
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
     sigma2 = hyper.lam / (hyper.nu + 1.0)  # prior mode
-    eta = design.matvec(beta)
+    workspace = Workspace()
+    eta = design.matvec(beta, workspace)
     trace: list[float] = []
     converged = diverged = False
-    workspace = Workspace()
     for it in range(1, EM_MAX_ITER + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
         beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper, workspace)
-        eta = design.matvec(beta_new)
+        eta = design.matvec(beta_new, workspace)
         trace.append(marginal_log_posterior(y, eta, beta_new, sigma2, boosts, hyper))
         diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)
         converged = float(np.max(np.abs(beta_new - beta))) < EM_TOL
@@ -333,14 +335,15 @@ class FilterConfig:
     def factor(self, X_markers: np.ndarray, columns: np.ndarray) -> TruncatedDesign:
         """Truncated factors of the intercept plus the given marker columns,
         at the explicit rank (capped by the design's size and its numerical
-        rank) or by rank_tol. This is the one place the float64 design,
-        intercept first, is built; the markers may be any numeric dtype,
-        such as the loader's int8. It is built as X' ((p+1) x n), in blocks
-        of FACTOR_BLOCK columns, and handed over to the factorization: a
-        sample-space design keeps it as its X', and a tall one at full rank
-        as its U'."""
-        Xt = np.empty((len(columns) + 1, X_markers.shape[0]))
-        Xt[0] = 1.0
+        rank) or by rank_tol. This is the one place the design, intercept
+        first, is built. It is built as X' ((p+1) x n) in the markers'
+        dtype, in blocks of FACTOR_BLOCK columns, and handed over to the
+        factorization. For the loader's int8 genotypes no float design is
+        built in sample space: the design keeps the int8 X' and reads it a
+        block at a time. Rank space casts X' to float64 once, and a tall
+        design at full rank keeps that float X' as its U'."""
+        Xt = np.empty((len(columns) + 1, X_markers.shape[0]), dtype=X_markers.dtype)
+        Xt[0] = 1
         for a in range(0, len(columns), FACTOR_BLOCK):  # no copy of every column
             block = columns[a:a + FACTOR_BLOCK]
             Xt[1 + a:1 + a + len(block)] = X_markers[:, block].T

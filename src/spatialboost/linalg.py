@@ -40,7 +40,8 @@ summed over blocks of at most max(l, COLUMN_BLOCK) individuals in one
 l x max(l, COLUMN_BLOCK) scratch, so a rank-space step allocates no n x l
 temporary.
 
-The sample-space core and scratch live in a ``Workspace``. Each EM fit
+The sample-space core and scratch live in a ``Workspace`` (with the
+float blocks of X', below). Each EM fit
 (``em.em_fit``) and each chain (``mcmc.gibbs_run``) owns one: its first
 step allocates them, every later step writes into them in place, and they
 are released when the loop returns; a design never holds them. At n = 250
@@ -54,12 +55,31 @@ em-filter peak by 23 MB). A rank-space step still allocates its scratch
 and l x l arrays per step: at n = 2000, l = 121 holding them across steps
 cut a report's page faults by 2% and raised its peak RSS.
 
-A sample-space design keeps the float design X' that ``FilterConfig.factor``
-hands over without a copy. A rank-space design keeps U as U' (l x n,
-C-contiguous). A tall one at full rank drops nothing, so it holds X itself
-in rank-space form: U' is that same X', d = 1 and V = I. Below full rank
-U' is built in a new array, and X' is freed when the factor returns, so the
-design is never held twice.
+A sample-space design keeps the X' that ``FilterConfig.factor`` hands over
+without a copy, in the dtype it was built in: int8 for the loader's
+genotypes, so at 2000 x 12000 it is 23 MiB where a float64 X' was 183 MiB.
+No float copy of it is built. Every product reads it in blocks, each cast
+to float64 in one reused buffer (``_cast``; an integer's cast is exact):
+X u over blocks of INDIVIDUAL_BLOCK individuals (columns of X') and X' w
+over blocks of MARKER_BLOCK markers (rows), so each output entry is one
+whole dot product, as it was over a whole float X'. On OpenBLAS that gives
+the whole product's bits; at these block sizes it did for every shape
+checked up to 2000 x 12001 (32 markers at a time did not). The buffer
+(the larger of (p+1) x INDIVIDUAL_BLOCK and MARKER_BLOCK x n floats: 615 KB
+at n = 250, p = 1200) is the "block" buffer of the loop's ``Workspace``,
+so a step does not map a fresh one per product; a caller without a
+workspace gets a fresh buffer per call. A core build gathers its
+rows of X' in X's dtype and casts them into its scratch. The short-side
+Gram is summed over blocks of at least MARKER_BLOCK markers (individuals
+for a tall X), one symmetric product each;
+its entries, sums of integer products, are exact, so it equals the
+one-shot product, and so do its eigenvalues and the rank.
+
+A rank-space design keeps U as U' (l x n, C-contiguous), computed from X'
+cast to float64 once. A tall one at full rank drops nothing, so it holds
+that float X' itself in rank-space form: U' is X', d = 1 and V = I. Below
+full rank U' is built in a new array, and the float X' is freed when the
+factor returns, so the design is never held twice.
 """
 
 from __future__ import annotations
@@ -78,6 +98,10 @@ JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 COLUMN_BLOCK = 512
 # a sample-space core adds (cC C') o K in chunks of at least this many rows
 MASK_ROWS = 32
+# a product with a sample-space X' casts this many of its individuals
+# (columns) or markers (rows) to float64 at a time
+INDIVIDUAL_BLOCK = 64
+MARKER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -90,10 +114,13 @@ class TruncatedDesign:
     rank holds X itself as U = X, d = 1 and V = I. U is the F-ordered view
     U'.T of a C-contiguous l x n U', the layout the weighted Gram reads in
     column blocks. A sample-space design holds instead Xt = X' itself as a
-    C-contiguous (p+1) x n array, K = X X' (n x n) and d, at the numerical
-    rank; its U and V are None. ``relative_residual_energy`` is the share of
-    the design's energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2,
-    the quantity ``rank_tol`` bounds (0 in sample space and at full rank).
+    C-contiguous (p+1) x n array of any numeric dtype (int8 from
+    ``FilterConfig.factor`` on genotypes), K = X X' (n x n, float64) and d,
+    at the numerical rank; its U and V are None, and its products read Xt a
+    block at a time (see the module docstring). ``relative_residual_energy``
+    is the share of the design's energy the truncation drops,
+    ||X - X_l||_F^2 / ||X||_F^2, the quantity ``rank_tol`` bounds (0 in
+    sample space and at full rank).
     """
 
     d: np.ndarray
@@ -121,16 +148,18 @@ class TruncatedDesign:
         which ``truncate_design`` picks for 3 l >= 2 n."""
         return self.K is not None
 
-    def matvec(self, beta: np.ndarray) -> np.ndarray:
-        """X_l beta through the stored factors."""
+    def matvec(self, beta: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        """X_l beta through the stored factors; a sample-space product casts
+        its blocks of X' in ``workspace``."""
         if self.sample_space:
-            return self.Xt.T @ beta
+            return _times(self.Xt, beta, workspace)
         return self.U @ (self.d * (self.V.T @ beta))
 
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X_l' r through the stored factors."""
+    def rmatvec(self, r: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        """X_l' r through the stored factors; a sample-space product casts
+        its blocks of X' in ``workspace``."""
         if self.sample_space:
-            return self.Xt @ r
+            return _t_times(self.Xt, r, workspace)
         return self.V @ (self.d * (self.U.T @ r))
 
 
@@ -195,6 +224,54 @@ def _truncation(
     return s, k, l, float(resid[l - 1] / total) if total > 0 else 0.0
 
 
+def _cast(src: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """``src`` as float64 in the "block" buffer of ``workspace``, which the
+    next cast overwrites; the cast of an integer entry is exact."""
+    block = workspace.array("block", src.shape)
+    np.copyto(block, src)
+    return block
+
+
+def _times(Xt: np.ndarray, u: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+    """X u = Xt' u for a vector or matrix u, over blocks of
+    INDIVIDUAL_BLOCK individuals (columns of Xt), each cast in ``workspace``
+    (a fresh one when None): each block's entries of X u are its own
+    product."""
+    workspace = Workspace() if workspace is None else workspace
+    out = np.empty((Xt.shape[1],) + np.shape(u)[1:])
+    for a in range(0, Xt.shape[1], INDIVIDUAL_BLOCK):
+        cols = slice(a, a + INDIVIDUAL_BLOCK)
+        np.matmul(_cast(Xt[:, cols], workspace).T, u, out=out[cols])
+    return out
+
+
+def _t_times(Xt: np.ndarray, w: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+    """X' w = Xt w for a vector or matrix w, over blocks of MARKER_BLOCK
+    markers (rows of Xt), each cast in ``workspace`` (a fresh one when
+    None): each block's entries of X' w are its own product."""
+    workspace = Workspace() if workspace is None else workspace
+    out = np.empty((Xt.shape[0],) + np.shape(w)[1:])
+    for a in range(0, Xt.shape[0], MARKER_BLOCK):
+        rows = slice(a, a + MARKER_BLOCK)
+        np.matmul(_cast(Xt[rows], workspace), w, out=out[rows])
+    return out
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A'A, summed over blocks of max(side, MARKER_BLOCK) rows of A, each
+    cast to float64 and taken in one symmetric product (a syrk). For
+    integer entries every partial sum is an exact integer, so the sum
+    equals the one-shot product's whatever the blocks."""
+    side = A.shape[1]
+    workspace, step = Workspace(), max(side, MARKER_BLOCK)
+    G, P = np.zeros((side, side)), np.empty((side, side))
+    for a in range(0, A.shape[0], step):
+        B = _cast(A[a:a + step], workspace)
+        np.matmul(B.T, B, out=P)
+        G += P
+    return G
+
+
 def truncate_design(
     X: np.ndarray, l: int | None = None, tol: float | None = None
 ) -> TruncatedDesign:
@@ -214,20 +291,23 @@ def truncate_design(
     column of V with magnitude above 1e-12 is positive.
     A tall design at full rank (p+1) drops nothing and holds X itself:
     U = X, d = 1 and V = I.
-    Pass X as the transpose of a C-contiguous (p+1) x n array and a
-    sample-space or full-rank tall design keeps that array as its X' (or
-    U') without a copy; any other X is copied, and X is never written.
+    X may have any numeric dtype. The Gram is summed over blocks of X cast
+    to float64, and rank space casts X to float64 once. Pass X as the
+    transpose of a C-contiguous (p+1) x n array and a sample-space design
+    keeps that array as its X', in its dtype, without a copy (so does a
+    full-rank tall one as its U', when the array is float64); any other X
+    is copied, and X is never written.
     """
     if l is None and tol is None:
         raise TypeError("truncate_design needs tol when l is None")
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X)
     if X.size == 0:
         raise ConfigurationError("empty design matrix")
     n, p1 = X.shape
     # the Gram G of X's short side (X X' when n <= p+1, else X'X): its
     # eigenvectors, in descending order of the eigenvalues, are the left
     # (wide X) or right (tall X) singular vectors
-    G = X @ X.T if n <= p1 else X.T @ X
+    G = _gram(X.T if n <= p1 else X)
     lam = np.linalg.eigvalsh(G)
     s, k, rank, rre = _truncation(lam, X.shape, l, tol)
     if 3 * rank < 2 * n:  # rank space, from eigh's own values
@@ -235,8 +315,9 @@ def truncate_design(
         s, k, rank, rre = _truncation(lam, X.shape, l, tol)
     if 3 * rank >= 2 * n:  # sample space: X itself, at the numerical rank
         Xt = np.ascontiguousarray(X.T)
-        K = G if n <= p1 else Xt.T @ Xt
+        K = G if n <= p1 else _gram(Xt)
         return TruncatedDesign(d=s[:k].copy(), relative_residual_energy=0.0, Xt=Xt, K=K)
+    X = np.asarray(X, dtype=float)  # rank space reads a float X
     if rank == p1:  # tall (a wide X at l = p+1 >= n is sample space) and exact
         return TruncatedDesign(d=np.ones(rank), relative_residual_energy=0.0,
                                U=np.ascontiguousarray(X.T).T, V=np.eye(rank))
@@ -278,13 +359,14 @@ def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
 
 
 class Workspace:
-    """Named float buffers that a loop of Woodbury builds reuses.
+    """Named float buffers that a loop of Woodbury builds and design
+    products reuses.
 
-    An EM fit or a chain owns one, so each step writes its core and scratch
-    into the buffers the first step allocated instead of fresh ones, and
-    they are released with the loop. ``array`` hands out a C-contiguous
-    view holding whatever its last user left there; a buffer is replaced by
-    a larger one when a request outgrows it.
+    An EM fit or a chain owns one, so each step writes its core, scratch
+    and float blocks of X' into the buffers the first step allocated
+    instead of fresh ones, and they are released with the loop. ``array``
+    hands out a C-contiguous view holding whatever its last user left
+    there; a buffer is replaced by a larger one when a request outgrows it.
     """
 
     def __init__(self):
@@ -308,7 +390,8 @@ class WoodburySolver:
     - rank space: C is an l x l matrix and V ((p+1) x l) has orthonormal
       columns, as the right factor of a ``TruncatedDesign`` does;
     - sample space: C is a vector of n entries standing for diag(C), V is
-      X' ((p+1) x n), and ``gram`` is K = V'V = X X'.
+      X' ((p+1) x n, any numeric dtype, read a block at a time), and
+      ``gram`` is K = V'V = X X'.
 
     With G = V'V (I in rank space), V' Sigma V = c G + V_B' diag(sigma_B - c)
     V_B for c = min sigma and B = {j : sigma_j > c}, so the core is
@@ -321,9 +404,10 @@ class WoodburySolver:
     core whatever |B| is, and never a copy of V_B. Every other product with
     S is a matvec through C and V.
     A sample-space build writes its core and each block of T' into two
-    n x n buffers of ``workspace`` (a fresh ``Workspace`` when None), so a
-    loop that passes its own allocates them once; the core is valid until
-    the next build in that workspace. A rank-space build does not use
+    n x n buffers of ``workspace`` (a fresh ``Workspace`` when None), and
+    its products with X' cast their blocks in a third, so a loop that
+    passes its own allocates them once; the core is valid until the next
+    build in that workspace. A rank-space solver does not use
     ``workspace``.
     The core is symmetric with every eigenvalue >= 1, so it is solved as is,
     without jitter; a caller with several right-hand sides passes them
@@ -342,7 +426,7 @@ class WoodburySolver:
         self._diag = C.ndim == 1
         if not self._diag:
             C = np.atleast_2d(C)
-        V = np.asarray(V, dtype=float)
+        V = np.asarray(V)
         sigma = np.asarray(sigma, dtype=float)
         if not np.all(np.isfinite(sigma)):  # a fit that diverged
             raise NumericalError("prior covariance entries must be finite")
@@ -358,18 +442,18 @@ class WoodburySolver:
                 f"C {C.shape}, V {V.shape} and gram {np.shape(gram)} do not "
                 f"fit Sigma with {sigma.size} entries"
             )
-        self.C, self.V, self.sigma = C, V, sigma
+        workspace = Workspace() if workspace is None else workspace
+        self.C, self.V, self.sigma, self._workspace = C, V, sigma, workspace
         c = sigma.min()
         B = np.flatnonzero(sigma > c)
         if self._diag:
             # the core is (cC C') o K + T_1 T_1' + T_2 T_2' + ... over blocks
-            # of at most n markers of B: each block's rows of T' are taken
-            # from V into one n x n scratch and scaled in place. The first
+            # of at most n markers of B: each block's rows of T' are cast
+            # from V into one n x n scratch and scaled there. The first
             # block's T T' is formed in the core, and (cC C') o K is added to
             # it (the same sum, since a + b == b + a) in row chunks of the
             # scratch that block already filled, at least MASK_ROWS of them:
             # with |B| <= n a build writes only the core and those rows
-            workspace = Workspace() if workspace is None else workspace
             core = workspace.array("core", (k, k))
             scratch = workspace.array("scratch", (k, k))
             cC = c * C
@@ -377,9 +461,10 @@ class WoodburySolver:
                 np.multiply(np.outer(cC, C, out=core), gram, out=core)
             for i, rows in enumerate(_blocks(B.size, k)):
                 Bb = B[rows]
-                # under mode="raise" numpy fills a temporary and copies it
-                # into out; the rows in Bb are all in range
-                Tt = np.take(V, Bb, axis=0, out=scratch[: Bb.size], mode="clip")
+                Tt = scratch[: Bb.size]
+                for a in range(0, Bb.size, MARKER_BLOCK):
+                    # V's rows, gathered in its dtype and cast exactly
+                    Tt[a:a + MARKER_BLOCK] = V[Bb[a:a + MARKER_BLOCK]]
                 Tt *= np.sqrt(sigma[Bb] - c)[:, None]
                 Tt *= C
                 if i == 0:
@@ -405,13 +490,16 @@ class WoodburySolver:
 
     def left(self, u: np.ndarray) -> np.ndarray:
         """S u for a vector or matrix u."""
-        Vu = self.V.T @ u
+        if not self._diag:
+            return self.C @ (self.V.T @ u)
         # diag(C) scales the rows of a vector or matrix
-        return (self.C * Vu.T).T if self._diag else self.C @ Vu
+        return (self.C * _times(self.V, u, self._workspace).T).T
 
     def left_t(self, w: np.ndarray) -> np.ndarray:
         """S' w for a vector or matrix w."""
-        return self.V @ ((self.C * w.T).T if self._diag else self.C.T @ w)
+        if not self._diag:
+            return self.V @ (self.C.T @ w)
+        return _t_times(self.V, (self.C * w.T).T, self._workspace)
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """(I + S Sigma S')^-1 rhs for a vector or matrix rhs, by one LU

@@ -264,10 +264,11 @@ def gibbs_cycle(
 ) -> GibbsState:
     """One full sweep: sigma^2 -> theta -> omega -> beta, with ``xty`` the
     response's sufficient statistic X'(y - 1/2); the beta draw builds its
-    core in ``workspace``."""
+    core, and each product casts its blocks of a sample-space X', in
+    ``workspace``."""
     sigma2 = sample_sigma2(state.theta, state.beta, hyper, rng)
     theta = sample_theta(state.beta, sigma2, boosts, hyper, rng)
-    omega = sample_pg_vector(design.matvec(state.beta), rng)
+    omega = sample_pg_vector(design.matvec(state.beta, workspace), rng)
     beta = sample_beta(omega, theta, sigma2, design, xty, hyper, rng, workspace)
     return GibbsState(beta=beta, theta=theta, sigma2=sigma2)
 
@@ -294,19 +295,20 @@ def gibbs_run(
     ``burnin`` defaults to 20% of ``iters``. With a fixed seed the summary is
     bit-identical across runs. The draws after burn-in are kept in the
     summary's theta, beta and sigma^2 arrays; burn-in draws are not kept.
-    In sample space every sweep's beta draw builds its Woodbury core in one
-    ``Workspace``, which the chain releases when it returns.
+    In sample space every sweep builds its Woodbury core, and every product
+    casts its blocks of X', in one ``Workspace``, which the chain releases
+    when it returns.
     """
     burnin = resolve_burnin(iters, burnin)
     rng = np.random.default_rng(seed)
-    xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5)
+    workspace = Workspace()
+    xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5, workspace)
 
     retained = iters - burnin
     theta_draws = np.empty((retained, design.p1), dtype=np.int8)
     beta_draws = np.empty((retained, design.p1))
     sigma2_draws = np.empty(retained)
     state = initial_state(design, hyper)
-    workspace = Workspace()
     for it in range(iters):
         state = gibbs_cycle(state, design, xty, boosts, hyper, rng, workspace)
         if it >= burnin:

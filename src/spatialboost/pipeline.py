@@ -62,6 +62,8 @@ MISSING_CODE = "."
 # genotype rows are decoded in blocks of about this many bytes of text, so a
 # load holds the int8 matrix and one block's text and codes beside it
 LOAD_BLOCK = 1 << 16
+# the HWE test counts the 2s of this many genotype cells at a time
+COUNT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -294,10 +296,14 @@ def maf_filter(G: np.ndarray, min_maf: float) -> np.ndarray:
 def hwe_pvalues(G: np.ndarray) -> np.ndarray:
     """One-df chi-square goodness of fit of each column's genotype counts
     against the random-mating proportions (q^2, 2pq, p^2); the 2s are
-    counted, and the column sums give the 1s and 0s."""
-    n = G.shape[0]
+    counted in blocks of rows, at most COUNT_BLOCK cells at a time, and the
+    column sums give the 1s and 0s."""
+    n, p = G.shape
     dosage = G.sum(axis=0)
-    n2 = (G == 2).sum(axis=0)
+    n2 = np.zeros(p, dtype=np.int64)
+    step = max(1, COUNT_BLOCK // max(p, 1))
+    for a in range(0, n, step):
+        n2 += (G[a:a + step] == 2).sum(axis=0)
     n1 = dosage - 2 * n2
     counts = np.stack([n - n1 - n2, n1, n2])
     f = dosage / (2.0 * n)
@@ -567,9 +573,10 @@ def _qc(run: PipelineResult) -> str:
     cfg, loaded = run.config, run.dataset
     maf_pass = maf_filter(loaded.G, cfg.min_maf)
     kept = maf_pass & hwe_filter(loaded.G, cfg.hwe_alpha)
-    run.dataset = replace(
-        loaded, G=loaded.G[:, kept], snps=list(compress(loaded.snps, kept))
-    )
+    if not kept.all():  # when every marker passes, the loaded matrix is kept
+        run.dataset = replace(
+            loaded, G=loaded.G[:, kept], snps=list(compress(loaded.snps, kept))
+        )
     run.qc_counts = (loaded.p, int(maf_pass.sum()), run.dataset.p)
     lines = ["snp\tmaf_pass\thwe_pass"]
     for snp, m, k in zip(loaded.snps, maf_pass.tolist(), kept.tolist()):

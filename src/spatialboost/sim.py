@@ -27,6 +27,7 @@ from spatialboost.pipeline import RunConfig, sample_survivors
 SIGMA2 = 0.01  # true sigma^2 of simulated effects
 LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
 GENOTYPE_BLOCK = 256  # columns thresholded per ndtr call; bounds its temporaries
+LATENT_BLOCK = 1 << 21  # latent normals drawn at a time (16 MiB), in whole rows
 NEWTON_STEPS = 60  # most Newton steps a single-SNP fit takes
 
 
@@ -76,19 +77,26 @@ def synthetic_genotypes(
 
     ``ld_rho`` > 0 correlates adjacent markers through a latent AR(1)
     Gaussian copula per allele, mimicking linkage disequilibrium.
+    Each allele's n x p latent normals are drawn in blocks of whole rows,
+    at most LATENT_BLOCK entries (one row when p is larger): a Generator
+    fills an array in C order, so the blocks hold the numbers one n x p
+    draw would, and the AR(1) recursion runs along each row, so the
+    genotypes do not depend on the block size.
     """
     if not 0 <= ld_rho < 1:
         raise ConfigurationError(f"ld_rho must be in [0, 1), got {ld_rho}")
     mafs = rng.uniform(0.05, 0.5, size=p)
     alleles = np.zeros((n, p), dtype=np.int8)
+    step = max(1, LATENT_BLOCK // max(p, 1))
     for _ in range(2):
-        z = rng.standard_normal((n, p))
-        if ld_rho > 0:
-            for j in range(1, p):
-                z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
-        for j in range(0, p, GENOTYPE_BLOCK):
-            cols = slice(j, j + GENOTYPE_BLOCK)
-            alleles[:, cols] += ndtr(z[:, cols]) < mafs[cols]
+        for a in range(0, n, step):
+            z = rng.standard_normal((min(step, n - a), p))
+            if ld_rho > 0:
+                for j in range(1, p):
+                    z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
+            for j in range(0, p, GENOTYPE_BLOCK):
+                cols = slice(j, j + GENOTYPE_BLOCK)
+                alleles[a:a + step, cols] += ndtr(z[:, cols]) < mafs[cols]
     return alleles
 
 

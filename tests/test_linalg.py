@@ -529,19 +529,26 @@ def test_sample_space_core_build_allocates_no_copy_of_the_design(rng):
 
 
 def test_sample_space_factor_keeps_its_design_exact(rng):
-    # rank 50 of 60 is sample space, where the design is not truncated: the
-    # factor holds the exact float design, at its numerical rank, and
-    # allocates little beside it
+    # the default rank_tol, and rank 50 of 60, are sample space, where the
+    # design is not truncated: the factor holds the exact int8 design at its
+    # numerical rank. Beside it the build allocates only the Gram, one
+    # block's product, eigvalsh's copy of the Gram and one float block of
+    # MARKER_BLOCK markers: well under one float design (1.4 MB)
     from spatialboost.em import FilterConfig
 
     n, p = 60, 3000
     G = rng.integers(0, 3, (n, p)).astype(np.int8)
-    design, peak = _traced_peak(lambda: FilterConfig(rank=50).factor(G, np.arange(p)))
-    assert design.sample_space and design.rank == n
-    assert design.relative_residual_energy == 0.0
-    assert peak < 1.3 * design.Xt.nbytes
     X = np.column_stack([np.ones(n), G]).astype(float)
-    assert design.Xt.flags.c_contiguous and np.array_equal(design.Xt, X.T)
+    block = max(n, linalg.MARKER_BLOCK) * n * 8
+    float_design = (p + 1) * n * 8
+    for config in (FilterConfig(), FilterConfig(rank=50)):
+        design, peak = _traced_peak(lambda: config.factor(G, np.arange(p)))
+        assert design.sample_space and design.rank == n
+        assert design.relative_residual_energy == 0.0
+        assert peak < design.Xt.nbytes + 3 * design.K.nbytes + block + 8192
+        assert peak < float_design / 2
+        assert design.Xt.dtype == np.int8 and design.Xt.flags.c_contiguous
+        assert np.array_equal(design.Xt, X.T)
 
 
 def test_factor_hands_its_design_to_sample_space_and_keeps_rank_space(rng, monkeypatch):
@@ -579,8 +586,8 @@ def test_factor_hands_its_design_to_sample_space_and_keeps_rank_space(rng, monke
 
 
 def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
-    # the float design is the build's only large allocation: the selected
-    # int8 columns are converted one block at a time, never copied whole
+    # the design is the build's only large allocation, in the markers'
+    # int8: the selected columns are copied one block at a time, never whole
     from spatialboost import em
 
     n, p = 60, 3000
@@ -590,7 +597,8 @@ def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
     Xt, peak = _traced_peak(lambda: em.FilterConfig().factor(G, columns))
     block = n * em.FACTOR_BLOCK * G.itemsize
     assert peak <= Xt.nbytes + block + 8192  # 8 KiB for indexing, whatever n, p
-    want = np.ascontiguousarray(np.column_stack([np.ones(n), G[:, columns]]).T)
+    want = np.ascontiguousarray(np.column_stack([np.ones(n, np.int8), G[:, columns]]).T)
+    assert Xt.dtype == np.int8 and want.dtype == np.int8
     assert Xt.flags.c_contiguous and Xt.tobytes() == want.tobytes()
 
 
@@ -609,9 +617,10 @@ def test_truncate_design_leaves_the_callers_design_unmodified(rng, shape, l):
 
 @pytest.mark.parametrize("rank", [61, 40])
 def test_tall_factor_holds_its_design_at_full_rank(rng, rank, monkeypatch):
-    # at full rank U' is the float design factor built, with d = 1 and
-    # V = I, so the factor holds no second n x (p+1) array; at either rank
-    # the design keeps only U'-sized memory alive
+    # at full rank U' is the int8 design factor built, cast to float once,
+    # with d = 1 and V = I, so the factor holds no second float
+    # n x (p+1) array; at either rank the design keeps only U'-sized memory
+    # alive
     from spatialboost import em
 
     n, p = 3000, 60
@@ -630,13 +639,14 @@ def test_tall_factor_holds_its_design_at_full_rank(rng, rank, monkeypatch):
     assert design.U.base.nbytes == Ut.nbytes
     Xt = np.ascontiguousarray(np.column_stack([np.ones(n), G]).astype(float).T)
     if rank == p + 1:
-        assert np.shares_memory(Ut, built[0]) and np.array_equal(Ut, Xt)
+        assert built[0].dtype == np.int8 and np.array_equal(Ut, Xt)
         assert np.array_equal(design.d, np.ones(rank))
         assert np.array_equal(design.V, np.eye(rank))
-        # beside the design: one int8 block of columns, the Gram, its
-        # eigenvectors, V, and 16 KiB for indexing
-        block = n * min(p, em.FACTOR_BLOCK) * G.itemsize
-        assert peak <= Ut.nbytes + block + 3 * design.V.nbytes + 16384
+        # beside the design: the int8 design, the Gram and one block's
+        # product, one float block of max(p + 1, MARKER_BLOCK)
+        # individuals, V, and 16 KiB for indexing
+        block = (p + 1) * max(p + 1, linalg.MARKER_BLOCK) * 8
+        assert peak <= Ut.nbytes + built[0].nbytes + block + 3 * design.V.nbytes + 16384
     # the same factors, to the bit, as a caller's copy of the same X', which
     # is left as it was
     before = Xt.copy()
@@ -682,7 +692,10 @@ def test_eigenvectors_only_in_rank_space(rng, monkeypatch, shape, l, tol, sample
 def test_wide_design_whose_rank_tol_lands_in_rank_space(rng, monkeypatch):
     # a wide design of rank about 5 plus noise: rank_tol picks a rank below
     # 2n/3 from eigvalsh, then eigh's own values give the rank, d, U, V and
-    # the residual, to the bit, as an eigh reference does
+    # the residual, to the bit, as an eigh reference on the same Gram does:
+    # the Gram summed over blocks of max(n, MARKER_BLOCK) markers (its
+    # entries here are not integers, so the blocks' sum is not the one-shot
+    # product's)
     n, p1, tol = 60, 400, 1e-3
     X = rng.standard_normal((n, 5)) @ rng.standard_normal((5, p1))
     X += 1e-3 * rng.standard_normal((n, p1))
@@ -690,7 +703,12 @@ def test_wide_design_whose_rank_tol_lands_in_rank_space(rng, monkeypatch):
     calls = _count_eigh(monkeypatch)
     design = truncate_design(Xt.T, tol=tol)
     assert len(calls) == 1 and not design.sample_space
-    lam, Q = np.linalg.eigh(Xt.T @ Xt)
+    gram = np.zeros((n, n))
+    step = max(n, linalg.MARKER_BLOCK)
+    for a in range(0, p1, step):
+        B = Xt[a:a + step]
+        gram += B.T @ B
+    lam, Q = np.linalg.eigh(gram)
     lam, Q = lam[::-1], Q[:, ::-1]
     resid = np.append(np.cumsum(lam[::-1])[::-1][1:], 0.0)
     l = int(np.argmax(resid <= tol * lam.sum())) + 1
@@ -819,3 +837,81 @@ def test_sample_space_steps_after_the_first_allocate_no_core(rng):
         _, peak = _traced_peak(lambda: step(workspace))
         _, fresh = _traced_peak(lambda: step(None))
         assert peak < bound < fresh, (name, peak, fresh)
+
+
+# A sample-space design keeps the int8 X' it was factored from and reads it
+# in float64 blocks. The oracles below are the arithmetic of a whole float
+# X': each product in one BLAS call, the Gram in one syrk and the core from
+# float rows of X'. Each output entry of a blocked product is a whole dot
+# product (X u over blocks of individuals, X' w over blocks of markers), and
+# an integer's cast is exact, so the products match to the bit; the Gram's
+# entries are sums of integer products, exact whatever the blocks.
+
+
+def _int8_design(rng, n, p1):
+    """An int8 genotype X' ((p+1) x n, intercept row first) and its float
+    copy."""
+    Xt = rng.integers(0, 3, (p1, n)).astype(np.int8)
+    Xt[0] = 1
+    return Xt, Xt.astype(float)
+
+
+def _float_core(C, Xf, sigma, K):
+    """The sample-space core as a whole float X' builds it: (cC C') o K plus
+    T_b T_b' over the blocks b of B that ``linalg._blocks`` cuts, T_b' the
+    float rows of X' scaled, plus I."""
+    n = Xf.shape[1]
+    c = sigma.min()
+    B = np.flatnonzero(sigma > c)
+    core = np.outer(c * C, C) * K
+    for rows in linalg._blocks(B.size, n):
+        Tt = Xf[B[rows]] * np.sqrt(sigma[B[rows]] - c)[:, None]
+        Tt *= C
+        core = core + Tt.T @ Tt
+    core.flat[:: n + 1] += 1.0
+    return core
+
+
+# n and p+1 off the block sizes (the last block of each product partial),
+# n below one block of individuals, and a tall sample-space design
+@pytest.mark.parametrize("n, p1", [(70, 601), (250, 1201), (40, 33), (30, 300)])
+def test_int8_design_products_match_the_float_design(rng, n, p1):
+    assert n % linalg.INDIVIDUAL_BLOCK and p1 % linalg.MARKER_BLOCK
+    Xt, Xf = _int8_design(rng, n, p1)
+    design = truncate_design(Xt.T, tol=1e-12)
+    assert design.sample_space and np.shares_memory(design.Xt, Xt)
+    assert design.Xt.dtype == np.int8
+    gram = Xf.T @ Xf if n <= p1 else Xf @ Xf.T
+    assert np.array_equal(design.K, Xf.T @ Xf)
+    lam = np.linalg.eigvalsh(gram)[::-1]
+    assert np.array_equal(design.d, np.sqrt(np.maximum(lam, 0.0))[: design.rank])
+    C = rng.uniform(0.1, 0.5, n)
+    solver = WoodburySolver(C, design.Xt, _sigma_on(rng, p1, p1 // 3), gram=design.K)
+    for u, w in ((rng.standard_normal(p1), rng.standard_normal(n)),
+                 (rng.standard_normal((p1, 1)), rng.standard_normal((n, 1))),
+                 (rng.standard_normal((p1, 3)), rng.standard_normal((n, 3)))):
+        for workspace in (None, Workspace()):
+            assert np.array_equal(design.matvec(u, workspace), Xf.T @ u)
+            assert np.array_equal(design.rmatvec(w, workspace), Xf @ w)
+        assert np.array_equal(solver.left(u), (C * (Xf.T @ u).T).T)
+        assert np.array_equal(solver.left_t(w), Xf @ (C * w.T).T)
+
+
+# |B| = 0, below n, exactly n, and above n; at n = 300 one block of B spans
+# two gathers of MARKER_BLOCK rows
+@pytest.mark.parametrize("n, p1, size", [(70, 601, 0), (70, 601, 17), (70, 601, 70),
+                                         (70, 601, 300), (300, 1201, 290),
+                                         (300, 1201, 700)])
+def test_int8_design_core_matches_the_float_design(rng, n, p1, size):
+    Xt, Xf = _int8_design(rng, n, p1)
+    K = Xf.T @ Xf
+    C, sigma = rng.uniform(0.1, 0.5, n), _sigma_on(rng, p1, size)
+    want = _float_core(C, Xf, sigma, K)
+    workspace = Workspace()
+    for _ in range(2):  # a fresh workspace, then one a build has filled
+        got = WoodburySolver(C, Xt, sigma, gram=K, workspace=workspace)
+        assert np.array_equal(got._core, want)
+    R = rng.standard_normal(p1)
+    SigR = sigma * R
+    w = np.linalg.solve(want, C * (Xf.T @ SigR))
+    assert np.array_equal(got.solve(R), SigR - sigma * (Xf @ (C * w)))

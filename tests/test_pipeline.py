@@ -434,17 +434,29 @@ def test_filter_stage_flags_and_counts_match_the_oracle(rng, tmp_path):
 
 
 def test_filter_stage_copies_the_genotypes_once(tmp_path):
-    # the masks hold a byte per column and the counts one n x p boolean at a
-    # time, and the markers that pass both filters are copied once: the
-    # stage's peak over the loaded matrix stays near one copy of it
+    # the masks hold a byte per column and the counts one block of rows at
+    # a time, and the markers that pass both filters are copied once: the
+    # stage's peak over the loaded matrix stays near one copy of it. When
+    # every marker passes (here 1600 x ~2980, the markers of a larger draw
+    # that pass), the stage keeps the loaded matrix and copies nothing: its
+    # peak, the per-marker arrays and filters.tsv's lines, is a small share
+    # of the matrix
     rng = np.random.default_rng(7)
     n, p = 400, 3000
     G = rng.binomial(2, rng.uniform(0.05, 0.5, p), size=(n, p)).astype(np.int8)
     run = PipelineResult(RunConfig(out_dir=str(tmp_path)))
     run.dataset = _dataset(G)
     peak = peak_bytes(lambda: pipeline._qc(run))
-    assert run.dataset.p > 0.9 * p
+    assert 0.9 * p < run.dataset.p < p
     assert peak <= 1.5 * G.nbytes, peak / G.nbytes
+    G = rng.binomial(2, rng.uniform(0.05, 0.5, p), size=(4 * n, p)).astype(np.int8)
+    cfg = run.config
+    kept = maf_filter(G, cfg.min_maf) & hwe_filter(G, cfg.hwe_alpha)
+    passing = np.ascontiguousarray(G[:, kept])
+    loaded = run.dataset = _dataset(passing)
+    peak = peak_bytes(lambda: pipeline._qc(run))
+    assert run.dataset is loaded and run.dataset.G is passing
+    assert peak <= 0.25 * passing.nbytes, peak / passing.nbytes
 
 
 def test_parse_config_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import kstest, rankdata
 
+from spatialboost import sim
 from spatialboost._special import ndtr
 from spatialboost.em import (
     FilterConfig,
@@ -86,12 +88,9 @@ def test_synthetic_genotypes_support_and_ld(rng):
         synthetic_genotypes(10, 5, rng, ld_rho=1.0)
 
 
-@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
-def test_synthetic_genotypes_in_column_blocks_match_whole_matrix(ld_rho):
-    # p spans three column blocks, the last one partial
-    n, p = 30, 2 * GENOTYPE_BLOCK + 77
-    got = synthetic_genotypes(n, p, np.random.default_rng(8), ld_rho)
-    rng = np.random.default_rng(8)
+def _whole_matrix_genotypes(n, p, seed, ld_rho):
+    # each allele's latent normals drawn and thresholded as one n x p array
+    rng = np.random.default_rng(seed)
     mafs = rng.uniform(0.05, 0.5, size=p)
     want = np.zeros((n, p), dtype=np.int8)
     for _ in range(2):
@@ -100,8 +99,43 @@ def test_synthetic_genotypes_in_column_blocks_match_whole_matrix(ld_rho):
             for j in range(1, p):
                 z[:, j] = ld_rho * z[:, j - 1] + np.sqrt(1 - ld_rho**2) * z[:, j]
         want += (ndtr(z) < mafs).astype(np.int8)
+    return want
+
+
+@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
+def test_synthetic_genotypes_in_column_blocks_match_whole_matrix(ld_rho):
+    # p spans three column blocks, the last one partial
+    n, p = 30, 2 * GENOTYPE_BLOCK + 77
+    got = synthetic_genotypes(n, p, np.random.default_rng(8), ld_rho)
     assert got.dtype == np.int8
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _whole_matrix_genotypes(n, p, 8, ld_rho))
+
+
+@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
+@pytest.mark.parametrize("rows", [7, 1, 0])
+def test_synthetic_genotypes_in_row_blocks_match_whole_matrix(monkeypatch, ld_rho, rows):
+    # the latent normals drawn 7 rows at a time (the last block partial),
+    # one row at a time, and one row when a row is larger than a block
+    n, p = 30, GENOTYPE_BLOCK + 77
+    monkeypatch.setattr(sim, "LATENT_BLOCK", rows * p if rows else p // 2)
+    got = synthetic_genotypes(n, p, np.random.default_rng(9), ld_rho)
+    assert np.array_equal(got, _whole_matrix_genotypes(n, p, 9, ld_rho))
+
+
+def test_synthetic_genotypes_hold_one_block_of_latent_normals(monkeypatch):
+    # 20 rows of 600 normals at a time: beside the int8 matrix the draw
+    # allocates one 96 KB block and the thresholding's temporaries, less
+    # than half of one n x p float array (1.9 MB), where the whole-matrix
+    # draw held one per allele
+    n, p = 400, 600
+    monkeypatch.setattr(sim, "LATENT_BLOCK", 20 * p)
+    tracemalloc.start()
+    try:
+        G = synthetic_genotypes(n, p, np.random.default_rng(3), ld_rho=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.nbytes + n * p * 8 / 2, peak
 
 
 def test_single_snp_null_pvalues_uniform():
