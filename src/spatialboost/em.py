@@ -18,7 +18,6 @@ from spatialboost._special import expit
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import (
     TruncatedDesign,
-    Workspace,
     check_rank_tol,
     truncate_design,
     weighted_woodbury,
@@ -29,7 +28,7 @@ EM_MAX_ITER = 200
 ASCENT_SLACK = 1e-6  # marginal log posterior drop beyond this flags divergence
 STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
 TRACE_TOP_MARKERS = 10  # markers em_trace.tsv lists per round, by <theta_j>
-FACTOR_BLOCK = 256  # marker columns FilterConfig.factor converts per step
+FACTOR_BLOCK = 256  # marker columns FilterConfig.factor copies per step
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ def cm_beta(
     etheta: np.ndarray,
     sigma2: float,
     hyper: Hyperparameters,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """One ridge IRLS step from beta, with eta = X beta its linear predictor:
 
@@ -153,15 +151,13 @@ def cm_beta(
 
     with mu = logit^-1(eta), W = diag(mu (1 - mu)), everything routed through
     the truncated factors and the design's Woodbury solver: X'WX beta is
-    taken as S'(S beta), so S is never formed. The solver's core, and the
-    blocks of a sample-space X' the step reads, are built in ``workspace``
-    (see ``weighted_woodbury``).
+    taken as S'(S beta), so S is never formed.
     """
     mu = expit(eta)
     W = mu * (1.0 - mu)
     sigma = em_prior_covariance(etheta, sigma2, hyper.kappa)
-    solver = weighted_woodbury(design, W, sigma, workspace)
-    rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu, workspace)
+    solver = weighted_woodbury(design, W, sigma)
+    rhs = solver.left_t(solver.left(beta)) + design.rmatvec(y - mu)
     return solver.solve(rhs)
 
 
@@ -211,22 +207,18 @@ def em_fit(
     (beta, sigma^2); a fall of more than ASCENT_SLACK from the previous
     iteration's value flags the state as diverged. The state is still
     returned, with the eta of its beta that the last iteration computed.
-    In sample space every CM-beta step builds its Woodbury core, and every
-    product casts its blocks of X', in one ``Workspace``, which the fit
-    releases when it returns.
     """
     y = np.asarray(y, dtype=float)
     beta = np.zeros(design.p1) if beta0 is None else np.asarray(beta0, float).copy()
     sigma2 = hyper.lam / (hyper.nu + 1.0)  # prior mode
-    workspace = Workspace()
-    eta = design.matvec(beta, workspace)
+    eta = design.matvec(beta)
     trace: list[float] = []
     converged = diverged = False
     for it in range(1, EM_MAX_ITER + 1):
         etheta = e_step(beta, sigma2, boosts, hyper)
         sigma2 = cm_sigma(beta, etheta, hyper)
-        beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper, workspace)
-        eta = design.matvec(beta_new, workspace)
+        beta_new = cm_beta(design, y, eta, beta, etheta, sigma2, hyper)
+        eta = design.matvec(beta_new)
         trace.append(marginal_log_posterior(y, eta, beta_new, sigma2, boosts, hyper))
         diverged = diverged or (it > 1 and trace[-1] < trace[-2] - ASCENT_SLACK)
         converged = float(np.max(np.abs(beta_new - beta))) < EM_TOL
@@ -366,10 +358,11 @@ def em_filter_pipeline(
     ``trace.stop_reason`` says which.
     Boosts are subset (never re-normalized) and beta is warm-started by
     restriction to the surviving coordinates. The design is re-factored per
-    round since filtering changes columns. The returned trace carries the
-    final survivors' design: the last round's when it removed none, else
-    the survivors are factored once more (after a removal in the last of
-    ``config.max_rounds`` rounds, or when that is 0 and no round runs).
+    round since filtering changes columns, and only one is held at a time.
+    The returned trace carries the final survivors' design: the last
+    round's when it removed none, else the survivors are factored once more
+    (after a removal in the last of ``config.max_rounds`` rounds, or when
+    that is 0 and no round runs).
     """
     y = np.asarray(y, dtype=float)
     n, p = X_markers.shape
@@ -402,6 +395,7 @@ def em_filter_pipeline(
         keep_local = filter_round(state, k)
         beta_warm = np.concatenate([state.beta[:1], state.beta[1:][keep_local]])
         current = current[keep_local]
+        del design  # one design at a time: free it before the next is factored
     else:  # the last round removed markers, or no round ran
         design = config.factor(X_markers, current)
     return FilterTrace(np.arange(p), current, design, rounds, stop_reason)

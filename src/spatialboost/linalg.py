@@ -40,40 +40,41 @@ summed over blocks of at most max(l, COLUMN_BLOCK) individuals in one
 l x max(l, COLUMN_BLOCK) scratch, so a rank-space step allocates no n x l
 temporary.
 
-The sample-space core and scratch live in a ``Workspace`` (with the
-float blocks of X', below). Each EM fit
-(``em.em_fit``) and each chain (``mcmc.gibbs_run``) owns one: its first
-step allocates them, every later step writes into them in place, and they
-are released when the loop returns; a design never holds them. At n = 250
-an n x n array is 500 KB, above glibc's initial 128 KiB mmap threshold, so
-a fresh one per step can be a fresh mapping, faulted in page by page.
-Two n x n arrays are still allocated per step: the LAPACK copy of the core
-inside ``numpy.linalg.solve`` (numpy has no in-place LU), and, only once
-|B| > n, a later block's product, which a held buffer would keep resident
-beside the core, the scratch and that copy (at n = 2000 it raised the
-em-filter peak by 23 MB). A rank-space step still allocates its scratch
-and l x l arrays per step: at n = 2000, l = 121 holding them across steps
-cut a report's page faults by 2% and raised its peak RSS.
+A sample-space design owns the buffers its products and Woodbury builds
+write into: ``TruncatedDesign.workspace``, a ``Workspace`` holding the
+core, the scratch and the float block of X' (below). The first product
+or build on the design allocates them, every later one writes into them
+in place, and they go when the design does. So every EM fit on a design
+(the kappa scan's, one per kappa) and the chain after them share one set.
+A core built there is valid only until the next build on the same design:
+one solver per design at a time. ``dataclasses.replace(design)`` gives the
+same factors with fresh buffers. At n = 250 an n x n array is 500 KB,
+above glibc's initial 128 KiB mmap threshold, so a fresh one per step can
+be a fresh mapping, faulted in page by page. Two n x n arrays are still
+allocated per step: the LAPACK copy of the core inside
+``numpy.linalg.solve`` (numpy has no in-place LU), and, only once |B| > n,
+a later block's product, which a held buffer would keep resident beside
+the core, the scratch and that copy (at n = 2000, 23 MB more at the
+em-filter peak). A rank-space design holds no buffer: its steps allocate
+their scratch and l x l arrays per step (at n = 2000, l = 121 holding them
+cut a report's page faults by 2% and raised its peak RSS).
 
 A sample-space design keeps the X' that ``FilterConfig.factor`` hands over
 without a copy, in the dtype it was built in: int8 for the loader's
-genotypes, so at 2000 x 12000 it is 23 MiB where a float64 X' was 183 MiB.
-No float copy of it is built. Every product reads it in blocks, each cast
-to float64 in one reused buffer (``_cast``; an integer's cast is exact):
-X u over blocks of INDIVIDUAL_BLOCK individuals (columns of X') and X' w
-over blocks of MARKER_BLOCK markers (rows), so each output entry is one
-whole dot product, as it was over a whole float X'. On OpenBLAS that gives
-the whole product's bits; at these block sizes it did for every shape
-checked up to 2000 x 12001 (32 markers at a time did not). The buffer
-(the larger of (p+1) x INDIVIDUAL_BLOCK and MARKER_BLOCK x n floats: 615 KB
-at n = 250, p = 1200) is the "block" buffer of the loop's ``Workspace``,
-so a step does not map a fresh one per product; a caller without a
-workspace gets a fresh buffer per call. A core build gathers its
-rows of X' in X's dtype and casts them into its scratch. The short-side
-Gram is summed over blocks of at least MARKER_BLOCK markers (individuals
-for a tall X), one symmetric product each;
-its entries, sums of integer products, are exact, so it equals the
-one-shot product, and so do its eigenvalues and the rank.
+genotypes (23 MiB at 2000 x 12000). No float copy of it is built. Every
+product reads it in blocks, each cast to float64 in the "block" buffer
+(``_cast``; an integer's cast is exact): X u over blocks of
+INDIVIDUAL_BLOCK individuals (columns of X') and X' w over blocks of
+MARKER_BLOCK markers (rows), so each output entry is one whole dot
+product, as over a whole float X'. On OpenBLAS that gives the whole
+product's bits; at these block sizes it did for every shape checked up to
+2000 x 12001 (32 markers at a time did not). The buffer is the larger of
+(p+1) x INDIVIDUAL_BLOCK and MARKER_BLOCK x n floats (615 KB at n = 250,
+p = 1200). A core build gathers its rows of X' in X's dtype and casts
+them into its scratch. The short-side Gram is summed over blocks of at
+least MARKER_BLOCK markers (individuals for a tall X), one symmetric
+product each; its entries, sums of integer products, are exact, so it
+equals the one-shot product, and so do its eigenvalues and the rank.
 
 A rank-space design keeps U as U' (l x n, C-contiguous), computed from X'
 cast to float64 once. A tall one at full rank drops nothing, so it holds
@@ -84,7 +85,7 @@ factor returns, so the design is never held twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +105,26 @@ INDIVIDUAL_BLOCK = 64
 MARKER_BLOCK = 256
 
 
+class Workspace:
+    """Named float buffers that a design's products and Woodbury builds
+    reuse (see the module docstring).
+
+    ``array`` hands out a C-contiguous view holding whatever its last user
+    left there; a buffer is replaced by a larger one when a request
+    outgrows it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 @dataclass(frozen=True)
 class TruncatedDesign:
     """Top-l factors of the design matrix X, in the form its Woodbury space
@@ -117,10 +138,10 @@ class TruncatedDesign:
     C-contiguous (p+1) x n array of any numeric dtype (int8 from
     ``FilterConfig.factor`` on genotypes), K = X X' (n x n, float64) and d,
     at the numerical rank; its U and V are None, and its products read Xt a
-    block at a time (see the module docstring). ``relative_residual_energy``
-    is the share of the design's energy the truncation drops,
-    ||X - X_l||_F^2 / ||X||_F^2, the quantity ``rank_tol`` bounds (0 in
-    sample space and at full rank).
+    block at a time in its own buffers, ``workspace`` (see the module
+    docstring). ``relative_residual_energy`` is the share of the design's
+    energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2, the quantity
+    ``rank_tol`` bounds (0 in sample space and at full rank).
     """
 
     d: np.ndarray
@@ -129,6 +150,9 @@ class TruncatedDesign:
     V: np.ndarray | None = None
     Xt: np.ndarray | None = None
     K: np.ndarray | None = None
+    workspace: Workspace = field(
+        default_factory=Workspace, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -148,18 +172,16 @@ class TruncatedDesign:
         which ``truncate_design`` picks for 3 l >= 2 n."""
         return self.K is not None
 
-    def matvec(self, beta: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
-        """X_l beta through the stored factors; a sample-space product casts
-        its blocks of X' in ``workspace``."""
+    def matvec(self, beta: np.ndarray) -> np.ndarray:
+        """X_l beta through the stored factors."""
         if self.sample_space:
-            return _times(self.Xt, beta, workspace)
+            return _times(self.Xt, beta, self.workspace)
         return self.U @ (self.d * (self.V.T @ beta))
 
-    def rmatvec(self, r: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
-        """X_l' r through the stored factors; a sample-space product casts
-        its blocks of X' in ``workspace``."""
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """X_l' r through the stored factors."""
         if self.sample_space:
-            return _t_times(self.Xt, r, workspace)
+            return _t_times(self.Xt, r, self.workspace)
         return self.V @ (self.d * (self.U.T @ r))
 
 
@@ -232,12 +254,10 @@ def _cast(src: np.ndarray, workspace: Workspace) -> np.ndarray:
     return block
 
 
-def _times(Xt: np.ndarray, u: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+def _times(Xt: np.ndarray, u: np.ndarray, workspace: Workspace) -> np.ndarray:
     """X u = Xt' u for a vector or matrix u, over blocks of
-    INDIVIDUAL_BLOCK individuals (columns of Xt), each cast in ``workspace``
-    (a fresh one when None): each block's entries of X u are its own
-    product."""
-    workspace = Workspace() if workspace is None else workspace
+    INDIVIDUAL_BLOCK individuals (columns of Xt), each cast in
+    ``workspace``: each block's entries of X u are its own product."""
     out = np.empty((Xt.shape[1],) + np.shape(u)[1:])
     for a in range(0, Xt.shape[1], INDIVIDUAL_BLOCK):
         cols = slice(a, a + INDIVIDUAL_BLOCK)
@@ -245,11 +265,10 @@ def _times(Xt: np.ndarray, u: np.ndarray, workspace: Workspace | None) -> np.nda
     return out
 
 
-def _t_times(Xt: np.ndarray, w: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+def _t_times(Xt: np.ndarray, w: np.ndarray, workspace: Workspace) -> np.ndarray:
     """X' w = Xt w for a vector or matrix w, over blocks of MARKER_BLOCK
-    markers (rows of Xt), each cast in ``workspace`` (a fresh one when
-    None): each block's entries of X' w are its own product."""
-    workspace = Workspace() if workspace is None else workspace
+    markers (rows of Xt), each cast in ``workspace``: each block's entries
+    of X' w are its own product."""
     out = np.empty((Xt.shape[0],) + np.shape(w)[1:])
     for a in range(0, Xt.shape[0], MARKER_BLOCK):
         rows = slice(a, a + MARKER_BLOCK)
@@ -358,28 +377,6 @@ def _chol_with_jitter(G: np.ndarray, context: str) -> np.ndarray:
     )
 
 
-class Workspace:
-    """Named float buffers that a loop of Woodbury builds and design
-    products reuses.
-
-    An EM fit or a chain owns one, so each step writes its core, scratch
-    and float blocks of X' into the buffers the first step allocated
-    instead of fresh ones, and they are released with the loop. ``array``
-    hands out a C-contiguous view holding whatever its last user left
-    there; a buffer is replaced by a larger one when a request outgrows it.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        size = shape[0] * shape[1]
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 class WoodburySolver:
     """Applies (S'S + Sigma^-1)^-1 with S = C V' and Sigma = diag(sigma) as
 
@@ -405,10 +402,8 @@ class WoodburySolver:
     S is a matvec through C and V.
     A sample-space build writes its core and each block of T' into two
     n x n buffers of ``workspace`` (a fresh ``Workspace`` when None), and
-    its products with X' cast their blocks in a third, so a loop that
-    passes its own allocates them once; the core is valid until the next
-    build in that workspace. A rank-space solver does not use
-    ``workspace``.
+    its products with X' cast their blocks in a third; a rank-space solver
+    does not use it.
     The core is symmetric with every eigenvalue >= 1, so it is solved as is,
     without jitter; a caller with several right-hand sides passes them
     together to one ``solve_core`` (or ``solve``) call.
@@ -551,16 +546,15 @@ def weighted_cholesky(design: TruncatedDesign, W: np.ndarray) -> np.ndarray:
 
 
 def weighted_woodbury(
-    design: TruncatedDesign,
-    W: np.ndarray,
-    sigma: np.ndarray,
-    workspace: Workspace | None = None,
+    design: TruncatedDesign, W: np.ndarray, sigma: np.ndarray
 ) -> WoodburySolver:
     """Solver for (X_l' diag(W) X_l + diag(sigma)^-1)^-1 in the design's
     space: the left factor is diag(sqrt W) with X' and K in sample space,
     and C_w from ``weighted_cholesky`` with V in rank space; W is checked
     here for both (n entries, finite, non-negative). A sample-space core is
-    built in ``workspace``; a rank-space build does not use it."""
+    built in the design's own buffers, so it is valid only until the next
+    ``weighted_woodbury`` on the same design: one solver per design at a
+    time."""
     W = np.asarray(W, dtype=float)
     if W.shape != (design.n,):
         raise ConfigurationError(f"{W.size} weights for {design.n} individuals")
@@ -571,4 +565,4 @@ def weighted_woodbury(
     if not design.sample_space:
         return WoodburySolver(weighted_cholesky(design, W), design.V, sigma)
     return WoodburySolver(np.sqrt(W), design.Xt, sigma, gram=design.K,
-                          workspace=workspace)
+                          workspace=design.workspace)

@@ -32,7 +32,7 @@ import numpy as np
 from spatialboost._special import erfcx
 from spatialboost.em import Hyperparameters, e_step, sigma2_posterior_params
 from spatialboost.errors import ConfigurationError
-from spatialboost.linalg import TruncatedDesign, Workspace, weighted_woodbury
+from spatialboost.linalg import TruncatedDesign, weighted_woodbury
 
 _TRUNC = 0.64  # crossover point between the two series representations
 _PI2 = math.pi * math.pi
@@ -190,7 +190,6 @@ def sample_beta(
     xty: np.ndarray,
     hyper: Hyperparameters,
     rng: np.random.Generator,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Gaussian conditional draw N(Q^-1 X'(y - 1/2), Q^-1) with
     Q = X' Omega X + Sigma^-1, via the Woodbury-form covariance factor.
@@ -205,14 +204,13 @@ def sample_beta(
 
     the posterior mean and the Bhattacharya et al. perturbation are linear
     in the core's right-hand side, so they are summed before the core is
-    solved and each draw takes one LU solve. The core is built in
-    ``workspace`` (see ``weighted_woodbury``).
+    solved and each draw takes one LU solve.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ConfigurationError("omega entries must be positive")
     sigma = sigma2 * (np.asarray(theta, float) * hyper.kappa + 1.0 - theta)
-    solver = weighted_woodbury(design, omega, sigma, workspace)
+    solver = weighted_woodbury(design, omega, sigma)
     u = rng.standard_normal(design.p1) * np.sqrt(sigma)
     delta = rng.standard_normal(solver.core_dim)
     v = sigma * xty + u
@@ -260,16 +258,13 @@ def gibbs_cycle(
     boosts: np.ndarray,
     hyper: Hyperparameters,
     rng: np.random.Generator,
-    workspace: Workspace | None = None,
 ) -> GibbsState:
     """One full sweep: sigma^2 -> theta -> omega -> beta, with ``xty`` the
-    response's sufficient statistic X'(y - 1/2); the beta draw builds its
-    core, and each product casts its blocks of a sample-space X', in
-    ``workspace``."""
+    response's sufficient statistic X'(y - 1/2)."""
     sigma2 = sample_sigma2(state.theta, state.beta, hyper, rng)
     theta = sample_theta(state.beta, sigma2, boosts, hyper, rng)
-    omega = sample_pg_vector(design.matvec(state.beta, workspace), rng)
-    beta = sample_beta(omega, theta, sigma2, design, xty, hyper, rng, workspace)
+    omega = sample_pg_vector(design.matvec(state.beta), rng)
+    beta = sample_beta(omega, theta, sigma2, design, xty, hyper, rng)
     return GibbsState(beta=beta, theta=theta, sigma2=sigma2)
 
 
@@ -295,14 +290,10 @@ def gibbs_run(
     ``burnin`` defaults to 20% of ``iters``. With a fixed seed the summary is
     bit-identical across runs. The draws after burn-in are kept in the
     summary's theta, beta and sigma^2 arrays; burn-in draws are not kept.
-    In sample space every sweep builds its Woodbury core, and every product
-    casts its blocks of X', in one ``Workspace``, which the chain releases
-    when it returns.
     """
     burnin = resolve_burnin(iters, burnin)
     rng = np.random.default_rng(seed)
-    workspace = Workspace()
-    xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5, workspace)
+    xty = design.rmatvec(np.asarray(y, dtype=float) - 0.5)
 
     retained = iters - burnin
     theta_draws = np.empty((retained, design.p1), dtype=np.int8)
@@ -310,7 +301,7 @@ def gibbs_run(
     sigma2_draws = np.empty(retained)
     state = initial_state(design, hyper)
     for it in range(iters):
-        state = gibbs_cycle(state, design, xty, boosts, hyper, rng, workspace)
+        state = gibbs_cycle(state, design, xty, boosts, hyper, rng)
         if it >= burnin:
             k = it - burnin
             theta_draws[k] = state.theta

@@ -28,6 +28,7 @@ SIGMA2 = 0.01  # true sigma^2 of simulated effects
 LD_RHO = 0.3  # adjacent-marker latent correlation of simulated genotypes
 GENOTYPE_BLOCK = 256  # columns thresholded per ndtr call; bounds its temporaries
 LATENT_BLOCK = 1 << 21  # latent normals drawn at a time (16 MiB), in whole rows
+ETA_BLOCK = 64  # individuals whose genotypes simulate casts to float at a time
 NEWTON_STEPS = 60  # most Newton steps a single-SNP fit takes
 
 
@@ -46,7 +47,12 @@ def simulate(
     sigma2_true: float,
     rng: np.random.Generator,
 ) -> SimulatedDataset:
-    """Draw (theta, beta, y) from the model hierarchy over fixed genotypes."""
+    """Draw (theta, beta, y) from the model hierarchy over fixed genotypes.
+
+    The linear predictor is formed over blocks of ETA_BLOCK individuals,
+    each cast to float64 on its own, so no n x p float is held; each entry
+    is still one whole dot product.
+    """
     G = np.asarray(genotypes)
     n, p = G.shape
     b = np.asarray(boosts, dtype=float)
@@ -62,7 +68,10 @@ def simulate(
     beta[0] = rng.normal(0.0, np.sqrt(sigma2_true * hyper.kappa))
     sd = np.sqrt(sigma2_true * (theta * hyper.kappa + 1.0 - theta))
     beta[1:] = rng.normal(0.0, 1.0, size=p) * sd
-    eta = beta[0] + G.astype(float) @ beta[1:]
+    eta = np.empty(n)
+    for a in range(0, n, ETA_BLOCK):
+        eta[a:a + ETA_BLOCK] = G[a:a + ETA_BLOCK].astype(float) @ beta[1:]
+    eta += beta[0]
     y = (rng.random(n) < expit(eta)).astype(np.int8)
     return SimulatedDataset(G, theta, beta, y)
 

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +424,45 @@ def test_em_filter_pipeline_hands_over_the_survivors_design(monkeypatch):
     assert trace.rounds == [] and np.array_equal(trace.final_survivors, np.arange(100))
     assert len(factored) == 1
     _same_factors(trace.design, factor(config, X, np.arange(100)))
+
+
+def test_em_filter_pipeline_holds_one_design_at_a_time(monkeypatch):
+    # two rounds that each remove markers, so three designs are factored:
+    # when each factor starts, every design factored before it is freed
+    designs = []  # weak references to every design factored, in order
+    dead = []  # per factor call: whether each earlier design is freed
+    factor = FilterConfig.factor
+
+    def recording_factor(self, X_markers, columns):
+        dead.append([ref() is None for ref in designs])
+        design = factor(self, X_markers, columns)
+        designs.append(weakref.ref(design))
+        return design
+
+    monkeypatch.setattr(FilterConfig, "factor", recording_factor)
+    X, y, boosts, hyper = _separable_instance()
+    trace = em_filter_pipeline(X, y, boosts, hyper, FilterConfig(max_rounds=2))
+    assert trace.stop_reason == "rounds" and len(designs) == 3
+    assert dead == [[], [True], [True, True]]
+    assert trace.design is designs[-1]()
+
+
+def test_em_fit_on_buffers_another_fit_left_matches_a_fresh_fit():
+    # a sample-space design (int8 X', 101 markers > n = 40, so every core
+    # is summed over three blocks of B): a fit at kappa = 1000 on the
+    # buffers a kappa = 10 fit left behind is the fit on fresh buffers,
+    # to the bit
+    X, y, boosts, hyper = _separable_instance()
+    design = FilterConfig().factor(X, np.arange(X.shape[1]))
+    assert design.sample_space and design.Xt.dtype == np.int8
+    em_fit(design, y, boosts, replace(hyper, kappa=10.0))
+    assert design.workspace._buffers
+    got = em_fit(design, y, boosts, hyper)
+    want = em_fit(replace(design), y, boosts, hyper)
+    for name in ("beta", "etheta", "eta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.sigma2 == want.sigma2 and got.iterations == want.iterations
+    assert got.objective_trace == want.objective_trace
 
 
 def test_factor_int8_markers_match_float64():

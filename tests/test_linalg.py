@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -788,25 +789,34 @@ def test_successive_workspace_builds_match_fresh_ones(rng):
 
 def test_rank_space_build_leaves_the_workspace_unused(rng):
     # a tall rank-space design whose weighted Gram spans three column
-    # blocks: its solver, built through weighted_cholesky with a workspace,
-    # is the fresh one bit for bit, and the workspace stays empty
+    # blocks: its solver, built through weighted_cholesky, is the one a
+    # fresh copy of the design builds, bit for bit, and neither those
+    # builds nor an EM fit and a chain on it put anything in its buffers
+    from spatialboost.em import Hyperparameters, em_fit
+    from spatialboost.mcmc import gibbs_run
+
     design = truncate_design(_genotype_matrix(rng, 1500, 40), 30)
     assert not design.sample_space and design.n > 2 * linalg.COLUMN_BLOCK
-    workspace = Workspace()
     for _ in range(2):
         W, sigma = rng.uniform(0.0, 0.25, 1500), _sigma_on(rng, 40, 25)
-        _assert_same_solver(weighted_woodbury(design, W, sigma, workspace),
-                            weighted_woodbury(design, W, sigma), rng)
-    assert not workspace._buffers
+        _assert_same_solver(weighted_woodbury(design, W, sigma),
+                            weighted_woodbury(replace(design), W, sigma), rng)
+    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0)
+    y = (rng.random(1500) < 0.5).astype(float)
+    boosts = rng.uniform(0.0, 1.0, 39)
+    em_fit(design, y, boosts, hyper)
+    gibbs_run(design, y, boosts, hyper, iters=5)
+    assert not design.workspace._buffers
 
 
 def test_sample_space_steps_after_the_first_allocate_no_core(rng):
     # a chain's beta draw and an EM fit's CM-beta step at n = 250 build
-    # their n x n core in the buffers the first step allocated: a later
-    # step with |B| < n allocates less than one n x n float array, where a
-    # build with no workspace allocates its core and scratch. Past the
-    # first block of B each block's product is still allocated, one at a
-    # time, so a step with |B| > n allocates less than two
+    # their n x n core in the design's buffers, which the first step
+    # allocated: a later step with |B| < n allocates less than one n x n
+    # float array, where a step on a fresh copy of the design allocates
+    # its core and scratch. Past the first block of B each block's product
+    # is still allocated, one at a time, so a step with |B| > n allocates
+    # less than two
     from spatialboost.em import Hyperparameters, cm_beta
     from spatialboost.mcmc import sample_beta
 
@@ -824,19 +834,42 @@ def test_sample_space_steps_after_the_first_allocate_no_core(rng):
     every = rng.uniform(0.0, 1.0, p1)  # B is every marker: three blocks
     nn = n * n * 8
     steps = [
-        ("sample_beta", nn, lambda ws: sample_beta(omega, theta, 0.1, design,
-                                                   xty, hyper, rng, ws)),
-        ("cm_beta |B| < n", nn,
-         lambda ws: cm_beta(design, y, eta, beta, few, 0.1, hyper, ws)),
+        ("sample_beta", nn,
+         lambda d: sample_beta(omega, theta, 0.1, d, xty, hyper, rng)),
+        ("cm_beta |B| < n", nn, lambda d: cm_beta(d, y, eta, beta, few, 0.1, hyper)),
         ("cm_beta |B| > n", 2 * nn,
-         lambda ws: cm_beta(design, y, eta, beta, every, 0.1, hyper, ws)),
+         lambda d: cm_beta(d, y, eta, beta, every, 0.1, hyper)),
     ]
     for name, bound, step in steps:
-        workspace = Workspace()
-        step(workspace)
-        _, peak = _traced_peak(lambda: step(workspace))
-        _, fresh = _traced_peak(lambda: step(None))
+        used = replace(design)
+        step(used)
+        _, peak = _traced_peak(lambda: step(used))
+        _, fresh = _traced_peak(lambda: step(replace(design)))
         assert peak < bound < fresh, (name, peak, fresh)
+
+
+def test_a_chain_after_an_em_fit_reuses_the_fits_buffers(rng):
+    # at n = 250 the EM fit leaves the design's core, scratch and block
+    # buffers allocated, so the chain that follows it on the same design
+    # allocates no n x n array (|A| stays below n, so no later block's
+    # product either), where one on fresh buffers allocates its core and
+    # scratch; its draws are those of a chain on a fresh copy, to the bit
+    from spatialboost.em import Hyperparameters, em_fit
+    from spatialboost.mcmc import gibbs_run
+
+    n, p1 = 250, 600
+    design = truncate_design(_wide_design(rng, n, p1).T, tol=1e-12)
+    assert design.sample_space and design.n == n
+    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-3.0, xi1=2.0)
+    y = (rng.random(n) < 0.5).astype(float)
+    boosts = rng.uniform(0.0, 1.0, p1 - 1)
+    em_fit(design, y, boosts, hyper)
+    got, peak = _traced_peak(lambda: gibbs_run(design, y, boosts, hyper, iters=20))
+    want, fresh = _traced_peak(
+        lambda: gibbs_run(replace(design), y, boosts, hyper, iters=20))
+    assert peak < n * n * 8 < fresh, (peak, fresh)
+    for name in ("theta_draws", "beta_draws", "sigma2_draws"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # A sample-space design keeps the int8 X' it was factored from and reads it
@@ -890,9 +923,9 @@ def test_int8_design_products_match_the_float_design(rng, n, p1):
     for u, w in ((rng.standard_normal(p1), rng.standard_normal(n)),
                  (rng.standard_normal((p1, 1)), rng.standard_normal((n, 1))),
                  (rng.standard_normal((p1, 3)), rng.standard_normal((n, 3)))):
-        for workspace in (None, Workspace()):
-            assert np.array_equal(design.matvec(u, workspace), Xf.T @ u)
-            assert np.array_equal(design.rmatvec(w, workspace), Xf @ w)
+        for d in (replace(design), design):  # fresh buffers, then reused ones
+            assert np.array_equal(d.matvec(u), Xf.T @ u)
+            assert np.array_equal(d.rmatvec(w), Xf @ w)
         assert np.array_equal(solver.left(u), (C * (Xf.T @ u).T).T)
         assert np.array_equal(solver.left_t(w), Xf @ (C * w.T).T)
 

@@ -42,6 +42,32 @@ def test_simulate_deterministic():
     assert np.array_equal(d1.y, d2.y)
 
 
+def test_simulate_holds_one_block_of_float_genotypes():
+    # 1000 individuals (15 blocks of 64 and a partial one) by 1500 markers:
+    # beside its draws simulate casts one 64 x 1500 block (768 KB), less
+    # than a quarter of an n x p float (12 MB), and y is the one a whole
+    # float matrix gives
+    n, p = 1000, 1500
+    G = synthetic_genotypes(n, p, np.random.default_rng(4))
+    b = np.random.default_rng(5).uniform(0, 1, p)
+    tracemalloc.start()
+    try:
+        got = simulate(G, b, SIM_HYPER, 0.01, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p * 8 / 4, peak
+    rng = np.random.default_rng(6)
+    theta = (rng.random(p) < expit(SIM_HYPER.xi0 + SIM_HYPER.xi1 * b)).astype(np.int8)
+    beta = np.empty(p + 1)
+    beta[0] = rng.normal(0.0, np.sqrt(0.01 * SIM_HYPER.kappa))
+    beta[1:] = rng.normal(0.0, 1.0, size=p) * np.sqrt(
+        0.01 * (theta * SIM_HYPER.kappa + 1.0 - theta))
+    y = rng.random(n) < expit(beta[0] + G.astype(float) @ beta[1:])
+    assert np.array_equal(got.theta, theta) and np.array_equal(got.beta, beta)
+    assert np.array_equal(got.y, y.astype(np.int8))
+
+
 def test_simulate_prior_saturation(rng):
     hyper = Hyperparameters(kappa=1000.0, nu=3.0, lam=0.02, xi0=-50.0, xi1=0.0)
     p = 10_000
