@@ -17,6 +17,7 @@ import numpy as np
 from spatialboost._special import expit
 from spatialboost.errors import ConfigurationError
 from spatialboost.linalg import (
+    MARKER_BLOCK,
     TruncatedDesign,
     check_rank_tol,
     truncate_design,
@@ -28,7 +29,6 @@ EM_MAX_ITER = 200
 ASCENT_SLACK = 1e-6  # marginal log posterior drop beyond this flags divergence
 STOP_RESIDUAL = 0.5  # filtering stops once a fitted probability misses by more
 TRACE_TOP_MARKERS = 10  # markers em_trace.tsv lists per round, by <theta_j>
-FACTOR_BLOCK = 256  # marker columns FilterConfig.factor copies per step
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ class FilterTrace:
 
     initial: np.ndarray  # original marker indices the first round fits
     final_survivors: np.ndarray  # original marker indices that survive
-    design: TruncatedDesign  # factors of the final survivors' design
+    design: TruncatedDesign | None  # final survivors' factors; gibbs drops them
     rounds: list[FilterRound]
     stop_reason: str  # "rounds", "residual" or "floor"
 
@@ -329,16 +329,16 @@ class FilterConfig:
         at the explicit rank (capped by the design's size and its numerical
         rank) or by rank_tol. This is the one place the design, intercept
         first, is built. It is built as X' ((p+1) x n) in the markers'
-        dtype, in blocks of FACTOR_BLOCK columns, and handed over to the
+        dtype, MARKER_BLOCK marker columns at a time, and handed over to the
         factorization. For the loader's int8 genotypes no float design is
-        built in sample space: the design keeps the int8 X' and reads it a
-        block at a time. Rank space casts X' to float64 once, and a tall
-        design at full rank keeps that float X' as its U'."""
+        built in sample space: the design keeps the int8 X' and reads it
+        MARKER_BLOCK rows at a time, as every pass over it does. Rank space
+        casts X' to float64 once, and a tall design at full rank keeps that
+        float X' as its U'."""
         Xt = np.empty((len(columns) + 1, X_markers.shape[0]), dtype=X_markers.dtype)
         Xt[0] = 1
-        for a in range(0, len(columns), FACTOR_BLOCK):  # no copy of every column
-            block = columns[a:a + FACTOR_BLOCK]
-            Xt[1 + a:1 + a + len(block)] = X_markers[:, block].T
+        for a in range(0, len(columns), MARKER_BLOCK):  # no copy of every column
+            Xt[1 + a:1 + a + MARKER_BLOCK] = X_markers[:, columns[a:a + MARKER_BLOCK]].T
         l = None if self.rank is None else min(self.rank, min(Xt.shape))
         return truncate_design(Xt.T, l, self.rank_tol)
 

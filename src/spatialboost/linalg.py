@@ -54,27 +54,24 @@ be a fresh mapping, faulted in page by page. Two n x n arrays are still
 allocated per step: the LAPACK copy of the core inside
 ``numpy.linalg.solve`` (numpy has no in-place LU), and, only once |B| > n,
 a later block's product, which a held buffer would keep resident beside
-the core, the scratch and that copy (at n = 2000, 23 MB more at the
-em-filter peak). A rank-space design holds no buffer: its steps allocate
-their scratch and l x l arrays per step (at n = 2000, l = 121 holding them
-cut a report's page faults by 2% and raised its peak RSS).
+the core, the scratch and that copy. A rank-space design holds no buffer:
+its steps allocate their scratch and l x l arrays per step.
 
 A sample-space design keeps the X' that ``FilterConfig.factor`` hands over
 without a copy, in the dtype it was built in: int8 for the loader's
 genotypes (23 MiB at 2000 x 12000). No float copy of it is built. Every
-product reads it in blocks, each cast to float64 in the "block" buffer
-(``_cast``; an integer's cast is exact): X u over blocks of
-INDIVIDUAL_BLOCK individuals (columns of X') and X' w over blocks of
-MARKER_BLOCK markers (rows), so each output entry is one whole dot
-product, as over a whole float X'. On OpenBLAS that gives the whole
-product's bits; at these block sizes it did for every shape checked up to
-2000 x 12001 (32 markers at a time did not). The buffer is the larger of
-(p+1) x INDIVIDUAL_BLOCK and MARKER_BLOCK x n floats (615 KB at n = 250,
-p = 1200). A core build gathers its rows of X' in X's dtype and casts
-them into its scratch. The short-side Gram is summed over blocks of at
-least MARKER_BLOCK markers (individuals for a tall X), one symmetric
-product each; its entries, sums of integer products, are exact, so it
-equals the one-shot product, and so do its eigenvalues and the rank.
+pass over it moves whole rows of X', MARKER_BLOCK markers at a time, each
+block cast to float64 in the design's "block" buffer (``_cast``; an
+integer's cast is exact), so the buffer is min(MARKER_BLOCK, p+1) x n
+floats. X' w takes each block's rows of the product in one call, so its
+entries are whole dot products and equal one float ``gemv`` bit for bit
+(on OpenBLAS at 256 markers per block, not at 32). X u sums the blocks'
+products X'[b]' u[b] in block order. A core build gathers its rows of X'
+in X's dtype and casts them into its scratch. The short-side Gram is
+summed over blocks of at least MARKER_BLOCK markers (individuals for a
+tall X), one symmetric product each; its entries, sums of integer
+products, are exact, so it equals the one-shot product, and so do its
+eigenvalues and the rank.
 
 A rank-space design keeps U as U' (l x n, C-contiguous), computed from X'
 cast to float64 once. A tall one at full rank drops nothing, so it holds
@@ -99,9 +96,8 @@ JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 COLUMN_BLOCK = 512
 # a sample-space core adds (cC C') o K in chunks of at least this many rows
 MASK_ROWS = 32
-# a product with a sample-space X' casts this many of its individuals
-# (columns) or markers (rows) to float64 at a time
-INDIVIDUAL_BLOCK = 64
+# every pass over a sample-space X' casts this many of its markers (rows)
+# to float64 at a time
 MARKER_BLOCK = 256
 
 
@@ -137,11 +133,13 @@ class TruncatedDesign:
     column blocks. A sample-space design holds instead Xt = X' itself as a
     C-contiguous (p+1) x n array of any numeric dtype (int8 from
     ``FilterConfig.factor`` on genotypes), K = X X' (n x n, float64) and d,
-    at the numerical rank; its U and V are None, and its products read Xt a
-    block at a time in its own buffers, ``workspace`` (see the module
-    docstring). ``relative_residual_energy`` is the share of the design's
-    energy the truncation drops, ||X - X_l||_F^2 / ||X||_F^2, the quantity
-    ``rank_tol`` bounds (0 in sample space and at full rank).
+    at the numerical rank; its U and V are None, and its products read Xt
+    MARKER_BLOCK rows at a time in its own buffers, ``workspace``: X' w
+    equals one float gemv bit for bit, and X u is a sum over the blocks in
+    block order (see the module docstring). ``relative_residual_energy`` is
+    the share of the design's energy the truncation drops,
+    ||X - X_l||_F^2 / ||X||_F^2, the quantity ``rank_tol`` bounds (0 in
+    sample space and at full rank).
     """
 
     d: np.ndarray
@@ -255,13 +253,12 @@ def _cast(src: np.ndarray, workspace: Workspace) -> np.ndarray:
 
 
 def _times(Xt: np.ndarray, u: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """X u = Xt' u for a vector or matrix u, over blocks of
-    INDIVIDUAL_BLOCK individuals (columns of Xt), each cast in
-    ``workspace``: each block's entries of X u are its own product."""
-    out = np.empty((Xt.shape[1],) + np.shape(u)[1:])
-    for a in range(0, Xt.shape[1], INDIVIDUAL_BLOCK):
-        cols = slice(a, a + INDIVIDUAL_BLOCK)
-        np.matmul(_cast(Xt[:, cols], workspace).T, u, out=out[cols])
+    """X u = Xt' u for a vector or matrix u: the products of blocks of
+    MARKER_BLOCK markers (rows of Xt), each cast in ``workspace``, with
+    their entries of u, summed in block order."""
+    out = np.zeros((Xt.shape[1],) + np.shape(u)[1:])
+    for a in range(0, Xt.shape[0], MARKER_BLOCK):
+        out += _cast(Xt[a:a + MARKER_BLOCK], workspace).T @ u[a:a + MARKER_BLOCK]
     return out
 
 

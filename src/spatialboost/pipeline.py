@@ -638,6 +638,7 @@ def _gibbs(run: PipelineResult) -> str:
     cfg, ds = run.config, run.dataset
     seed = int(substream(cfg.seed, "gibbs.chain0").integers(2**31))
     run.chain = chain = sample_survivors(cfg, ds.y, run.boosts, run.trace, seed)
+    run.trace.design = None  # nothing reads the design after the chain
     draws = {
         "theta": chain.theta_draws,
         "beta": chain.beta_draws,

@@ -596,7 +596,7 @@ def test_factor_builds_its_design_in_column_blocks(rng, monkeypatch):
     columns = np.flatnonzero(rng.random(p) < 0.9)
     monkeypatch.setattr(em, "truncate_design", lambda X, *args, **kw: X.T)
     Xt, peak = _traced_peak(lambda: em.FilterConfig().factor(G, columns))
-    block = n * em.FACTOR_BLOCK * G.itemsize
+    block = n * linalg.MARKER_BLOCK * G.itemsize
     assert peak <= Xt.nbytes + block + 8192  # 8 KiB for indexing, whatever n, p
     want = np.ascontiguousarray(np.column_stack([np.ones(n, np.int8), G[:, columns]]).T)
     assert Xt.dtype == np.int8 and want.dtype == np.int8
@@ -873,12 +873,13 @@ def test_a_chain_after_an_em_fit_reuses_the_fits_buffers(rng):
 
 
 # A sample-space design keeps the int8 X' it was factored from and reads it
-# in float64 blocks. The oracles below are the arithmetic of a whole float
-# X': each product in one BLAS call, the Gram in one syrk and the core from
-# float rows of X'. Each output entry of a blocked product is a whole dot
-# product (X u over blocks of individuals, X' w over blocks of markers), and
-# an integer's cast is exact, so the products match to the bit; the Gram's
-# entries are sums of integer products, exact whatever the blocks.
+# in float64 blocks of MARKER_BLOCK markers. The oracles below read a float
+# X': X' w in one BLAS call (each of its entries is a whole dot product, and
+# an integer's cast is exact, so it matches to the bit), X u as the sum of
+# the same marker blocks' products in block order (to the bit, and to
+# rounding against the one-shot product), the Gram in one syrk (its entries
+# are sums of integer products, exact whatever the blocks) and the core from
+# float rows of X'.
 
 
 def _int8_design(rng, n, p1):
@@ -887,6 +888,24 @@ def _int8_design(rng, n, p1):
     Xt = rng.integers(0, 3, (p1, n)).astype(np.int8)
     Xt[0] = 1
     return Xt, Xt.astype(float)
+
+
+def _float_times(Xf, u):
+    """X u from a float X', summed over its blocks of MARKER_BLOCK markers
+    in block order."""
+    out = np.zeros((Xf.shape[1],) + u.shape[1:])
+    for a in range(0, Xf.shape[0], linalg.MARKER_BLOCK):
+        rows = slice(a, a + linalg.MARKER_BLOCK)
+        out = out + Xf[rows].T @ u[rows]
+    return out
+
+
+def _assert_blocked_times(got, Xf, u):
+    """``got`` is X u summed over marker blocks, to the bit, and the
+    one-shot X u to rounding."""
+    want = _float_times(Xf, u)
+    assert np.array_equal(got, want)
+    assert np.allclose(got, Xf.T @ u, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def _float_core(C, Xf, sigma, K):
@@ -905,11 +924,11 @@ def _float_core(C, Xf, sigma, K):
     return core
 
 
-# n and p+1 off the block sizes (the last block of each product partial),
-# n below one block of individuals, and a tall sample-space design
+# p+1 off the block size (the last block of each product partial), a tall
+# sample-space design whose p+1 fits in one block, and n far below p+1
 @pytest.mark.parametrize("n, p1", [(70, 601), (250, 1201), (40, 33), (30, 300)])
 def test_int8_design_products_match_the_float_design(rng, n, p1):
-    assert n % linalg.INDIVIDUAL_BLOCK and p1 % linalg.MARKER_BLOCK
+    assert p1 % linalg.MARKER_BLOCK
     Xt, Xf = _int8_design(rng, n, p1)
     design = truncate_design(Xt.T, tol=1e-12)
     assert design.sample_space and np.shares_memory(design.Xt, Xt)
@@ -924,9 +943,9 @@ def test_int8_design_products_match_the_float_design(rng, n, p1):
                  (rng.standard_normal((p1, 1)), rng.standard_normal((n, 1))),
                  (rng.standard_normal((p1, 3)), rng.standard_normal((n, 3)))):
         for d in (replace(design), design):  # fresh buffers, then reused ones
-            assert np.array_equal(d.matvec(u), Xf.T @ u)
+            _assert_blocked_times(d.matvec(u), Xf, u)
             assert np.array_equal(d.rmatvec(w), Xf @ w)
-        assert np.array_equal(solver.left(u), (C * (Xf.T @ u).T).T)
+        assert np.array_equal(solver.left(u), (C * _float_times(Xf, u).T).T)
         assert np.array_equal(solver.left_t(w), Xf @ (C * w.T).T)
 
 
@@ -946,5 +965,20 @@ def test_int8_design_core_matches_the_float_design(rng, n, p1, size):
         assert np.array_equal(got._core, want)
     R = rng.standard_normal(p1)
     SigR = sigma * R
-    w = np.linalg.solve(want, C * (Xf.T @ SigR))
+    w = np.linalg.solve(want, C * _float_times(Xf, SigR))
     assert np.array_equal(got.solve(R), SigR - sigma * (Xf @ (C * w)))
+
+
+# a wide and a tall sample-space design, p+1 over three blocks of markers
+@pytest.mark.parametrize("n, p1", [(60, 773), (900, 773)])
+def test_sample_space_block_buffer_holds_one_block_of_markers(rng, n, p1):
+    # X u and X' w both cast whole rows of X', MARKER_BLOCK at a time, so
+    # the design's float block buffer is one block of markers
+    assert p1 > 2 * linalg.MARKER_BLOCK
+    Xt, _ = _int8_design(rng, n, p1)
+    design = truncate_design(Xt.T, tol=1e-12)
+    assert design.sample_space and (p1 < n) is (n == 900)
+    design.matvec(rng.standard_normal(p1))
+    design.rmatvec(rng.standard_normal(n))
+    block = design.workspace._buffers["block"]
+    assert block.size == min(linalg.MARKER_BLOCK, p1) * n

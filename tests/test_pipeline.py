@@ -4,6 +4,7 @@ import io
 import os
 import re
 import threading
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
@@ -638,7 +639,7 @@ def _gibbs_stage(tmp_path, monkeypatch, chain):
     """A run context whose gibbs stage writes ``chain``'s draws to tmp_path."""
     monkeypatch.setattr(pipeline, "sample_survivors", lambda *args: chain)
     run = PipelineResult(RunConfig(out_dir=str(tmp_path)))
-    run.dataset = SimpleNamespace(y=None)
+    run.dataset, run.trace = SimpleNamespace(y=None), SimpleNamespace(design=None)
     return run
 
 
@@ -831,6 +832,29 @@ def test_run_pipeline_skips_em_stage(tmp_path):
     assert result.trace.final_survivors.size == result.dataset.p
 
 
+def test_gibbs_stage_frees_the_survivors_design(tmp_path):
+    # nothing after the chain reads the design: once the gibbs stage has
+    # sampled, no reference to it is left for the report and the manifest
+    refs = []
+
+    def keep_ref(run):
+        refs.append(weakref.ref(run.trace.design))
+
+    def assert_freed(run):
+        assert refs and refs[0]() is None
+
+    geno, genes, _ = _planted_files(tmp_path)
+    cfg = RunConfig(genotypes=geno, genes=genes, out_dir=str(tmp_path / "out"),
+                    seed=3, phi=5000.0, gibbs_iters=40, gibbs_burnin=15)
+    names = [name for name, _ in pipeline.STAGES]
+    at = names.index("gibbs")
+    stages = (pipeline.STAGES[:at] + (("keep", keep_ref),) + pipeline.STAGES[at:at + 1]
+              + (("freed", assert_freed),) + pipeline.STAGES[at + 1:])
+    run = pipeline.run_stages(cfg, stages)
+    assert run.trace.design is None and run.chain is not None
+    assert (tmp_path / "out" / "report.tsv").exists()
+
+
 def test_run_pipeline_failure_marker(tmp_path):
     cfg = RunConfig(
         genotypes=str(tmp_path / "missing.tsv"),
@@ -927,16 +951,41 @@ def test_report_etheta_em_follows_the_last_rounds_columns(tmp_path):
         assert cell == (f"{etheta[j]:.10g}" if j in survivors else "NA"), j
 
 
-def test_load_genotypes_reads_a_pipe(tmp_path):
-    # a pipe has no size to bound the rows by, so the matrix grows as the
-    # blocks arrive
-    text = _genotype_text(np.random.default_rng(5), 3 * _BLOCK_300 + 2, 300, 0.05)
-    path = _write(tmp_path, "g.tsv", text)
+def _load_from_pipe(tmp_path, text):
+    """load_genotypes on ``text`` written into a FIFO by another thread."""
     fifo = tmp_path / "pipe.tsv"
     os.mkfifo(fifo)
     writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
     writer.start()
     try:
-        _assert_same_dataset(load_genotypes(str(fifo)), per_cell_load_genotypes(path))
+        return load_genotypes(str(fifo))
     finally:
         writer.join(timeout=30)
+        fifo.unlink()
+        assert not writer.is_alive()
+
+
+def test_load_genotypes_reads_a_pipe(tmp_path):
+    # a pipe has no size to bound the rows by, so the matrix grows as the
+    # blocks arrive: four decoding blocks with missing cells and a blank
+    # line load as the same file read from disk does
+    text = _genotype_text(np.random.default_rng(5), 3 * _BLOCK_300 + 2, 300, 0.05)
+    lines = text.split("\n")
+    text = "\n".join(lines[:3] + [""] + lines[3:])
+    path = _write(tmp_path, "g.tsv", text)
+    got = _load_from_pipe(tmp_path, text)
+    _assert_same_dataset(got, load_genotypes(path))
+    _assert_same_dataset(got, per_cell_load_genotypes(path))
+    # a bad cell in the last block, read after the buffers have grown,
+    # names its file:line, counting the blank line
+    lines = text.split("\n")
+    bad = len(lines) - 3
+    lines[bad] = lines[bad][:-1] + "7"
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as err:
+        _load_from_pipe(tmp_path, text)
+    where = f":{bad + 1}: genotype '7' not in "
+    assert str(err.value).startswith(f"{tmp_path / 'pipe.tsv'}{where}"), err.value
+    path = _write(tmp_path, "bad.tsv", text)
+    with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
+        load_genotypes(path)
