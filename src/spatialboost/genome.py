@@ -14,7 +14,6 @@ is scored on the bins, so memory grows with the SNPs, not the pairs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -122,17 +121,6 @@ def build_blocks(genes: list[Gene], relevances: np.ndarray) -> list[GenomicBlock
     return blocks
 
 
-def gene_weight(s_j: float, block: GenomicBlock, phi: float) -> float:
-    """Gaussian mass of N(s_j, phi^2) over [block.start, block.end], as
-    Phi(b) - Phi(a) with Phi(u) = erfc(-u / sqrt 2) / 2."""
-    if phi <= 0:
-        raise ConfigurationError(f"phi must be positive, got {phi}")
-    scale = SQRT1_2 / phi
-    return 0.5 * (
-        math.erfc((s_j - block.end) * scale) - math.erfc((s_j - block.start) * scale)
-    )
-
-
 # In double precision ndtr(u) is exactly 0 for u < -37.7 and exactly 1 for
 # u > 8.3, so a block's term is exactly 0 for a SNP more than WINDOW * phi
 # past its end or LEAD * phi before its start
@@ -153,9 +141,9 @@ def compute_boosts(
     bisection; every other SNP would get exactly 0. The Gaussian masses
     ndtr((end - s) / phi) - ndtr((start - s) / phi) of those (block, SNP)
     pairs are evaluated in batches of whole SNPs, and each SNP's terms are
-    summed in block order. The sums agree with a per-SNP loop over
-    ``gene_weight`` to rounding; memory grows with ``PAIRS_PER_CALL``, not
-    with SNPs x blocks.
+    summed in block order. The sums agree to rounding with a per-SNP loop
+    that takes Phi from libm's erfc (the tests' oracle); memory grows with
+    ``PAIRS_PER_CALL``, not with SNPs x blocks.
     """
     if not snps:
         raise ConfigurationError("at least one SNP required")

@@ -3,7 +3,9 @@
 Selection thresholds probabilities at 1/(1+gamma); gamma > 0 trades
 sensitivity against specificity, with gamma = 1 reducing to the median
 probability rule. The EMBFDR variant plugs the EM conditional probabilities
-<theta_j> into the BFDR formula to guide the choice of kappa.
+<theta_j> into the BFDR formula to guide the choice of kappa; the stage that
+fits the EM per kappa is ``pipeline.scan_kappas``, so this module reads no
+model code.
 
 The one tuning guideline is ``xi1_bound``, whose docstring also gives the
 stringent bound, the xi0 constraint and the band half-widths sigma s_j.
@@ -12,18 +14,11 @@ stringent bound, the xi0 constraint and the band half-widths sigma s_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from spatialboost.em import Hyperparameters, em_fit
 from spatialboost.errors import ConfigurationError
-from spatialboost.linalg import TruncatedDesign
-
-# default gamma grid: thresholds 1/(1+gamma) spanning (0.02, 0.5]
-DEFAULT_GAMMA_GRID = tuple(
-    float(g) for g in (1.0 / np.linspace(0.5, 0.02, 13) - 1.0)
-)
 
 
 def threshold(gamma: float) -> float:
@@ -107,32 +102,6 @@ def xi1_bound(kappa: float, gamma: float, s: float, xi0: float = 0.0) -> float:
         - math.log(gamma)
         - 0.5 * s * s * (1.0 - 1.0 / kappa)
     )
-
-
-def kappa_scan(
-    design: TruncatedDesign,
-    y: np.ndarray,
-    boosts: np.ndarray,
-    hyper_base: Hyperparameters,
-    kappas,
-    gammas,
-) -> list[tuple[float, EmbfdrPoint]]:
-    """EMBFDR curves across a kappa grid, one em_fit per kappa on the same
-    design, as (kappa, point) pairs."""
-    kappas = list(kappas)
-    if not kappas:
-        raise ConfigurationError("kappa grid must be non-empty")
-    rows = []
-    for kappa in map(float, kappas):
-        state = em_fit(design, y, boosts, replace(hyper_base, kappa=kappa))
-        rows += [(kappa, pt) for pt in embfdr_curve(state.etheta[1:], gammas)]
-    return rows
-
-
-def kappa_scan_tsv(rows: list[tuple[float, EmbfdrPoint]]) -> str:
-    lines = ["kappa\tgamma\tthreshold\tembfdr\tretained"]
-    lines += [f"{kappa:.10g}\t{pt.tsv()}" for kappa, pt in rows]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

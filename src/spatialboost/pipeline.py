@@ -34,6 +34,7 @@ from spatialboost.em import (
     FilterTrace,
     Hyperparameters,
     em_filter_pipeline,
+    em_fit,
 )
 from spatialboost.errors import (
     ConfigurationError,
@@ -49,13 +50,7 @@ from spatialboost.genome import (
     fit_phi_by_region,
     partition_regions,
 )
-from spatialboost.inference import (
-    DEFAULT_GAMMA_GRID,
-    SelectionReport,
-    kappa_scan,
-    kappa_scan_tsv,
-    threshold,
-)
+from spatialboost.inference import SelectionReport, embfdr_curve, threshold
 from spatialboost.mcmc import ChainSummary, gibbs_run, resolve_burnin
 
 MISSING_CODE = "."
@@ -690,14 +685,25 @@ def write_phi_fits(run: PipelineResult) -> str:
     return run.emit("phi.tsv", "\n".join(lines) + "\n")
 
 
+# the kappa scan's gamma grid: thresholds 1/(1+gamma) spanning (0.02, 0.5]
+DEFAULT_GAMMA_GRID = tuple(
+    float(g) for g in (1.0 / np.linspace(0.5, 0.02, 13) - 1.0)
+)
+
+
 def scan_kappas(run: PipelineResult, kappas) -> str:
     """Extra stage after ``boosts``: EMBFDR curves across ``kappas`` on the
     post-QC design, factored by the EM filter's rank rule, written to
-    kappa_scan.tsv."""
+    kappa_scan.tsv. Each kappa gets one em_fit on that design, and its
+    <theta> one point per DEFAULT_GAMMA_GRID gamma."""
     cfg, ds = run.config, run.dataset
     design = cfg.filtering.factor(ds.G, np.arange(ds.p))
-    rows = kappa_scan(design, ds.y, run.boosts, cfg.em, kappas, DEFAULT_GAMMA_GRID)
-    return run.emit("kappa_scan.tsv", kappa_scan_tsv(rows))
+    lines = ["kappa\tgamma\tthreshold\tembfdr\tretained"]
+    for kappa in map(float, kappas):
+        state = em_fit(design, ds.y, run.boosts, replace(cfg.em, kappa=kappa))
+        curve = embfdr_curve(state.etheta[1:], DEFAULT_GAMMA_GRID)
+        lines += [f"{kappa:.10g}\t{pt.tsv()}" for pt in curve]
+    return run.emit("kappa_scan.tsv", "\n".join(lines) + "\n")
 
 
 def _write_manifest(run: PipelineResult) -> None:

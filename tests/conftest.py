@@ -19,7 +19,6 @@ from spatialboost.genome import (
     GenomicBlock,
     SnpLocus,
     correlation_model,
-    gene_weight,
 )
 from spatialboost.linalg import weighted_cholesky
 from spatialboost.pipeline import MISSING_CODE, Dataset
@@ -385,6 +384,18 @@ def loop_build_blocks(genes, relevances) -> list:
             if covering:
                 blocks.append(GenomicBlock(a, b, float(np.mean(covering)), chrom))
     return blocks
+
+
+def gene_weight(s_j: float, block: GenomicBlock, phi: float) -> float:
+    """Oracle for one (SNP, block) mass of ``genome.compute_boosts``: the
+    Gaussian mass of N(s_j, phi^2) over [block.start, block.end], as
+    Phi(b) - Phi(a) with Phi(u) = erfc(-u / sqrt 2) / 2 from libm."""
+    if phi <= 0:
+        raise ConfigurationError(f"phi must be positive, got {phi}")
+    scale = math.sqrt(0.5) / phi
+    return 0.5 * (
+        math.erfc((s_j - block.end) * scale) - math.erfc((s_j - block.start) * scale)
+    )
 
 
 def loop_compute_boosts(snps, blocks, phi: float) -> np.ndarray:

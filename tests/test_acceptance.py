@@ -20,7 +20,13 @@ from spatialboost.em import (
     ppl,
     prior_scale,
 )
-from spatialboost.genome import GenomicBlock, correlation_model, fit_phi, gene_weight
+from spatialboost.genome import (
+    GenomicBlock,
+    SnpLocus,
+    compute_boosts,
+    correlation_model,
+    fit_phi,
+)
 from spatialboost.inference import centroid, xi1_bound
 from spatialboost.linalg import WoodburySolver, truncate_design
 from spatialboost.mcmc import GibbsState, gibbs_cycle, sample_pg_vector
@@ -41,13 +47,20 @@ def criterion(num, name):
 
 def test_criterion_1_gene_weight_values_and_speed():
     with criterion(1, "gene proximity weights"):
-        near = GenomicBlock(980, 995, 1.0)
-        far = GenomicBlock(1020, 1030, 1.0)
-        assert gene_weight(1000.0, near, 10.0) == pytest.approx(0.29, abs=0.005)
-        assert gene_weight(1000.0, far, 10.0) == pytest.approx(0.02, abs=0.005)
-        gene_weight(1000.0, near, 10.0)  # warm-up
+        # one SNP at 1000 on each of three chromosomes; the third's block
+        # holds all of its Gaussian mass, so the boosts are the raw masses
+        snps = [SnpLocus(f"s{c}", 1000, c) for c in "123"]
+        near = GenomicBlock(980, 995, 1.0, "1")
+        far = GenomicBlock(1020, 1030, 1.0, "2")
+        whole = GenomicBlock(0, 10**6, 1.0, "3")
+        boosts = compute_boosts(snps, [near, far, whole], 10.0)
+        assert boosts[2] == 1.0
+        assert boosts[0] == pytest.approx(0.29, abs=0.005)
+        assert boosts[1] == pytest.approx(0.02, abs=0.005)
+        one = [SnpLocus("s", 1000)]
+        compute_boosts(one, [near], 10.0)  # warm-up
         best = min(
-            _timed(lambda: gene_weight(1000.0, near, 10.0)) for _ in range(50)
+            _timed(lambda: compute_boosts(one, [near], 10.0)) for _ in range(50)
         )
         assert best < 1e-3, f"single call took {best:.2e} s"
 

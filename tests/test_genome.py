@@ -18,7 +18,6 @@ from spatialboost.genome import (
     correlation_model,
     fit_phi,
     fit_phi_by_region,
-    gene_weight,
     partition_regions,
 )
 from spatialboost.pipeline import load_genotypes
@@ -27,6 +26,7 @@ from tests.conftest import (
     exhaustive_fit_phi,
     float_copy_distance_bins,
     float_copy_fit_phi,
+    gene_weight,
     loop_build_blocks,
     loop_compute_boosts,
     peak_bytes,

@@ -1,22 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spatialboost.em import Hyperparameters
+import spatialboost
 from spatialboost.errors import ConfigurationError
 from spatialboost.inference import (
-    DEFAULT_GAMMA_GRID,
     SelectionReport,
     bfdr,
     centroid,
     embfdr_curve,
-    kappa_scan,
-    kappa_scan_tsv,
     threshold,
     xi1_bound,
 )
-from spatialboost.linalg import truncate_design
+from spatialboost.pipeline import DEFAULT_GAMMA_GRID
 
 
 def test_gain_config_threshold():
@@ -113,56 +113,6 @@ def test_band_half_width_zeroes_the_xi1_bound():
         assert bound == pytest.approx(xi1 * b, abs=1e-12)
 
 
-def _scan_fixture(seed=13):
-    rng = np.random.default_rng(seed)
-    n, p = 30, 6
-    X = np.column_stack([np.ones(n), rng.integers(0, 3, (n, p)).astype(float)])
-    y = rng.integers(0, 2, n).astype(float)
-    boosts = rng.uniform(0, 1, p)
-    return truncate_design(X, min(X.shape)), y, boosts
-
-
-def test_kappa_scan_single_point_composes():
-    design, y, boosts = _scan_fixture()
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
-    rows = kappa_scan(design, y, boosts, hyper, [50.0], [1.0])
-    assert len(rows) == 1
-    kappa, point = rows[0]
-    assert kappa == 50.0
-
-    from dataclasses import replace
-
-    from spatialboost.em import em_fit
-
-    state = em_fit(design, y, boosts, replace(hyper, kappa=50.0))
-    direct = embfdr_curve(state.etheta[1:], [1.0])[0]
-    assert point.retained == direct.retained
-    assert point.embfdr == direct.embfdr
-
-
-def test_kappa_scan_curves_finite_and_monotone():
-    design, y, boosts = _scan_fixture()
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
-    rows = kappa_scan(
-        design, y, boosts, hyper, [10.0, 100.0, 1000.0], DEFAULT_GAMMA_GRID
-    )
-    for kappa in (10.0, 100.0, 1000.0):
-        pts = [pt for k, pt in rows if k == kappa]
-        retained = [p.retained for p in pts]
-        assert np.all(np.diff(retained) >= 0)
-        for p in pts:
-            assert p.embfdr is None or np.isfinite(p.embfdr)
-    text = kappa_scan_tsv(rows)
-    assert text.startswith("kappa\tgamma\tthreshold\tembfdr\tretained")
-
-
-def test_kappa_scan_empty_grid_errors():
-    design, y, boosts = _scan_fixture()
-    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
-    with pytest.raises(ConfigurationError):
-        kappa_scan(design, y, boosts, hyper, [], DEFAULT_GAMMA_GRID)
-
-
 def test_selection_report_build_and_tsv():
     rep = SelectionReport.build(["a", "b", "c"], np.array([0.9, 0.4, 0.6]), 1.0)
     assert rep.selected.tolist() == [1, 0, 1]
@@ -178,3 +128,23 @@ def test_selection_report_empty_selection_sentinel():
     assert rep.point.embfdr is None
     assert rep.point.tsv() == "1\t0.5\tNA\t0"
     assert "bfdr=NA" in rep.to_tsv()
+
+
+def test_import_loads_no_model_code():
+    # selection reads probabilities alone, so neither spatialboost.em nor
+    # spatialboost.linalg loads: the kappa scan, which fits the EM on a
+    # factored design, is a pipeline stage
+    code = (
+        "import sys, spatialboost.inference\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('spatialboost')))"
+    )
+    src = os.path.dirname(os.path.dirname(spatialboost.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = out.stdout.split()
+    assert loaded == ["spatialboost", "spatialboost.errors", "spatialboost.inference"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spatialboost._special import chi2_sf_1df
-from spatialboost.em import FilterConfig, Hyperparameters
+from spatialboost.em import FilterConfig, Hyperparameters, em_fit
 from spatialboost.errors import (
     ConfigurationError,
     NumericalError,
@@ -23,9 +23,11 @@ from spatialboost.errors import (
 )
 from spatialboost import pipeline
 from spatialboost.genome import Gene, SnpLocus
+from spatialboost.inference import embfdr_curve
 from spatialboost.mcmc import ChainSummary
 from spatialboost.pipeline import (
     _CHUNK,
+    DEFAULT_GAMMA_GRID,
     Dataset,
     _KEYS,
     PipelineResult,
@@ -41,6 +43,7 @@ from spatialboost.pipeline import (
     maf_filter,
     parse_config,
     run_pipeline,
+    scan_kappas,
     substream,
     write_npz,
 )
@@ -989,3 +992,50 @@ def test_load_genotypes_reads_a_pipe(tmp_path):
     path = _write(tmp_path, "bad.tsv", text)
     with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
         load_genotypes(path)
+
+
+SCAN_HEADER = "kappa\tgamma\tthreshold\tembfdr\tretained"
+
+
+def _scan_run(tmp_path, seed=13):
+    """A run after the boosts stage: 30 individuals, 6 markers."""
+    rng = np.random.default_rng(seed)
+    n, p = 30, 6
+    ds = Dataset(
+        y=rng.integers(0, 2, n).astype(float),
+        G=rng.integers(0, 3, (n, p)).astype(np.int8),
+        snps=[SnpLocus(f"rs{j}", 100 * j) for j in range(p)],
+    )
+    hyper = Hyperparameters(kappa=100.0, nu=3.0, lam=0.02, xi0=-2.0, xi1=1.0)
+    config = RunConfig(out_dir=str(tmp_path), em=hyper)
+    return PipelineResult(config, dataset=ds, boosts=rng.uniform(0, 1, p))
+
+
+def _scan_rows(path):
+    header, *rows = Path(path).read_text().splitlines()
+    assert header == SCAN_HEADER
+    return [row.split("\t") for row in rows]
+
+
+def test_kappa_scan_single_point_composes(tmp_path):
+    # one kappa's rows are the EMBFDR curve of one em_fit at that kappa on
+    # the post-QC design, factored as the EM filter factors it
+    run = _scan_run(tmp_path)
+    path = scan_kappas(run, [50.0])
+    assert run.outputs == [path] and path == str(tmp_path / "kappa_scan.tsv")
+    cfg, ds = run.config, run.dataset
+    design = cfg.filtering.factor(ds.G, np.arange(ds.p))
+    state = em_fit(design, ds.y, run.boosts, replace(cfg.em, kappa=50.0))
+    direct = embfdr_curve(state.etheta[1:], DEFAULT_GAMMA_GRID)
+    assert _scan_rows(path) == [["50", *pt.tsv().split("\t")] for pt in direct]
+
+
+def test_kappa_scan_curves_finite_and_monotone(tmp_path):
+    rows = _scan_rows(scan_kappas(_scan_run(tmp_path), [10.0, 100.0, 1000.0]))
+    for kappa in ("10", "100", "1000"):
+        pts = [row[1:] for row in rows if row[0] == kappa]
+        assert len(pts) == len(DEFAULT_GAMMA_GRID)
+        retained = [int(pt[3]) for pt in pts]
+        assert np.all(np.diff(retained) >= 0)
+        for pt in pts:
+            assert pt[2] == "NA" or np.isfinite(float(pt[2]))
